@@ -167,28 +167,24 @@ class PageMappedFtl:
 
     # -- garbage collection ----------------------------------------------------
     def pick_victim(self, exclude: Optional[set[int]] = None) -> Optional[Block]:
-        """Greedy victim: the full, non-active block with fewest valid pages.
+        """Greedy victim: the full block with the fewest valid pages that
+        has at least one garbage page.
 
         ``exclude`` skips blocks already being collected (lets a pipelined
         GC pick several victims concurrently).
         """
-        # A full block no longer accepts writes, so it is collectable even
-        # while still referenced as a stream's most-recent active block.
-        active = {
-            b.block_id
-            for b in (*self._user_active, *self._gc_active)
-            if b is not None and not b.is_full
-        }
-        if exclude:
-            active |= exclude
+        # Only full blocks are candidates. A block still accepting writes
+        # (every active block) is never full; a full block is collectable
+        # even while still referenced as a stream's most-recent active
+        # block.
         best: Optional[Block] = None
         for block in self.blocks:
-            if block.block_id in active or not block.is_full:
+            if not block.is_full or block.block_id in self.bad_blocks:
                 continue
-            if block.block_id in self.bad_blocks:
+            if exclude and block.block_id in exclude:
                 continue
             if block.garbage_pages() == 0 and block.valid_count > 0:
-                # Fully valid blocks yield nothing; skip unless no choice.
+                # Fully valid blocks yield nothing: never picked.
                 continue
             if best is None or block.valid_count < best.valid_count:
                 best = block

@@ -32,18 +32,28 @@ CONCURRENT_OPS = ("none", "read", "write", "append")
 def _sweep_with_refill(device, zone_pool, count: int, latency: LatencyStats) -> Generator:
     """Reset ``count`` fully-occupied zones, refilling pool zones between
     resets (the paper sweeps 400 distinct pre-filled zones; refilling a
-    smaller pool is metadata-equivalent)."""
+    smaller pool is metadata-equivalent).
+
+    Under fault injection a failed erase retires a zone (OFFLINE), and
+    ``force_fill`` then refuses it: such a zone leaves the pool, and the
+    sweep ends early if the pool runs empty. Only successful resets are
+    recorded.
+    """
+    pool = list(zone_pool)
     for i in range(count):
-        zone_index = zone_pool[i % len(zone_pool)]
-        zone = device.zones.zones[zone_index]
-        status = device.force_fill(zone_index, zone.cap_lbas)
-        assert status.ok, status
-        zslba = zone.zslba
+        while pool:
+            zone_index = pool[i % len(pool)]
+            zone = device.zones.zones[zone_index]
+            if device.force_fill(zone_index, zone.cap_lbas).ok:
+                break
+            pool.remove(zone_index)
+        else:
+            return
         completion = yield device.submit(
-            Command(Opcode.ZONE_MGMT, slba=zslba, action=ZoneAction.RESET)
+            Command(Opcode.ZONE_MGMT, slba=zone.zslba, action=ZoneAction.RESET)
         )
-        assert completion.ok, completion.status
-        latency.record(completion.latency_ns)
+        if completion.ok:
+            latency.record(completion.latency_ns)
 
 
 def _one_config(config: ExperimentConfig, concurrent_op: str):

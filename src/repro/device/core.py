@@ -29,13 +29,13 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from ..hostif.commands import Command, Completion, Opcode, make_completion
+from ..hostif.commands import Command, Completion, Opcode
 from ..hostif.namespace import LbaFormat, Namespace
 from ..hostif.status import Status
 from ..obs.metrics import DEFAULT_LATENCY_BUCKETS_NS, Counter, MetricsRegistry
 from ..obs.tracer import Tracer, resolve_tracer
 from ..sim.engine import Event, Simulator
-from ..sim.resources import Container, Resource, ServiceLine
+from ..sim.resources import Container, Resource
 from ..sim.rng import LatencySampler, StreamFactory
 from ..zns.profiles import DeviceProfile
 from .planner import RequestPlanner
@@ -144,20 +144,7 @@ class DeviceCore:
         )
         self.tracer.register_process(f"{self.kind}:{profile.name}")
         self.namespace = Namespace(capacity_bytes, lba_format)
-        # Every controller acquisition is PRIO_IO except the power-cut
-        # panic grab, so unless a power cut is armed the priority heap
-        # degenerates to FIFO and the cheaper ServiceLine is
-        # grant-order-identical (DESIGN.md §15).
-        power_cut_armed = (
-            faults is not None
-            and faults.enabled
-            and faults.power_cut_at_ns is not None
-        )
-        self.controller = (
-            Resource(sim, capacity=1, name="controller")
-            if power_cut_armed
-            else ServiceLine(sim, name="controller")
-        )
+        self.controller = Resource(sim, capacity=1, name="controller")
         self.buffer = Container(sim, capacity=profile.write_buffer_bytes, name="wbuf")
         self._io_jitter = LatencySampler(streams.stream(io_stream), profile.jitter_sigma)
         self.counters = DeviceCounters(self.metrics)
@@ -251,7 +238,7 @@ class DeviceCore:
     def _complete(self, command: Command, status: Status,
                   nbytes: int = 0, assigned_lba: Optional[int] = None,
                   cid: int = 0) -> Completion:
-        completion = make_completion(command, status, self.sim.now, assigned_lba)
+        completion = Completion(command, status, self.sim.now, assigned_lba)
         self.counters.record(completion, nbytes)
         if self.observing and status.ok and command.submitted_at >= 0:
             self._latency_hist[command.opcode].observe(
@@ -300,13 +287,6 @@ class DeviceCore:
         if self.observing:
             self._wbuf_gauge.set(self.buffer.level)
         return failures
-
-    def _flush_page_to_die_fast(self, die: int) -> Generator:
-        """Probe-free :meth:`_flush_page_to_die` for the fast dispatch
-        table (tracer off, no observability, no faults): same events in
-        the same order, no cancel token, no gauge update."""
-        yield from self.backend.program_page_fast(die)
-        yield self.buffer.get(self._page_size)
 
     # ------------------------------------------------------------ power loss
     def _power_cut_process(self) -> Generator:

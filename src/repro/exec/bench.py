@@ -35,7 +35,7 @@ noisiest member (CI runs this against the committed
 Schema 3 adds pure-engine microbenchmarks under the ``engine`` key:
 tiny synthetic simulations that isolate the event-core paths the
 experiment sweeps lean on (timeout churn through the heap, FIFO
-service-line handoffs, bulk pre-sorted heap insertion via
+resource handoffs, bulk pre-sorted heap insertion via
 ``schedule_after_many``, process spawn/join, and container put/get
 backpressure). Their events/sec figures are **informational** — CI
 renders them alongside the sweep numbers but :func:`compare` does not
@@ -53,7 +53,7 @@ from typing import Any, Callable, Optional
 
 from ..core.experiments.common import ExperimentConfig
 from ..sim.engine import Simulator
-from ..sim.resources import Container, ServiceLine
+from ..sim.resources import Container, Resource
 from .engine import ExecutionReport, execute_experiments
 
 __all__ = ["BENCH_SCHEMA", "QUICK_IDS", "run_bench", "run_engine_microbench",
@@ -117,18 +117,18 @@ def _build_timeout_churn() -> Simulator:
 
 
 def _build_wakeup_batch() -> Simulator:
-    """A contended FIFO service line: grant-on-release handoff chains
-    (the batched controller-wakeup path of DESIGN.md §15)."""
+    """A contended single-slot Resource at one priority: grant-on-release
+    handoff chains (the controller-wakeup path of DESIGN.md §15)."""
     sim = Simulator()
-    line = ServiceLine(sim, name="ctrl")
+    ctrl = Resource(sim, name="ctrl")
 
     def worker():
         timeout = sim.timeout
         for _ in range(1500):
-            req = line.request()
+            req = ctrl.request()
             yield req
             yield timeout(1)
-            line.release(req)
+            ctrl.release(req)
 
     for _ in range(64):
         sim.process(worker())

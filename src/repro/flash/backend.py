@@ -20,7 +20,7 @@ from typing import Generator, Optional
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer, resolve_tracer
 from ..sim.engine import Simulator
-from ..sim.resources import Resource, ServiceLine
+from ..sim.resources import Resource
 from .geometry import MIB, FlashGeometry
 from .nand import NandTiming
 
@@ -57,7 +57,6 @@ class FlashBackend:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         faults=None,
-        fifo_queues: bool = False,
     ):
         if channel_bandwidth <= 0:
             raise ValueError(f"channel bandwidth must be positive, got {channel_bandwidth}")
@@ -70,19 +69,11 @@ class FlashBackend:
         #: Optional FaultInjector (DESIGN.md §12). ``None`` — the default
         #: — must add zero events and zero RNG draws to every operation.
         self.faults = faults if faults is not None and faults.plan.media_enabled else None
-        # ``fifo_queues``: the caller guarantees every die/bus request
-        # uses one priority (the ZNS model — no GC), so the priority
-        # heaps degenerate to FIFO and the cheaper ServiceLine is
-        # grant-order-identical (DESIGN.md §15). The conventional model
-        # keeps Resources: its GC runs at PRIO_GC_URGENT.
-        queue_cls = ServiceLine if fifo_queues else (
-            lambda s, name: Resource(s, capacity=1, name=name)
-        )
         self.dies = [
-            queue_cls(sim, name=f"die{i}") for i in range(geometry.total_dies)
+            Resource(sim, name=f"die{i}") for i in range(geometry.total_dies)
         ]
         self.buses = [
-            queue_cls(sim, name=f"bus{i}") for i in range(geometry.channels)
+            Resource(sim, name=f"bus{i}") for i in range(geometry.channels)
         ]
         self.counters = FlashCounters()
         self._die_busy_ns = [0] * geometry.total_dies
@@ -193,54 +184,6 @@ class FlashBackend:
                                  track=f"die{die_index}", cid=cid)
             self.tracer.span("nand", f"{label}.page", start, self.sim.now,
                              track=f"die{die_index}", cid=cid, die=die_index)
-
-    def read_page_fast(self, die_index: int, transfer_bytes: int) -> Generator:
-        """Probe-free :meth:`read_page`: same events in the same order,
-        with every tracer/fault/metrics conditional resolved at
-        construction time instead of per operation.
-
-        Valid only when the device selected the fast dispatch table
-        (tracer disabled, no observability, no faults — see
-        ``ZnsDevice._exec_table``); the instrumented variant remains the
-        one and only implementation whenever any probe could fire.
-        """
-        die = self.dies[die_index]
-        req = die.request()
-        yield req
-        yield self.sim.timeout(self.timing.read_ns)
-        self._die_busy_ns[die_index] += self.timing.read_ns
-        die.release(req)
-        bus = self._bus_of_die[die_index]
-        breq = bus.request()
-        yield breq
-        transfer = self._transfer_cache.get(transfer_bytes)
-        if transfer is None:
-            transfer = self._transfer_cache[transfer_bytes] = self.transfer_ns(
-                transfer_bytes
-            )
-        yield self.sim.timeout(transfer)
-        bus.release(breq)
-        self.counters.pages_read += 1
-
-    def program_page_fast(self, die_index: int) -> Generator:
-        """Probe-free :meth:`program_page` (see :meth:`read_page_fast`).
-
-        No cancel token (fast dispatch requires faults off, and power
-        cuts are a fault) and no failure return — callers on the fast
-        table ignore it.
-        """
-        bus = self._bus_of_die[die_index]
-        breq = bus.request()
-        yield breq
-        yield self.sim.timeout(self._page_transfer_ns)
-        bus.release(breq)
-        die = self.dies[die_index]
-        req = die.request()
-        yield req
-        yield self.sim.timeout(self.timing.program_ns)
-        self._die_busy_ns[die_index] += self.timing.program_ns
-        die.release(req)
-        self.counters.pages_programmed += 1
 
     def program_page(self, die_index: int, priority: int = 0,
                      cid: int = 0, label: str = "program",

@@ -13,7 +13,7 @@ from .engine import (
     sec,
     us,
 )
-from .resources import Container, Request, Resource, Store
+from .resources import Container, Resource, Store
 from .rng import LatencySampler, StreamFactory
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "Interrupt",
     "LatencySampler",
     "Process",
-    "Request",
     "Resource",
     "SimulationError",
     "Simulator",

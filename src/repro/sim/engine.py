@@ -24,8 +24,10 @@ trace. Two structures maintain that order (DESIGN.md §10):
 The split is order-preserving because simulated time only moves forward:
 every heap entry due at time ``T`` was scheduled strictly before the
 clock reached ``T`` (delays are >= 1 ns), while every ready event due at
-``T`` was triggered *at* ``T`` — so draining the heap's ``T`` entries
-before the deque replays the exact global scheduling order.
+``T`` was triggered *at* ``T``. So whenever the clock advances to ``T``
+the engine moves every heap entry due at ``T`` onto the (then empty)
+ready deque, in heap order; no entry for ``T`` can enter the heap after
+that, and the deque replays the exact global scheduling order.
 
 Waiter storage: an event's waiters live in a single ``_cb`` slot holding
 ``None``, one waiter, or (rarely) a list of waiters. A waiter is either a
@@ -36,17 +38,15 @@ costs no bound-method allocation and no intermediate Python call. Code
 that needs the historical list semantics uses :meth:`Event.add_callback`
 / :meth:`Event.remove_callback` (DESIGN.md §15).
 
-Allocation discipline: :class:`Timeout`, :class:`Process`, and the
-engine's internal wakeup :class:`Event` objects are the three
-most-allocated types; the simulator keeps small per-instance freelists
-and recycles an instance only when ``sys.getrefcount`` proves the engine
-holds the sole reference, so user code that retains an event (completion
-handles, condition children) can never observe a recycled object.
+Allocation discipline: every event is a fresh object that lives exactly
+as long as something references it; the engine keeps no freelists, so
+code that retains an event (completion handles, condition children)
+always holds its own object. The hottest constructors (:class:`Timeout`,
+:class:`Process`) inline ``Event.__init__`` to save a call per event.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional, Sequence
@@ -71,18 +71,9 @@ NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
 
-#: Cap on each per-simulator freelist (Timeouts, Processes, wakeup Events).
-_POOL_MAX = 512
-
 #: Events dispatched by every Simulator in this process (read via
 #: :func:`events_total`; the execution engine reports per-point deltas).
 _EVENTS_TOTAL = 0
-
-_getrefcount = getattr(sys, "getrefcount", None)
-#: Refcount of an object held only by the dispatch loop: the ``event``
-#: local plus the getrefcount argument. Pooling is disabled on runtimes
-#: without refcount semantics (non-CPython).
-_SOLE_REF = 2
 
 
 def events_total() -> int:
@@ -222,7 +213,7 @@ class Event:
         return self
 
     def _run_callbacks(self) -> None:
-        # Out-of-loop dispatch (step(), tests). The run loops inline this.
+        # Out-of-loop dispatch (step(), tests). Simulator.run inlines this.
         self._processed = True
         cb = self._cb
         if cb is None:
@@ -321,9 +312,9 @@ class Process(Event):
 
     # -- internal --------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        # One resume per yield. The run loops inline this body for the
-        # single-waiter case; this method serves multi-waiter lists,
-        # step(), and bootstrap replays.
+        # One resume per yield. Simulator.run inlines this body for the
+        # single-waiter case; this method serves multi-waiter lists and
+        # step().
         self._waiting_on = None
         if event._exception is not None:
             self._advance(self.generator.throw, event._exception)
@@ -346,7 +337,7 @@ class Process(Event):
         self._block_on(target)
 
     def _block_on(self, target: Any) -> None:
-        """Wait on a non-Timeout yield target (the run loops call this)."""
+        """Wait on a non-Timeout yield target (the run loop calls this)."""
         if not isinstance(target, Event):
             self.fail(SimulationError(f"process {self.name!r} yielded non-event {target!r}"))
             return
@@ -464,29 +455,17 @@ class _ScheduledCall:
 class Simulator:
     """The discrete-event engine: a clock, a ready deque, and a heap."""
 
-    __slots__ = (
-        "now",
-        "_heap",
-        "_ready",
-        "_sequence",
-        "_timeout_pool",
-        "_event_pool",
-        "_process_pool",
-        "_events",
-        "_tick",
-    )
+    __slots__ = ("now", "_heap", "_ready", "_sequence", "_events", "_tick")
 
     def __init__(self):
         #: Current simulated time in nanoseconds. A plain attribute (not a
         #: property) because every model layer reads it on the hot path;
-        #: treat it as read-only — only the dispatch loops advance it.
+        #: treat it as read-only — only :meth:`run` and :meth:`step`
+        #: advance it.
         self.now = 0
         self._heap: list[tuple[int, int, Event]] = []
         self._ready: deque[Event] = deque()
         self._sequence = 0
-        self._timeout_pool: list[Timeout] = []
-        self._event_pool: list[Event] = []
-        self._process_pool: list[Process] = []
         self._events = 0
         self._tick: Optional[Callable[[int], None]] = None
 
@@ -524,24 +503,7 @@ class Simulator:
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         """Create an event firing ``delay`` nanoseconds from now."""
-        pool = self._timeout_pool
-        if not pool:
-            return Timeout(self, delay, value)
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        timeout = pool.pop()
-        delay = int(delay)
-        timeout.delay = delay
-        timeout._value = value
-        timeout._exception = None
-        timeout._processed = False
-        timeout._triggered = True
-        if delay:
-            self._sequence += 1
-            heappush(self._heap, (self.now + delay, self._sequence, timeout))
-        else:
-            self._ready.append(timeout)
-        return timeout
+        return Timeout(self, delay, value)
 
     def schedule_after_many(self, delays: Sequence[int]) -> list[Timeout]:
         """Create one Timeout per delay; ``delays`` must be non-decreasing.
@@ -557,7 +519,6 @@ class Simulator:
         events: list[Timeout] = []
         entries: list[tuple[int, int, Timeout]] = []
         ready = self._ready
-        pool = self._timeout_pool
         now = self.now
         seq = self._sequence
         last = 0
@@ -569,22 +530,14 @@ class Simulator:
                     f"non-negative delays; got {delay} after {last}"
                 )
             last = delay
-            if pool:
-                timeout = pool.pop()
-                timeout.delay = delay
-                timeout._value = None
-                timeout._exception = None
-                timeout._processed = False
-                timeout._triggered = True
-            else:
-                timeout = Timeout.__new__(Timeout)
-                timeout.sim = self
-                timeout._cb = None
-                timeout._value = None
-                timeout._exception = None
-                timeout._processed = False
-                timeout._triggered = True
-                timeout.delay = delay
+            timeout = Timeout.__new__(Timeout)
+            timeout.sim = self
+            timeout._cb = None
+            timeout._value = None
+            timeout._exception = None
+            timeout._processed = False
+            timeout._triggered = True
+            timeout.delay = delay
             if delay:
                 seq += 1
                 entries.append((now + delay, seq, timeout))
@@ -606,19 +559,6 @@ class Simulator:
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a generator as a process; returns its completion event."""
-        pool = self._process_pool
-        if pool:
-            proc = pool.pop()
-            proc.generator = generator
-            proc._send = generator.send
-            proc._name = name
-            proc._value = None
-            proc._exception = None
-            proc._triggered = False
-            proc._processed = False
-            proc._waiting_on = None
-            self._wake(proc)
-            return proc
         return Process(self, generator, name=name)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
@@ -628,28 +568,13 @@ class Simulator:
         return AllOf(self, events)
 
     # -- scheduling ------------------------------------------------------
-    def _push(self, event: Event, delay: int = 0) -> None:
-        if delay:
-            self._sequence += 1
-            heappush(self._heap, (self.now + delay, self._sequence, event))
-        else:
-            self._ready.append(event)
-
     def _wake(self, waiter: Any, value: Any = None,
               exception: Optional[BaseException] = None) -> Event:
         """An already-triggered event resuming ``waiter`` (a callable or a
-        Process) at the current time (pooled: this is the engine's
-        internal wakeup allocation)."""
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event._value = value
-            event._exception = exception
-            event._processed = False
-        else:
-            event = Event(self)
-            event._value = value
-            event._exception = exception
+        Process) at the current time."""
+        event = Event(self)
+        event._value = value
+        event._exception = exception
         event._triggered = True
         event._cb = waiter
         self._ready.append(event)
@@ -668,52 +593,23 @@ class Simulator:
         return handle
 
     # -- execution -------------------------------------------------------
-    def _dispose(self, event: Event) -> None:
-        """Recycle ``event`` if the engine provably holds the only
-        reference (and nothing re-attached a callback)."""
-        if _getrefcount is None or event._cb is not None:
-            return
-        # Expected refs: the caller's local + getrefcount's argument +
-        # this frame's parameter binding.
-        if _getrefcount(event) != _SOLE_REF + 1:
-            return
-        cls = event.__class__
-        if cls is Timeout:
-            pool = self._timeout_pool
-        elif cls is Event:
-            pool = self._event_pool
-        elif cls is Process:
-            pool = self._process_pool
-            event.generator = None
-            event._send = None
-        else:
-            return
-        if len(pool) < _POOL_MAX:
-            event._value = None
-            pool.append(event)
-
     def step(self) -> None:
         """Process the single next event."""
         global _EVENTS_TOTAL
         heap = self._heap
         ready = self._ready
-        if heap and heap[0][0] == self.now:
-            # Due now, and scheduled (strictly) before anything in the
-            # ready deque — see the ordering note in the module docstring.
-            event = heappop(heap)[2]
-        elif ready:
-            event = ready.popleft()
-        elif heap:
-            self.now = heap[0][0]
+        if not ready:
+            if not heap:
+                raise SimulationError("no scheduled events")
+            # Advance the clock exactly as run() does.
+            when = self.now = heap[0][0]
             if self._tick is not None:
-                self._tick(self.now)
-            event = heappop(heap)[2]
-        else:
-            raise SimulationError("no scheduled events")
-        event._run_callbacks()
+                self._tick(when)
+            while heap and heap[0][0] == when:
+                ready.append(heappop(heap)[2])
+        ready.popleft()._run_callbacks()
         self._events += 1
         _EVENTS_TOTAL += 1
-        self._dispose(event)
 
     def run(self, until: Optional[int | Event] = None) -> Any:
         """Run until the heap empties, a deadline passes, or an event fires.
@@ -721,243 +617,36 @@ class Simulator:
         ``until`` may be an absolute time in nanoseconds or an
         :class:`Event`; when an event is given its value is returned.
         """
+        # This loop is the hottest code in the package (about half of all
+        # Python time), so it inlines event dispatch — Event._run_callbacks
+        # plus Process._resume — once. Dispatch semantics, in order:
+        #
+        # 1. mark processed, detach the waiter slot;
+        # 2. a Process waiter resumes its generator inline — a yielded
+        #    pending Timeout re-attaches in place, anything else goes
+        #    through Process._block_on; StopIteration completes the
+        #    process onto the ready deque (Event.succeed minus the
+        #    already-triggered guard, which cannot fire for a
+        #    just-returned generator);
+        # 3. a list fans out in append order; any other waiter is called.
+        global _EVENTS_TOTAL
         if isinstance(until, Event):
-            return self._run_until_event(until)
-        return self._run_until_time(until)
-
-    # The two run loops below inline event dispatch (Event._run_callbacks
-    # plus Process._resume plus the freelist recycle check) four times
-    # over. The duplication is deliberate: this is the hottest code in
-    # the package (~half of all Python time), and each Python call or
-    # attribute hop removed here is paid back millions of times per run.
-    # Dispatch semantics, in order:
-    #
-    # 1. mark processed, detach the waiter slot;
-    # 2. a Process waiter resumes its generator inline — a yielded
-    #    pending Timeout re-attaches in place, anything else goes through
-    #    Process._block_on; StopIteration completes the process onto the
-    #    ready deque (Event.succeed minus the already-triggered guard,
-    #    which cannot fire for a just-returned generator);
-    # 3. a list fans out in append order; any other waiter is called;
-    # 4. if the engine provably holds the sole reference, the event is
-    #    recycled (Timeout/Event/Process freelists; values cleared so
-    #    pooling never pins a Completion alive).
-
-    def _run_until_event(self, stop: Event) -> Any:
-        global _EVENTS_TOTAL
+            stop = until
+            deadline = None
+            if stop._processed:
+                return stop.value
+        else:
+            stop = None
+            deadline = None if until is None else int(until)
         heap = self._heap
         ready = self._ready
-        timeout_pool = self._timeout_pool
-        event_pool = self._event_pool
-        process_pool = self._process_pool
-        getrefcount = _getrefcount
-        dispatched = 0
-        try:
-            while not stop._processed:
-                # Same-timestamp batch (see _run_until_time): heap entries
-                # due now all predate anything in the ready deque, and no
-                # new heap-at-now entries can appear once the deque starts
-                # draining — so each batch peeks the heap head only once.
-                now = self.now
-                while heap and heap[0][0] == now:
-                    event = heappop(heap)[2]
-                    event._processed = True
-                    cb = event._cb
-                    if cb is not None:
-                        event._cb = None
-                        cls = cb.__class__
-                        if cls is Process:
-                            cb._waiting_on = None
-                            if event._exception is None:
-                                try:
-                                    target = cb._send(event._value)
-                                except StopIteration as stop_iter:
-                                    cb._value = stop_iter.value
-                                    cb._triggered = True
-                                    ready.append(cb)
-                                except BaseException as error:  # noqa: BLE001
-                                    cb.fail(error)
-                                else:
-                                    if target.__class__ is Timeout \
-                                            and not target._processed:
-                                        cb._waiting_on = target
-                                        if target._cb is None:
-                                            target._cb = cb
-                                        else:
-                                            target.add_callback(cb)
-                                    else:
-                                        cb._block_on(target)
-                            else:
-                                cb._advance(cb.generator.throw, event._exception)
-                        elif cls is list:
-                            for entry in cb:
-                                if entry.__class__ is Process:
-                                    entry._resume(event)
-                                else:
-                                    entry(event)
-                        else:
-                            cb(event)
-                    dispatched += 1
-                    if getrefcount is not None and event._cb is None \
-                            and getrefcount(event) == _SOLE_REF:
-                        cls = event.__class__
-                        if cls is Timeout:
-                            if len(timeout_pool) < _POOL_MAX:
-                                event._value = None
-                                timeout_pool.append(event)
-                        elif cls is Event:
-                            if len(event_pool) < _POOL_MAX:
-                                event._value = None
-                                event_pool.append(event)
-                        elif cls is Process and len(process_pool) < _POOL_MAX:
-                            event.generator = None
-                            event._send = None
-                            event._value = None
-                            process_pool.append(event)
-                    if stop._processed:
-                        return stop.value
-                while ready:
-                    event = ready.popleft()
-                    event._processed = True
-                    cb = event._cb
-                    if cb is not None:
-                        event._cb = None
-                        cls = cb.__class__
-                        if cls is Process:
-                            cb._waiting_on = None
-                            if event._exception is None:
-                                try:
-                                    target = cb._send(event._value)
-                                except StopIteration as stop_iter:
-                                    cb._value = stop_iter.value
-                                    cb._triggered = True
-                                    ready.append(cb)
-                                except BaseException as error:  # noqa: BLE001
-                                    cb.fail(error)
-                                else:
-                                    if target.__class__ is Timeout \
-                                            and not target._processed:
-                                        cb._waiting_on = target
-                                        if target._cb is None:
-                                            target._cb = cb
-                                        else:
-                                            target.add_callback(cb)
-                                    else:
-                                        cb._block_on(target)
-                            else:
-                                cb._advance(cb.generator.throw, event._exception)
-                        elif cls is list:
-                            for entry in cb:
-                                if entry.__class__ is Process:
-                                    entry._resume(event)
-                                else:
-                                    entry(event)
-                        else:
-                            cb(event)
-                    dispatched += 1
-                    if getrefcount is not None and event._cb is None \
-                            and getrefcount(event) == _SOLE_REF:
-                        cls = event.__class__
-                        if cls is Timeout:
-                            if len(timeout_pool) < _POOL_MAX:
-                                event._value = None
-                                timeout_pool.append(event)
-                        elif cls is Event:
-                            if len(event_pool) < _POOL_MAX:
-                                event._value = None
-                                event_pool.append(event)
-                        elif cls is Process and len(process_pool) < _POOL_MAX:
-                            event.generator = None
-                            event._send = None
-                            event._value = None
-                            process_pool.append(event)
-                    if stop._processed:
-                        return stop.value
-                if not heap:
-                    raise SimulationError(
-                        f"simulation ran out of events before {stop!r} fired"
-                    )
-                self.now = heap[0][0]
-                if self._tick is not None:
-                    self._tick(self.now)
-            return stop.value
-        finally:
-            self._events += dispatched
-            _EVENTS_TOTAL += dispatched
-
-    def _run_until_time(self, until: Optional[int]) -> None:
-        global _EVENTS_TOTAL
-        deadline = None if until is None else int(until)
-        heap = self._heap
-        ready = self._ready
-        timeout_pool = self._timeout_pool
-        event_pool = self._event_pool
-        process_pool = self._process_pool
-        getrefcount = _getrefcount
+        popleft = ready.popleft
+        append = ready.append
         dispatched = 0
         try:
             while True:
-                # Same-timestamp batch: drain every heap entry due now
-                # (all scheduled before anything currently in the ready
-                # deque), then the deque, which may grow as it drains.
-                now = self.now
-                while heap and heap[0][0] == now:
-                    event = heappop(heap)[2]
-                    event._processed = True
-                    cb = event._cb
-                    if cb is not None:
-                        event._cb = None
-                        cls = cb.__class__
-                        if cls is Process:
-                            cb._waiting_on = None
-                            if event._exception is None:
-                                try:
-                                    target = cb._send(event._value)
-                                except StopIteration as stop_iter:
-                                    cb._value = stop_iter.value
-                                    cb._triggered = True
-                                    ready.append(cb)
-                                except BaseException as error:  # noqa: BLE001
-                                    cb.fail(error)
-                                else:
-                                    if target.__class__ is Timeout \
-                                            and not target._processed:
-                                        cb._waiting_on = target
-                                        if target._cb is None:
-                                            target._cb = cb
-                                        else:
-                                            target.add_callback(cb)
-                                    else:
-                                        cb._block_on(target)
-                            else:
-                                cb._advance(cb.generator.throw, event._exception)
-                        elif cls is list:
-                            for entry in cb:
-                                if entry.__class__ is Process:
-                                    entry._resume(event)
-                                else:
-                                    entry(event)
-                        else:
-                            cb(event)
-                    dispatched += 1
-                    if getrefcount is not None and event._cb is None \
-                            and getrefcount(event) == _SOLE_REF:
-                        cls = event.__class__
-                        if cls is Timeout:
-                            if len(timeout_pool) < _POOL_MAX:
-                                event._value = None
-                                timeout_pool.append(event)
-                        elif cls is Event:
-                            if len(event_pool) < _POOL_MAX:
-                                event._value = None
-                                event_pool.append(event)
-                        elif cls is Process and len(process_pool) < _POOL_MAX:
-                            event.generator = None
-                            event._send = None
-                            event._value = None
-                            process_pool.append(event)
                 while ready:
-                    event = ready.popleft()
+                    event = popleft()
                     event._processed = True
                     cb = event._cb
                     if cb is not None:
@@ -971,7 +660,7 @@ class Simulator:
                                 except StopIteration as stop_iter:
                                     cb._value = stop_iter.value
                                     cb._triggered = True
-                                    ready.append(cb)
+                                    append(cb)
                                 except BaseException as error:  # noqa: BLE001
                                     cb.fail(error)
                                 else:
@@ -995,22 +684,8 @@ class Simulator:
                         else:
                             cb(event)
                     dispatched += 1
-                    if getrefcount is not None and event._cb is None \
-                            and getrefcount(event) == _SOLE_REF:
-                        cls = event.__class__
-                        if cls is Timeout:
-                            if len(timeout_pool) < _POOL_MAX:
-                                event._value = None
-                                timeout_pool.append(event)
-                        elif cls is Event:
-                            if len(event_pool) < _POOL_MAX:
-                                event._value = None
-                                event_pool.append(event)
-                        elif cls is Process and len(process_pool) < _POOL_MAX:
-                            event.generator = None
-                            event._send = None
-                            event._value = None
-                            process_pool.append(event)
+                    if event is stop:
+                        return stop.value
                 if not heap:
                     break
                 when = heap[0][0]
@@ -1019,12 +694,21 @@ class Simulator:
                     if self._tick is not None:
                         self._tick(deadline)
                     return None
+                # Advance the clock and move the entries due now onto the
+                # (empty) ready deque; see the module docstring.
                 self.now = when
                 if self._tick is not None:
                     self._tick(when)
+                append(heappop(heap)[2])
+                while heap and heap[0][0] == when:
+                    append(heappop(heap)[2])
         finally:
             self._events += dispatched
             _EVENTS_TOTAL += dispatched
+        if stop is not None:
+            raise SimulationError(
+                f"simulation ran out of events before {stop!r} fired"
+            )
         if deadline is not None and deadline > self.now:
             self.now = deadline
             if self._tick is not None:

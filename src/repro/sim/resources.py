@@ -2,9 +2,9 @@
 
 Three primitives cover every contention point in the device models:
 
-* :class:`Resource` — a server with fixed capacity and a FIFO (or
-  priority-ordered) queue of acquire requests. Models controller slots,
-  NAND dies, channel buses, and the firmware management unit.
+* :class:`Resource` — a server with fixed capacity and one FIFO queue of
+  acquire requests per priority level. Models controller slots, NAND
+  dies, channel buses, and the firmware management unit.
 * :class:`Container` — a reservoir of continuous "stuff" (bytes) with
   blocking put/get. Models the device write buffer.
 * :class:`Store` — a FIFO queue of discrete items with blocking get.
@@ -17,44 +17,26 @@ commands over background ``reset`` metadata work (paper §III-G).
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Any, Optional
 
 from .engine import Event, SimulationError, Simulator
 
-__all__ = ["Request", "Resource", "ServiceLine", "Container", "Store"]
-
-
-class Request(Event):
-    """An acquire request; fires when the resource grants a slot."""
-
-    __slots__ = ("resource", "priority", "_order")
-
-    def __init__(self, resource: "Resource", priority: int):
-        # Event.__init__ inlined: requests are allocated once per
-        # controller/die/bus acquisition, the hottest alloc site after
-        # Timeout (which the engine pools).
-        self.sim = resource.sim
-        self._cb = None
-        self._value = None
-        self._exception = None
-        self._triggered = False
-        self._processed = False
-        self.resource = resource
-        self.priority = priority
-        self._order = 0
-
-    def __lt__(self, other: "Request") -> bool:
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self._order < other._order
+__all__ = ["Resource", "Container", "Store"]
 
 
 class Resource:
-    """A capacity-limited server with a priority/FIFO request queue."""
+    """A capacity-limited server with one FIFO queue per priority level.
 
-    __slots__ = ("sim", "capacity", "name", "_users", "_queue", "_counter")
+    A request is a plain :class:`Event` that fires, with the resource as
+    its value, once a slot is granted. A freed slot goes to the oldest
+    request at the lowest waiting priority level — the order of a
+    ``(priority, arrival)`` heap. The models use a handful of levels
+    (power-loss panic, urgent GC, I/O, management), so scanning the
+    levels in order is cheaper than keeping a heap.
+    """
+
+    __slots__ = ("sim", "capacity", "name", "_in_use", "_waiting", "_levels")
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
         if capacity < 1:
@@ -62,127 +44,59 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self._users: set[Request] = set()
-        self._queue: list[tuple[int, int, Request]] = []
-        self._counter = 0
+        self._in_use = 0
+        self._waiting = 0
+        #: Priority level -> FIFO of waiting requests, in ascending
+        #: priority order.
+        self._levels: dict[int, deque[Event]] = {}
 
     # -- introspection ---------------------------------------------------
     @property
     def in_use(self) -> int:
         """Number of currently granted slots."""
-        return len(self._users)
+        return self._in_use
 
     @property
     def queue_length(self) -> int:
         """Number of requests waiting for a slot."""
-        return len(self._queue)
-
-    # -- protocol ----------------------------------------------------------
-    def request(self, priority: int = 0) -> Request:
-        """Ask for a slot; yield the returned event to block until granted."""
-        req = Request(self, priority)
-        self._counter += 1
-        req._order = self._counter
-        if not self._queue and len(self._users) < self.capacity:
-            # Free slot and nobody ahead: grant without touching the heap.
-            self._users.add(req)
-            req.succeed(req)
-        else:
-            # Heap entries are (priority, order, req) tuples so ordering
-            # resolves on int compares instead of Request.__lt__ dispatch
-            # (the request heap is the hottest comparison site in the
-            # kernel). Order is unique, so the tuple compare never
-            # reaches the Request.
-            heapq.heappush(self._queue, (priority, req._order, req))
-            self._grant()
-        return req
-
-    def release(self, request: Request) -> None:
-        """Return a previously granted slot."""
-        if request in self._users:
-            self._users.remove(request)
-            self._grant()
-            return
-        # Allow cancelling a queued (never-granted) request.
-        try:
-            self._queue.remove((request.priority, request._order, request))
-            heapq.heapify(self._queue)
-        except ValueError:
-            raise SimulationError("release() of a request that holds no slot")
-
-    def _grant(self) -> None:
-        while self._queue and len(self._users) < self.capacity:
-            req = heapq.heappop(self._queue)[2]
-            self._users.add(req)
-            req.succeed(req)
-
-
-class ServiceLine:
-    """A capacity-1 FIFO server: :class:`Resource` minus the priority queue.
-
-    Drop-in for the ``request()``/``release()``/introspection protocol of a
-    ``Resource(sim, capacity=1)`` **when every requester uses the same
-    priority** — then a priority heap degenerates to FIFO and the grant
-    order is identical event-for-event (uncontended requests are granted
-    synchronously onto the ready deque, contended ones in arrival order
-    from the predecessor's release; both match the Resource's behaviour
-    position-for-position, see DESIGN.md §15). What it saves per
-    acquisition: the Request object with its priority/order fields, the
-    heap tuple push/pop, the user-set add/remove, and the order counter.
-
-    ``request()`` accepts and **ignores** a ``priority`` argument so call
-    sites can select between the two classes at construction time. Code
-    that mixes priorities (firmware unit, conventional-device GC, the
-    power-cut panic grab) must keep using :class:`Resource`.
-    """
-
-    __slots__ = ("sim", "name", "_busy", "_waiters")
-
-    capacity = 1
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._busy = False
-        self._waiters: deque[Event] = deque()
-
-    # -- introspection ---------------------------------------------------
-    @property
-    def in_use(self) -> int:
-        return 1 if self._busy else 0
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
+        return self._waiting
 
     # -- protocol ----------------------------------------------------------
     def request(self, priority: int = 0) -> Event:
-        """Ask for the slot; yield the returned event to block until granted.
-
-        The ``priority`` argument is accepted for Resource compatibility
-        and ignored (the line is strictly FIFO).
-        """
+        """Ask for a slot; yield the returned event to block until granted."""
         event = Event(self.sim)
-        if self._busy:
-            self._waiters.append(event)
-        else:
-            self._busy = True
-            event.succeed(event)
+        if self._in_use < self.capacity and not self._waiting:
+            self._in_use += 1
+            event.succeed(self)
+            return event
+        queue = self._levels.get(priority)
+        if queue is None:
+            queue = deque()
+            self._levels = dict(sorted({**self._levels, priority: queue}.items()))
+        queue.append(event)
+        self._waiting += 1
         return event
 
     def release(self, request: Event) -> None:
-        """Return the slot (or cancel a still-queued request)."""
-        if request._triggered:
-            if self._waiters:
-                nxt = self._waiters.popleft()
-                nxt.succeed(nxt)
-            else:
-                self._busy = False
+        """Return a granted slot, or cancel a request that is still queued."""
+        if request._value is self:
+            # Granted and not yet released: hand the slot on, if anyone
+            # waits, without it ever becoming free.
+            request._value = None
+            if self._waiting:
+                for queue in self._levels.values():
+                    if queue:
+                        self._waiting -= 1
+                        queue.popleft().succeed(self)
+                        return
+            self._in_use -= 1
             return
-        try:
-            self._waiters.remove(request)
-        except ValueError:
-            raise SimulationError("release() of a request that holds no slot")
+        for queue in self._levels.values():
+            if request in queue:
+                queue.remove(request)
+                self._waiting -= 1
+                return
+        raise SimulationError("release() of a request that holds no slot")
 
 
 class _ContainerOp(Event):

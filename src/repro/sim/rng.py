@@ -9,8 +9,6 @@ thread does not perturb the writer's address sequence.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = ["StreamFactory", "LatencySampler", "DEFAULT_JITTER_BLOCK"]
@@ -19,10 +17,7 @@ __all__ = ["StreamFactory", "LatencySampler", "DEFAULT_JITTER_BLOCK"]
 #: produces bit-identical values to N sequential scalar draws (numpy
 #: fills the array through the same ziggurat sampler in draw order), so
 #: the block size changes only allocation amortization, never results —
-#: the draw-order contract in DESIGN.md §15. Overridable per process via
-#: ``REPRO_JITTER_BLOCK`` (an environment variable, not a module global,
-#: so multiprocessing pool workers inherit it under fork *and* spawn);
-#: the byte-identity tests sweep it across 1/16/4096.
+#: the draw-order contract in DESIGN.md §15.
 DEFAULT_JITTER_BLOCK = 256
 
 
@@ -75,8 +70,7 @@ class LatencySampler:
         if sigma < 0:
             raise ValueError(f"jitter sigma must be >= 0, got {sigma}")
         if block is None:
-            block = int(os.environ.get("REPRO_JITTER_BLOCK",
-                                       DEFAULT_JITTER_BLOCK))
+            block = DEFAULT_JITTER_BLOCK
         if block < 1:
             raise ValueError(f"jitter block must be >= 1, got {block}")
         self._rng = rng

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..hostif.commands import Command, Opcode, make_command
+from ..hostif.commands import Command, Opcode
 from ..zns.spec import ZoneState
 
 __all__ = ["BACKOFF", "Backoff", "ZoneWriteCursor", "ZoneAppendCursor",
@@ -88,7 +88,7 @@ class ZoneWriteCursor:
             if self._next_lba + self.nlb <= zone.writable_end:
                 slba = self._next_lba
                 self._next_lba += self.nlb
-                return make_command(Opcode.WRITE, slba, self.nlb), None
+                return Command(Opcode.WRITE, slba, self.nlb), None
             # Zone exhausted: advance (resetting if allowed and needed).
             self._zone_pos = (self._zone_pos + 1) % len(self.zone_ids)
             self._next_lba = None
@@ -143,7 +143,7 @@ class ZoneAppendCursor:
             projected = zone.wp + self._reserved[zone_id] + self.nlb
             if projected <= zone.writable_end:
                 self._reserved[zone_id] += self.nlb
-                return make_command(Opcode.APPEND, zone.zslba, self.nlb), None
+                return Command(Opcode.APPEND, zone.zslba, self.nlb), None
             if self.reset_when_full and self._reserved[zone_id] == 0:
                 return None, zone_id
             self._zone_pos = (self._zone_pos + 1) % len(self.zone_ids)
@@ -185,9 +185,9 @@ class RandomReadPattern:
         if written < self.nlb:
             # Nothing to read yet in this zone; read from the start anyway
             # (deallocated reads are legal and cheap on ZNS).
-            return make_command(Opcode.READ, zone.zslba, self.nlb), None
+            return Command(Opcode.READ, zone.zslba, self.nlb), None
         slba = zone.zslba + int(self._rng.integers(0, written - self.nlb + 1))
-        return make_command(Opcode.READ, slba, self.nlb), None
+        return Command(Opcode.READ, slba, self.nlb), None
 
 
 class RangePattern:
@@ -216,4 +216,4 @@ class RangePattern:
                 self._cursor = self.start
             slba = self._cursor
             self._cursor += self.nlb
-        return make_command(self.opcode, slba, self.nlb), None
+        return Command(self.opcode, slba, self.nlb), None

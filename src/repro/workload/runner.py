@@ -19,7 +19,7 @@ from typing import Generator
 
 import numpy as np
 
-from ..hostif.commands import Command, Opcode, ZoneAction, recycle_completion
+from ..hostif.commands import Command, Opcode, ZoneAction
 from ..hostif.status import Status
 from ..obs.metrics import DEFAULT_LATENCY_BUCKETS_NS
 from ..sim.engine import Event, NS_PER_S, Simulator, us
@@ -253,12 +253,6 @@ class JobRunner:
             if is_append:
                 pattern.completed(command)
             self._record(completion)
-            # Last touch of this command/completion pair: return both to
-            # the freelists if nothing else (stack merge bookkeeping, a
-            # retained error report) still references them. The loop
-            # variables are rebound before the pool can hand them out
-            # again — see the recycle_completion caller contract.
-            recycle_completion(completion)
 
     def _submit_resilient(self, command, pattern, is_append: bool):
         """Fault-mode submit: command timeout + bounded retry w/ backoff.

@@ -86,10 +86,6 @@ class ZnsDevice(DeviceCore):
             tracer=self.tracer,
             metrics=self.metrics if self.observing else None,
             faults=self.faults,
-            # The ZNS model has no GC: every die/bus acquisition is
-            # PRIO_IO, so FIFO queues are grant-order-identical and
-            # skip the priority-heap bookkeeping.
-            fifo_queues=True,
         )
         self.striping = ZoneStriping(
             profile.geometry, profile.zone_size_bytes, profile.stripe_width
@@ -115,23 +111,10 @@ class ZnsDevice(DeviceCore):
         #: Cumulative firmware mapping-update work generated by I/O; see
         #: the priority note in the module docstring.
         self._fw_debt_ns = 0
-        # Per-opcode dispatch table, resolved once at construction: the
-        # default (untraced, unobserved, fault-free) configuration runs
-        # probe-free executor variants that are event-for-event identical
-        # to the instrumented ones but skip every per-command tracer/
-        # metrics/faults conditional (DESIGN.md §15). ``observing``,
-        # ``tracer.enabled`` and ``faults`` are construction-time facts,
-        # so the choice never needs re-evaluation.
-        fast = (
-            not self.tracer.enabled and not self.observing and self.faults is None
-        )
-        self._flush_fn = (
-            self._flush_page_to_die_fast if fast else self._flush_page_to_die
-        )
         self._exec_table = {
-            Opcode.READ: self._exec_read_fast if fast else self._exec_read,
-            Opcode.WRITE: self._exec_write_fast if fast else self._exec_write,
-            Opcode.APPEND: self._exec_append_fast if fast else self._exec_append,
+            Opcode.READ: self._exec_read,
+            Opcode.WRITE: self._exec_write,
+            Opcode.APPEND: self._exec_append,
             Opcode.ZONE_MGMT: self._exec_zone_mgmt,
         }
 
@@ -428,36 +411,6 @@ class ZnsDevice(DeviceCore):
         self._fw_debt_ns += shape.fw_ns
         return self._complete(command, Status.SUCCESS, nbytes=nbytes, cid=cid)
 
-    def _exec_read_fast(self, command: Command, cid: int = 0) -> Generator:
-        # Probe-free _exec_read for the fast dispatch table: identical
-        # events in identical order, zero tracer/faults/metrics branches.
-        zone, status = self._zone_for_io(command)
-        shape = self._read_shapes.get(command.nlb)
-        if shape is None:
-            shape = self.planner.io_shape(Opcode.READ, command.nlb)
-        req = self.controller.request()
-        yield req
-        yield self.sim.timeout(self._io_jitter.jitter(shape.service_ns))
-        self.controller.release(req)
-        if status.ok and zone.state is ZoneState.OFFLINE:
-            status = Status.ZONE_IS_OFFLINE  # data is gone; READ_ONLY still reads
-        if not status.ok:
-            return self._complete(command, status, cid=cid)
-        nbytes = shape.nbytes
-        offset = (command.slba - zone.zslba) * self._block_size
-        spans = self.planner.read_spans(zone.index, offset, nbytes)
-        sim = self.sim
-        read_page = self.backend.read_page_fast
-        if len(spans) == 1:
-            die, take = spans[0]
-            yield sim.process(read_page(die, take))
-        else:
-            yield sim.all_of(
-                [sim.process(read_page(die, take)) for die, take in spans]
-            )
-        self._fw_debt_ns += shape.fw_ns
-        return self._complete(command, Status.SUCCESS, nbytes=nbytes, cid=cid)
-
     # ----------------------------------------------------------------- write
     def _exec_write(self, command: Command, cid: int = 0) -> Generator:
         zone, status = self._zone_for_io(command)
@@ -511,44 +464,6 @@ class ZnsDevice(DeviceCore):
         finally:
             self._inflight_writes[zone.index] -= 1
 
-    def _exec_write_fast(self, command: Command, cid: int = 0) -> Generator:
-        # Probe-free _exec_write for the fast dispatch table (see
-        # _exec_read_fast).
-        zone, status = self._zone_for_io(command)
-        shape = self._write_shapes.get(command.nlb)
-        if shape is None:
-            shape = self.planner.io_shape(Opcode.WRITE, command.nlb)
-        if status.ok and zone.index in self._mgmt_busy:
-            status = Status.INVALID_ZONE_STATE_TRANSITION
-        if status.ok and self._inflight_writes.get(zone.index, 0) > 0:
-            # One in-flight write per zone (§II-B), as in _exec_write.
-            status = Status.ZONE_INVALID_WRITE
-        if not status.ok:
-            yield from self._controller_service(shape.service_ns, cid)
-            return self._complete(command, status, cid=cid)
-        self._inflight_writes[zone.index] = (
-            self._inflight_writes.get(zone.index, 0) + 1
-        )
-        try:
-            req = self.controller.request()
-            yield req
-            status, opened = self.zones.admit_write(zone, command.slba, command.nlb)
-            service = shape.service_ns
-            if status.ok and opened:
-                service += self.profile.implicit_open_write_ns
-            yield self.sim.timeout(self._io_jitter.jitter(service))
-            self.controller.release(req)
-            if not status.ok:
-                return self._complete(command, status, cid=cid)
-            nbytes = shape.nbytes
-            yield self.sim.timeout(shape.admit_ns)
-            yield self.buffer.put(nbytes)
-            self._enqueue_flush(zone.index, nbytes)
-            self._fw_debt_ns += shape.fw_ns
-            return self._complete(command, Status.SUCCESS, nbytes=nbytes, cid=cid)
-        finally:
-            self._inflight_writes[zone.index] -= 1
-
     # ---------------------------------------------------------------- append
     def _exec_append(self, command: Command, cid: int = 0) -> Generator:
         zone, status = self._zone_for_io(command)
@@ -595,38 +510,6 @@ class ZnsDevice(DeviceCore):
         return self._complete(command, Status.SUCCESS, nbytes=nbytes,
                               assigned_lba=assigned, cid=cid)
 
-    def _exec_append_fast(self, command: Command, cid: int = 0) -> Generator:
-        # Probe-free _exec_append for the fast dispatch table (see
-        # _exec_read_fast).
-        zone, status = self._zone_for_io(command)
-        shape = self._append_shapes.get(command.nlb)
-        if shape is None:
-            shape = self.planner.io_shape(Opcode.APPEND, command.nlb)
-        if status.ok and zone.index in self._mgmt_busy:
-            status = Status.INVALID_ZONE_STATE_TRANSITION
-        if not status.ok:
-            yield from self._controller_service(shape.service_ns, cid)
-            return self._complete(command, status, cid=cid)
-        req = self.controller.request()
-        yield req
-        status, opened, assigned = self.zones.admit_append(
-            zone, command.slba, command.nlb
-        )
-        service = shape.service_ns
-        if status.ok and opened:
-            service += self.profile.implicit_open_append_ns
-        yield self.sim.timeout(self._io_jitter.jitter(service))
-        self.controller.release(req)
-        if not status.ok:
-            return self._complete(command, status, cid=cid)
-        nbytes = shape.nbytes
-        yield self.sim.timeout(shape.admit_ns)
-        yield self.buffer.put(nbytes)
-        self._enqueue_flush(zone.index, nbytes)
-        self._fw_debt_ns += shape.fw_ns
-        return self._complete(command, Status.SUCCESS, nbytes=nbytes,
-                              assigned_lba=assigned, cid=cid)
-
     # -------------------------------------------------------------- flushing
     def _enqueue_flush(self, zone_index: int, nbytes: int) -> None:
         """Queue buffered bytes for programming to the zone's die stripe."""
@@ -638,7 +521,7 @@ class ZnsDevice(DeviceCore):
             cursor = self._zone_page_cursor.get(zone_index, 0)
             start_process = self.sim.process
             if self.faults is None:
-                flush = self._flush_fn
+                flush = self._flush_page_to_die
                 while total >= page:
                     total -= page
                     start_process(flush(table[cursor % width]))

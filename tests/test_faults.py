@@ -286,6 +286,22 @@ class TestDisabledPlanByteIdentity:
         assert dev.backend.faults is None
 
 
+class TestResetSweepRetirement:
+    def test_fig7_sweep_drops_zone_retired_by_failed_erase(self):
+        # Seed 16 under chaos fails an erase in fig7's reset pool at the
+        # --fast scale, retiring a pool zone OFFLINE. The sweep must drop
+        # that zone and finish instead of aborting on force_fill.
+        import dataclasses
+
+        from repro.core.experiments.reset_interference import FIG7_PLAN
+
+        from .test_device_core import golden_config
+
+        config = dataclasses.replace(golden_config(), seed=16, faults="chaos")
+        (row,) = FIG7_PLAN.point(config, {"concurrent_op": "none"})["rows"]
+        assert row["resets"] == 12
+
+
 class TestParallelDeterminism:
     def test_faulted_sweep_identical_at_any_jobs(self):
         # The whole point of seed-driven injection: fault outcomes ride

@@ -1,13 +1,17 @@
 """Property-based tests (hypothesis) for core invariants across modules."""
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.conv.device import PRIO_GC_URGENT
+from repro.device.core import PRIO_IO, PRIO_MGMT, PRIO_PANIC
 from repro.flash import KIB, FlashGeometry
 from repro.hostif import Opcode
-from repro.sim import Container, Simulator, us
+from repro.sim import Container, Resource, SimulationError, Simulator, us
 from repro.workload import LatencyStats, RatePacer, TimeSeries
 from repro.zns import ZoneStriping
 from repro.zns.profiles import zn540
@@ -55,6 +59,86 @@ def test_container_conserves_quantity(puts):
     sim.run()
     assert taken[0] == total
     assert tank.level == 0
+
+
+# ------------------------------------------------------------------- resources
+
+class _HeapResource:
+    """Reference model: grants in ``(priority, arrival)`` heap order."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.users = set()
+        self.queue = []
+        self.arrivals = 0
+
+    def request(self, rid, priority):
+        self.arrivals += 1
+        heapq.heappush(self.queue, (priority, self.arrivals, rid))
+        return self._grant()
+
+    def release(self, rid):
+        if rid in self.users:
+            self.users.remove(rid)
+        else:
+            self.queue = [entry for entry in self.queue if entry[2] != rid]
+            heapq.heapify(self.queue)
+        return self._grant()
+
+    def _grant(self):
+        granted = []
+        while self.queue and len(self.users) < self.capacity:
+            rid = heapq.heappop(self.queue)[2]
+            self.users.add(rid)
+            granted.append(rid)
+        return granted
+
+
+_PRIORITIES = (PRIO_PANIC, PRIO_GC_URGENT, PRIO_IO, PRIO_MGMT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.integers(1, 3),
+    ops=st.lists(
+        # Requests outnumber releases so that queues build up.
+        st.tuples(st.sampled_from(("request", "request", "release", "cancel")),
+                  st.integers(0, 3), st.integers(0, 1_000)),
+        max_size=60,
+    ),
+)
+def test_resource_grants_in_priority_heap_order(capacity, ops):
+    sim = Simulator()
+    res = Resource(sim, capacity=capacity)
+    model = _HeapResource(capacity)
+    events = []
+    granted, waiting = [], []
+    for op, level, pick in ops:
+        if op == "request":
+            rid = len(events)
+            events.append(res.request(priority=_PRIORITIES[level]))
+            expected = model.request(rid, _PRIORITIES[level])
+            waiting.append(rid)
+        elif op == "release" and granted:
+            rid = granted.pop(pick % len(granted))
+            res.release(events[rid])
+            expected = model.release(rid)
+            with pytest.raises(SimulationError):
+                res.release(events[rid])  # a released request holds no slot
+        elif op == "cancel" and waiting:
+            rid = waiting.pop(pick % len(waiting))
+            res.release(events[rid])
+            expected = model.release(rid)
+        else:
+            continue
+        newly = [rid for rid in waiting if events[rid].triggered]
+        assert newly == expected
+        for rid in newly:
+            waiting.remove(rid)
+            granted.append(rid)
+        assert res.in_use == len(model.users)
+        assert res.queue_length == len(model.queue)
+    sim.run()
 
 
 # -------------------------------------------------------------------- striping

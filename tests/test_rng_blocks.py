@@ -1,14 +1,12 @@
-"""Jitter block-size independence: ``REPRO_JITTER_BLOCK`` is a pure
-performance knob.
+"""Jitter block-size independence: the sampler's block size is a pure
+performance constant.
 
 ``LatencySampler`` pre-draws jitter factors in refillable blocks;
 ``Generator.normal(size=N)`` is bit-identical to N sequential scalar
 draws, so the block size must never change a single simulated result
 (the draw-order contract, DESIGN.md §15). These tests pin that down at
-three levels: the raw sampler sequence, whole serial experiment
-artifacts (with and without chaos fault injection), and parallel
-execution — where the knob must reach pool workers through the
-environment.
+two levels: the raw sampler sequence, and whole serial experiment
+artifacts (with and without chaos fault injection).
 """
 
 from __future__ import annotations
@@ -50,14 +48,7 @@ class TestSamplerDrawOrder:
         scalars = [scalar_rng.normal(0.0, 1.0) for _ in range(64)]
         assert batched.tolist() == scalars
 
-    def test_env_var_sets_block(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JITTER_BLOCK", "32")
-        assert _fresh_sampler()._block == 32
-        # An explicit constructor argument still wins.
-        assert _fresh_sampler(block=8)._block == 8
-
-    def test_default_block(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JITTER_BLOCK", raising=False)
+    def test_default_block(self):
         assert _fresh_sampler()._block == DEFAULT_JITTER_BLOCK
 
     def test_invalid_block_rejected(self):
@@ -65,13 +56,10 @@ class TestSamplerDrawOrder:
             _fresh_sampler(block=0)
 
 
-def _run_blob(monkeypatch, block=None, jobs=1, faults=None) -> str:
-    if block is None:
-        monkeypatch.delenv("REPRO_JITTER_BLOCK", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_JITTER_BLOCK", str(block))
+def _run_blob(monkeypatch, block, faults=None) -> str:
+    monkeypatch.setattr("repro.sim.rng.DEFAULT_JITTER_BLOCK", block)
     config = tiny_config() if faults is None else tiny_config(faults=faults)
-    results, _report = execute_experiments(["fig2a"], config, jobs=jobs)
+    results, _report = execute_experiments(["fig2a"], config, jobs=1)
     return results_blob(results)
 
 
@@ -94,9 +82,3 @@ class TestExperimentIdentity:
     def test_chaos_artifacts_identical(self, block, reference, monkeypatch):
         assert (_run_blob(monkeypatch, block=block, faults="chaos")
                 == reference["chaos"])
-
-    def test_parallel_workers_inherit_block(self, reference, monkeypatch):
-        # The knob is an environment variable precisely so pool workers
-        # pick it up under fork *and* spawn; a module-global would be
-        # invisible to spawned workers.
-        assert _run_blob(monkeypatch, block=16, jobs=4) == reference[None]
