@@ -11,7 +11,8 @@ Run: ``python examples/characterize_device.py [--full]``
 
 import argparse
 
-from repro.core import ExperimentConfig, check_all, run_experiments, table1, table2
+from repro.core import ExperimentConfig, check_all, table1, table2
+from repro.exec import execute_experiments
 from repro.sim import ms
 
 #: The cheap-but-complete subset (the interference experiments take
@@ -36,7 +37,10 @@ def main() -> None:
 
     print(table2())
     print()
-    results = run_experiments(ids, config, verbose=True)
+    results, _report = execute_experiments(ids, config)
+    for result in results.values():
+        print(result.table())
+        print()
 
     checks = check_all(results)
     print("observation checks:")

@@ -10,11 +10,13 @@ Run: ``python examples/emulator_fidelity.py``
 """
 
 from repro.core import render_table
-from repro.emulators import ALL_MODELS, run_fidelity_matrix
+from repro.emulators import ALL_MODELS
+from repro.exec import execute_experiments
 
 
 def main() -> None:
-    matrix = run_fidelity_matrix()
+    results, _report = execute_experiments(["sec4"])
+    matrix = results["sec4"]
 
     # Raw probed quantities per model.
     quantity_labels = [

@@ -38,8 +38,7 @@ import dataclasses
 import os
 import sys
 
-from .core import ExperimentConfig, run_experiments, table1, table2
-from .core.report import EXPERIMENT_RUNNERS
+from .core import ExperimentConfig, table1, table2
 from .obs import MetricsRegistry, Tracer
 from .obs.telemetry import DEFAULT_INTERVAL_US
 from .sim.engine import ms
@@ -99,8 +98,9 @@ def main(argv: list[str] | None = None) -> int:
                                  "write the cache")
     run_parser.add_argument("--trace", metavar="PATH",
                             help="record command-lifecycle spans to a "
-                                 "JSON-lines file (ns timestamps); forces "
-                                 "a serial in-process run")
+                                 "JSON-lines file (ns timestamps); runs "
+                                 "every point in-process in plan order "
+                                 "(--jobs and the cache are ignored)")
     run_parser.add_argument("--trace-perfetto", metavar="PATH",
                             help="also export the Chrome trace_event JSON "
                                  "(loadable in Perfetto / chrome://tracing)")
@@ -248,7 +248,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "list":
-        for exp_id in EXPERIMENT_RUNNERS():
+        from .core.experiments.points import experiment_plans
+
+        for exp_id in experiment_plans():
             print(exp_id)
         return 0
 
@@ -279,51 +281,46 @@ def main(argv: list[str] | None = None) -> int:
             config = dataclasses.replace(config, tracer=tracer, metrics=metrics)
         telemetry_us = args.telemetry
         if telemetry_us is not None:
-            if tracer is not None:
-                run_parser.error("--telemetry cannot be combined with "
-                                 "--trace (traced runs bypass the "
-                                 "execution engine)")
             if telemetry_us <= 0:
                 run_parser.error("--telemetry interval must be > 0 µs")
             config = dataclasses.replace(
                 config, telemetry_interval_ns=int(telemetry_us * 1000))
+        jobs, cache_dir = args.jobs, None if args.no_cache else args.cache
         if tracer is not None:
             # Tracing records one in-process timeline; spans cannot be
-            # merged across workers, so traced runs stay serial.
-            if args.jobs != 1:
+            # merged across workers or replayed from the cache.
+            if jobs != 1:
                 print("[exec] --trace forces a serial in-process run; "
                       "ignoring --jobs", file=sys.stderr)
-            run_experiments(args.ids or None, config, verbose=True)
-        else:
-            from .exec import execute_experiments
+            jobs, cache_dir = 1, None
+        from .exec import execute_experiments
 
-            results, report = execute_experiments(
-                args.ids or None, config, jobs=args.jobs,
-                cache_dir=None if args.no_cache else args.cache,
-                progress=lambda message: print(message, file=sys.stderr),
-            )
-            for result in results.values():
-                print(result.table())
-                print()
-            if args.run_dir is not None or telemetry_us is not None:
-                import time
+        results, report = execute_experiments(
+            args.ids or None, config, jobs=jobs, cache_dir=cache_dir,
+            progress=lambda message: print(message, file=sys.stderr),
+        )
+        for result in results.values():
+            print(result.table())
+            print()
+        if args.run_dir is not None or telemetry_us is not None:
+            import time
 
-                from .obs.report import write_run
+            from .obs.report import write_run
 
-                run_dir = args.run_dir or time.strftime("runs/%Y%m%d-%H%M%S")
-                manifest = {
-                    "ids": sorted(results),
-                    "seed": args.seed,
-                    "fast": args.fast,
-                    "scale": args.scale,
-                    "faults": config.faults,
-                    "interval_us": telemetry_us,
-                    "jobs": args.jobs,
-                    "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                }
-                paths = write_run(run_dir, results, report, manifest)
-                print(f"[run] wrote {len(paths)} artifacts -> {run_dir} "
-                      f"(view: repro report {run_dir})", file=sys.stderr)
+            run_dir = args.run_dir or time.strftime("runs/%Y%m%d-%H%M%S")
+            manifest = {
+                "ids": sorted(results),
+                "seed": args.seed,
+                "fast": args.fast,
+                "scale": args.scale,
+                "faults": config.faults,
+                "interval_us": telemetry_us,
+                "jobs": jobs,
+                "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            }
+            paths = write_run(run_dir, results, report, manifest)
+            print(f"[run] wrote {len(paths)} artifacts -> {run_dir} "
+                  f"(view: repro report {run_dir})", file=sys.stderr)
         if tracer is not None:
             if args.trace:
                 count = tracer.write_jsonl(args.trace)

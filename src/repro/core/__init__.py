@@ -4,7 +4,7 @@ from . import analytic, figures
 from .experiments.common import ExperimentConfig
 from .observations import OBSERVATION_SUMMARIES, ObservationCheck, check_all
 from .recommendations import RECOMMENDATIONS, Recommendation, validate
-from .report import run_experiments, table1, table2
+from .report import table1, table2
 from .results import ExperimentResult, render_table
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "Recommendation",
     "check_all",
     "render_table",
-    "run_experiments",
     "table1",
     "table2",
     "validate",

@@ -21,32 +21,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...conv.device import PRIO_IO, ConvDevice
-from ...faults.plan import resolve
+from ...conv.device import PRIO_IO
 from ...flash.geometry import FlashGeometry
-from ...hostif.namespace import LBA_4K
-from ...sim.engine import Simulator, ms
-from ...sim.rng import StreamFactory
+from ...sim.engine import ms
 from ...stacks.spdk import SpdkStack
 from ...workload.job import IoKind, JobSpec, Pattern
 from ...workload.runner import JobRunner
-from ...zns.device import ZnsDevice
 from ...zns.profiles import zn540
-from ..results import ExperimentResult
-from .common import KIB, MIB, ExperimentConfig, build_device, measure_job
-from .io_interference import (
-    _run_device,
-    _writer_job,
-    conv_experiment_profile,
+from .common import (
+    KIB,
+    MIB,
+    ExperimentConfig,
+    build_conv_device,
+    build_device,
+    measure_job,
 )
-from .points import ExperimentPlan, run_via_points
+from .io_interference import _writer_job, conv_experiment_profile
+from .points import ExperimentPlan
 
 __all__ = [
-    "run_ablation_buffer",
-    "run_ablation_append_cost",
-    "run_ablation_gc_priority",
-    "run_ablation_geometry",
-    "run_ablation_zone_size",
     "small_zone_profile",
     "ABLATION_BUFFER_PLAN",
     "ABLATION_APPEND_COST_PLAN",
@@ -74,8 +67,7 @@ def _buffer_plan(config: ExperimentConfig) -> list:
 def _buffer_point(config: ExperimentConfig, params: dict) -> dict:
     buffer_mib = params["buffer_mib"]
     profile = zn540(num_zones=24, write_buffer_bytes=buffer_mib * MIB)
-    sim = Simulator()
-    device = ZnsDevice(sim, profile, streams=StreamFactory(config.seed))
+    sim, device = build_device(config, profile=profile)
     read_zones = list(range(16, 24))
     for z in read_zones:
         device.force_fill(z, device.zones.zones[z].cap_lbas)
@@ -98,14 +90,10 @@ def _buffer_point(config: ExperimentConfig, params: dict) -> dict:
     }]}
 
 
+#: ZNS read-tail p95 under a write flood vs write-buffer size.
 ABLATION_BUFFER_PLAN = ExperimentPlan(
     "ablation-buffer", _buffer_plan, _buffer_point, _buffer_describe
 )
-
-
-def run_ablation_buffer(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """ZNS read-tail p95 under a write flood vs write-buffer size."""
-    return run_via_points(ABLATION_BUFFER_PLAN, config)
 
 
 def _append_cost_describe(config: ExperimentConfig) -> dict:
@@ -154,15 +142,11 @@ def _append_cost_point(config: ExperimentConfig, params: dict) -> dict:
     }]}
 
 
+#: Obs #4/#6 sensitivity to the append controller command cost.
 ABLATION_APPEND_COST_PLAN = ExperimentPlan(
     "ablation-append-cost", _append_cost_plan, _append_cost_point,
     _append_cost_describe,
 )
-
-
-def run_ablation_append_cost(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Obs #4/#6 sensitivity to the append controller command cost."""
-    return run_via_points(ABLATION_APPEND_COST_PLAN, config)
 
 
 def _gc_priority_describe(config: ExperimentConfig) -> dict:
@@ -185,12 +169,8 @@ def _gc_priority_plan(config: ExperimentConfig) -> list:
 
 def _gc_priority_point(config: ExperimentConfig, params: dict) -> dict:
     label, priority = params["label"], params["priority"]
-    sim = Simulator()
-    device = ConvDevice(
-        sim, conv_experiment_profile(), lba_format=LBA_4K,
-        streams=StreamFactory(config.seed), gc_priority=priority,
-        faults=resolve(config.faults),
-        telemetry=config.telemetry,
+    sim, device = build_conv_device(
+        config, conv_experiment_profile(), gc_priority=priority
     )
     device.precondition(0.92, steady_state_churn=1.0, seed=config.seed)
     runtime = min(config.interference_runtime_ns, ms(900))
@@ -210,15 +190,11 @@ def _gc_priority_point(config: ExperimentConfig, params: dict) -> dict:
     }]}
 
 
+#: Conventional GC at urgent vs plain I/O priority under a flood.
 ABLATION_GC_PRIORITY_PLAN = ExperimentPlan(
     "ablation-gc-priority", _gc_priority_plan, _gc_priority_point,
     _gc_priority_describe,
 )
-
-
-def run_ablation_gc_priority(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Conventional GC at urgent vs plain I/O priority under a flood."""
-    return run_via_points(ABLATION_GC_PRIORITY_PLAN, config)
 
 
 def _geometry_describe(config: ExperimentConfig) -> dict:
@@ -261,14 +237,10 @@ def _geometry_point(config: ExperimentConfig, params: dict) -> dict:
     }]}
 
 
+#: ConfZNS-style design-space sweep: bandwidth/IOPS vs parallelism.
 ABLATION_GEOMETRY_PLAN = ExperimentPlan(
     "ablation-geometry", _geometry_plan, _geometry_point, _geometry_describe
 )
-
-
-def run_ablation_geometry(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """ConfZNS-style design-space sweep: bandwidth/IOPS vs parallelism."""
-    return run_via_points(ABLATION_GEOMETRY_PLAN, config)
 
 
 def small_zone_profile(**overrides):
@@ -331,11 +303,7 @@ def _zone_size_point(config: ExperimentConfig, params: dict) -> dict:
     return {"rows": [{"device": label, "zones": zones, "kiops": job_result.kiops}]}
 
 
+#: Inter-zone append scaling: large-zone vs small-zone device.
 ABLATION_ZONE_SIZE_PLAN = ExperimentPlan(
     "ablation-zone-size", _zone_size_plan, _zone_size_point, _zone_size_describe
 )
-
-
-def run_ablation_zone_size(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Inter-zone append scaling: large-zone vs small-zone device."""
-    return run_via_points(ABLATION_ZONE_SIZE_PLAN, config)

@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from ...conv.device import ConvDevice
 from ...faults.plan import resolve
-from ...hostif.namespace import LBA_4K, LBA_512, LbaFormat
+from ...hostif.namespace import LBA_4K, LbaFormat
 from ...obs.metrics import MetricsRegistry
 from ...obs.tracer import Tracer
 from ...sim.engine import Simulator, ms
@@ -34,6 +35,7 @@ from ...zns.profiles import DeviceProfile, zn540
 __all__ = [
     "ExperimentConfig",
     "STACKS",
+    "build_conv_device",
     "build_device",
     "build_stack",
     "measure_job",
@@ -157,6 +159,28 @@ def build_device(
         tracer=config.tracer, metrics=config.metrics,
         faults=resolve(config.faults),
         telemetry=config.telemetry,
+    )
+    return sim, device
+
+
+def build_conv_device(
+    config: ExperimentConfig, profile: DeviceProfile, **kw
+) -> tuple[Simulator, ConvDevice]:
+    """A fresh simulator + conventional (page-mapped FTL) device.
+
+    Carries the same hooks as :func:`build_device` (tracer, metrics,
+    faults, telemetry), so conventional points show up in traces,
+    ``--metrics`` and telemetry like ZNS ones; ``kw`` reaches
+    :class:`ConvDevice` (e.g. ``gc_priority``).
+    """
+    sim = Simulator()
+    device = ConvDevice(
+        sim, profile, lba_format=LBA_4K,
+        streams=StreamFactory(config.seed),
+        tracer=config.tracer, metrics=config.metrics,
+        faults=resolve(config.faults),
+        telemetry=config.telemetry,
+        **kw,
     )
     return sim, device
 

@@ -29,24 +29,16 @@ from dataclasses import replace
 
 import numpy as np
 
-from ...conv.device import ConvDevice
-from ...faults.plan import resolve
 from ...flash.geometry import FlashGeometry
-from ...hostif.namespace import LBA_4K
-from ...sim.engine import Simulator, ms
-from ...sim.rng import StreamFactory
+from ...sim.engine import ms
 from ...stacks.spdk import SpdkStack
 from ...workload.job import IoKind, JobSpec, Pattern
 from ...workload.runner import JobRunner
 from ...zns.profiles import sn640, zn540
-from ..results import ExperimentResult
-from .common import KIB, MIB, ExperimentConfig, build_device
-from .points import ExperimentPlan, run_via_points
+from .common import KIB, MIB, ExperimentConfig, build_conv_device, build_device
+from .points import ExperimentPlan
 
 __all__ = [
-    "run_fig6",
-    "run_fig6_rate_sweep",
-    "run_obs11_read_tail",
     "conv_experiment_profile",
     "FIG6_PLAN",
     "FIG6_RATES_PLAN",
@@ -73,13 +65,7 @@ def conv_experiment_profile():
 
 
 def _build_conv(config: ExperimentConfig):
-    sim = Simulator()
-    device = ConvDevice(
-        sim, conv_experiment_profile(), lba_format=LBA_4K,
-        streams=StreamFactory(config.seed),
-        faults=resolve(config.faults),
-        telemetry=config.telemetry,
-    )
+    sim, device = build_conv_device(config, conv_experiment_profile())
     # 92% utilization (a heavily filled enterprise device) plus enough
     # random churn to reach the greedy-GC steady state before measuring.
     device.precondition(0.92, steady_state_churn=1.5, seed=config.seed)
@@ -207,12 +193,8 @@ def _fig6_point(config: ExperimentConfig, params: dict) -> dict:
     }
 
 
+#: Write/read throughput over time: ZNS vs conventional (Fig. 6).
 FIG6_PLAN = ExperimentPlan("fig6", _fig6_plan, _fig6_point, _fig6_describe)
-
-
-def run_fig6(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Write/read throughput over time: ZNS vs conventional (Fig. 6)."""
-    return run_via_points(FIG6_PLAN, config)
 
 
 def _fig6_rates_describe(config: ExperimentConfig) -> dict:
@@ -246,20 +228,15 @@ def _fig6_rates_point(config: ExperimentConfig, params: dict) -> dict:
     }]}
 
 
+#: The rate-limited Fig. 6 configurations (250/750/1,155 MiB/s).
+#:
+#: The paper reports (without plotting) that on ZNS "both write and
+#: read throughput remains stable in all rate-limiting configurations",
+#: while the conventional device fluctuates whenever concurrent writes
+#: run. We sweep the same fio-style rate caps on both devices.
 FIG6_RATES_PLAN = ExperimentPlan(
     "fig6rates", _fig6_rates_plan, _fig6_rates_point, _fig6_rates_describe
 )
-
-
-def run_fig6_rate_sweep(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """The rate-limited Fig. 6 configurations (250/750/1,155 MiB/s).
-
-    The paper reports (without plotting) that on ZNS "both write and
-    read throughput remains stable in all rate-limiting configurations",
-    while the conventional device fluctuates whenever concurrent writes
-    run. We sweep the same fio-style rate caps on both devices.
-    """
-    return run_via_points(FIG6_RATES_PLAN, config)
 
 
 def _obs11_describe(config: ExperimentConfig) -> dict:
@@ -304,9 +281,5 @@ def _obs11_point(config: ExperimentConfig, params: dict) -> dict:
     return {"rows": [row]}
 
 
+#: Read p95: idle vs under the unthrottled write flood (QD1 reads).
 OBS11_PLAN = ExperimentPlan("obs11", _obs11_plan, _obs11_point, _obs11_describe)
-
-
-def run_obs11_read_tail(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Read p95: idle vs under the unthrottled write flood (QD1 reads)."""
-    return run_via_points(OBS11_PLAN, config)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from ...hostif.namespace import LBA_4K, LBA_512, LbaFormat
 from ...workload.job import IoKind, JobSpec
-from ..results import ExperimentResult
 from .common import (
     KIB,
     ExperimentConfig,
@@ -22,9 +21,9 @@ from .common import (
     measure_job,
     sweep_stacks,
 )
-from .points import ExperimentPlan, run_via_points
+from .points import ExperimentPlan
 
-__all__ = ["run_fig2a", "run_fig2b", "FIG2A_PLAN", "FIG2B_PLAN"]
+__all__ = ["FIG2A_PLAN", "FIG2B_PLAN"]
 
 #: io_uring cannot issue appends (§III-A); the thread-pool backend wraps
 #: the sync passthrough path and can, like SPDK.
@@ -116,15 +115,7 @@ def _fig2b_point(config: ExperimentConfig, params: dict) -> dict:
     }]}
 
 
+#: Latency with request size = LBA-format block size (Fig. 2a).
 FIG2A_PLAN = ExperimentPlan("fig2a", _combo_plan, _fig2a_point, _fig2a_describe)
+#: Latency at the best request sizes: 4 KiB write, 8 KiB append.
 FIG2B_PLAN = ExperimentPlan("fig2b", _combo_plan, _fig2b_point, _fig2b_describe)
-
-
-def run_fig2a(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Latency with request size = LBA-format block size (Fig. 2a)."""
-    return run_via_points(FIG2A_PLAN, config)
-
-
-def run_fig2b(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Latency at the best request sizes: 4 KiB write, 8 KiB append."""
-    return run_via_points(FIG2B_PLAN, config)

@@ -12,27 +12,24 @@ points out over worker processes and cache them individually:
   ``describe(config)`` gives the table skeleton the payloads are
   assembled into.
 * :func:`assemble` — folds point payloads (in plan order) back into the
-  :class:`~repro.core.results.ExperimentResult` the serial drivers
-  always produced.
-* :func:`run_via_points` — the serial driver: plan → points → assemble.
-  The public ``run_<experiment>`` functions are now thin wrappers over
-  this, so the serial path and the parallel path execute *exactly* the
-  same per-point code and emit byte-identical tables.
+  :class:`~repro.core.results.ExperimentResult`.
+* :func:`experiment_plans` — the one experiment registry, in paper order.
 
-Every registered experiment is now a genuine multi-point plan. The zone
-state-machine sweeps (obs9, fig5a, fig5b) historically shared one device
-across occupancy levels; they were decomposed into per-level points
-using device state snapshot/restore and per-point seed salts (see
-:mod:`.state_machine`). :func:`single_point_plan` remains available for
-wrapping monolithic drivers that cannot be decomposed.
+:func:`repro.exec.execute_experiments` is the only way a plan runs:
+serial, parallel, cached and traced runs all execute the same per-point
+code and emit byte-identical tables.
+
+The zone state-machine sweeps (obs9, fig5a, fig5b) historically shared
+one device across occupancy levels; they were decomposed into per-level
+points using device state snapshot/restore and per-point seed salts (see
+:mod:`.state_machine`).
 
 Payload protocol (everything JSON-able, so payloads can be cached and
-shipped across process boundaries losslessly):
+shipped across process boundaries losslessly)::
 
-``{"rows": [...], "series": [[key, [[x, y], ...]], ...]}``
-    rows/series fragments appended in plan order, or
-``{"result": <serialized ExperimentResult>}``
-    a whole-experiment payload from a single-point plan.
+    {"rows": [...], "series": [[key, [[x, y], ...]], ...]}
+
+rows/series fragments are appended in plan order.
 """
 
 from __future__ import annotations
@@ -46,12 +43,9 @@ from .common import ExperimentConfig
 __all__ = [
     "ExperimentPlan",
     "assemble",
-    "deserialize_result",
     "experiment_plans",
     "point_label",
-    "run_via_points",
     "serialize_result",
-    "single_point_plan",
 ]
 
 
@@ -65,9 +59,8 @@ class ExperimentPlan:
     #: (config, params) → JSON-able payload for one point.
     point: Callable[[ExperimentConfig, dict], dict]
     #: config → ExperimentResult skeleton fields (id/title/columns/
-    #: notes/meta). ``None`` marks a single-point plan whose payload
-    #: carries the whole serialized result.
-    describe: Optional[Callable[[ExperimentConfig], dict]] = None
+    #: notes/meta).
+    describe: Callable[[ExperimentConfig], dict]
     #: Optional in-process post-assembly hook: ``fold(result, config,
     #: payloads)`` runs after the rows/series fold, always in the
     #: assembling process. Cross-point derivations (verdicts comparing
@@ -81,13 +74,12 @@ class ExperimentPlan:
 
 def point_label(params: dict) -> str:
     """Human-readable identity of one point (profiles, error reports)."""
-    if not params:
-        return "(whole experiment)"
     return ",".join(f"{k}={v}" for k, v in sorted(params.items()))
 
 
 def serialize_result(result: ExperimentResult) -> dict:
-    """A JSON-able image of an ExperimentResult (exact round-trip)."""
+    """A JSON-able image of an ExperimentResult (for byte-level
+    comparisons of whole results)."""
     return {
         "experiment_id": result.experiment_id,
         "title": result.title,
@@ -99,29 +91,10 @@ def serialize_result(result: ExperimentResult) -> dict:
     }
 
 
-def deserialize_result(data: dict) -> ExperimentResult:
-    return ExperimentResult(
-        experiment_id=data["experiment_id"],
-        title=data["title"],
-        columns=list(data["columns"]),
-        rows=[dict(row) for row in data["rows"]],
-        series={k: [tuple(p) for p in v] for k, v in data["series"].items()},
-        notes=list(data["notes"]),
-        meta=dict(data["meta"]),
-    )
-
-
 def assemble(
     plan: ExperimentPlan, config: ExperimentConfig, payloads: list[dict]
 ) -> ExperimentResult:
     """Fold point payloads (in plan order) into the final result."""
-    if plan.describe is None:
-        if len(payloads) != 1:
-            raise ValueError(
-                f"single-point experiment {plan.experiment_id!r} got "
-                f"{len(payloads)} payloads"
-            )
-        return deserialize_result(payloads[0]["result"])
     skeleton = plan.describe(config)
     result = ExperimentResult(
         experiment_id=skeleton.get("experiment_id", plan.experiment_id),
@@ -142,35 +115,9 @@ def assemble(
     return result
 
 
-def run_via_points(
-    plan: ExperimentPlan,
-    config: Optional[ExperimentConfig] = None,
-    params_list: Optional[list] = None,
-) -> ExperimentResult:
-    """Serial reference path: run every point in order and assemble."""
-    config = config or ExperimentConfig()
-    if params_list is None:
-        params_list = plan.plan(config)
-    return assemble(plan, config, [plan.point(config, p) for p in params_list])
-
-
-def single_point_plan(
-    experiment_id: str, runner: Callable[[ExperimentConfig], ExperimentResult]
-) -> ExperimentPlan:
-    """Wrap a monolithic driver as a one-point plan (stateful sweeps)."""
-
-    def _plan(config: ExperimentConfig) -> list:
-        return [{}]
-
-    def _point(config: ExperimentConfig, params: dict) -> dict:
-        return {"result": serialize_result(runner(config))}
-
-    return ExperimentPlan(experiment_id, _plan, _point, None)
-
-
 def experiment_plans(auxiliary: bool = False) -> dict[str, ExperimentPlan]:
-    """Experiment id → plan, in paper order (lazy imports, like the
-    legacy runner registry in :mod:`repro.core.report`).
+    """Experiment id → plan, in paper order (imported lazily so
+    ``import repro.core`` stays instant).
 
     ``auxiliary=True`` appends the plans that are not part of the
     default ``repro run`` suite — today the §IV emulator-fidelity

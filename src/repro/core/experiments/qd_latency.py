@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from ...sim.engine import ms
 from ...workload.job import IoKind, JobSpec
-from ..results import ExperimentResult
 from .common import KIB, ExperimentConfig, build_device, measure_job
-from .points import ExperimentPlan, run_via_points
+from .points import ExperimentPlan
 
-__all__ = ["run_fig8", "QD_LEVELS", "FIG8_PLAN"]
+__all__ = ["QD_LEVELS", "FIG8_PLAN"]
 
 QD_LEVELS = (1, 2, 4, 8, 16, 32)
 
@@ -30,17 +29,13 @@ def _fig8_describe(config: ExperimentConfig) -> dict:
     }
 
 
-def _fig8_params(sizes_kib: tuple[int, ...]) -> list:
+def _fig8_plan(config: ExperimentConfig) -> list:
     return [
         {"block_kib": block_kib, "op": op, "stack": stack, "qd": qd}
-        for block_kib in sizes_kib
+        for block_kib in (4, 16, 32)
         for op, stack in _OP_STACKS
         for qd in QD_LEVELS
     ]
-
-
-def _fig8_plan(config: ExperimentConfig) -> list:
-    return _fig8_params((4, 16, 32))
 
 
 def _fig8_point(config: ExperimentConfig, params: dict) -> dict:
@@ -81,10 +76,5 @@ def _fig8_point(config: ExperimentConfig, params: dict) -> dict:
     }
 
 
+#: Throughput (x) vs mean latency (y) per QD, write vs append.
 FIG8_PLAN = ExperimentPlan("fig8", _fig8_plan, _fig8_point, _fig8_describe)
-
-
-def run_fig8(config: ExperimentConfig | None = None,
-             sizes_kib: tuple[int, ...] = (4, 16, 32)) -> ExperimentResult:
-    """Throughput (x) vs mean latency (y) per QD, write vs append."""
-    return run_via_points(FIG8_PLAN, config, params_list=_fig8_params(sizes_kib))

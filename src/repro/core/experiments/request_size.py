@@ -9,11 +9,10 @@ throughput is request_size × IOPS and peaks at large requests
 from __future__ import annotations
 
 from ...workload.job import IoKind, JobSpec
-from ..results import ExperimentResult
 from .common import KIB, ExperimentConfig, build_device, measure_job
-from .points import ExperimentPlan, run_via_points
+from .points import ExperimentPlan
 
-__all__ = ["run_fig3", "REQUEST_SIZES", "FIG3_PLAN"]
+__all__ = ["REQUEST_SIZES", "FIG3_PLAN"]
 
 REQUEST_SIZES = tuple(k * KIB for k in (4, 8, 16, 32, 64, 128))
 
@@ -25,16 +24,12 @@ def _fig3_describe(config: ExperimentConfig) -> dict:
     }
 
 
-def _fig3_params(sizes: tuple[int, ...]) -> list:
+def _fig3_plan(config: ExperimentConfig) -> list:
     return [
         {"op": op, "request_bytes": request_bytes}
         for op in (IoKind.WRITE, IoKind.APPEND)
-        for request_bytes in sizes
+        for request_bytes in REQUEST_SIZES
     ]
-
-
-def _fig3_plan(config: ExperimentConfig) -> list:
-    return _fig3_params(REQUEST_SIZES)
 
 
 def _fig3_point(config: ExperimentConfig, params: dict) -> dict:
@@ -71,10 +66,5 @@ def _fig3_point(config: ExperimentConfig, params: dict) -> dict:
     }
 
 
+#: IOPS (and MiB/s) as a function of request size, for write/append.
 FIG3_PLAN = ExperimentPlan("fig3", _fig3_plan, _fig3_point, _fig3_describe)
-
-
-def run_fig3(config: ExperimentConfig | None = None,
-             sizes: tuple[int, ...] = REQUEST_SIZES) -> ExperimentResult:
-    """IOPS (and MiB/s) as a function of request size, for write/append."""
-    return run_via_points(FIG3_PLAN, config, params_list=_fig3_params(sizes))

@@ -13,18 +13,17 @@ matching the §III-F read configuration.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from ...hostif.commands import Command, Opcode, ZoneAction
 from ...workload.job import IoKind, JobSpec, Pattern
 from ...workload.runner import JobRunner
 from ...workload.stats import LatencyStats
 from ...stacks.spdk import SpdkStack
-from ..results import ExperimentResult
 from .common import KIB, ExperimentConfig, build_device
-from .points import ExperimentPlan, run_via_points
+from .points import ExperimentPlan
 
-__all__ = ["run_fig7", "CONCURRENT_OPS", "FIG7_PLAN"]
+__all__ = ["CONCURRENT_OPS", "FIG7_PLAN"]
 
 CONCURRENT_OPS = ("none", "read", "write", "append")
 
@@ -119,9 +118,5 @@ def _fig7_point(config: ExperimentConfig, params: dict) -> dict:
     }]}
 
 
+#: p95 reset latency under concurrent I/O of each type.
 FIG7_PLAN = ExperimentPlan("fig7", _fig7_plan, _fig7_point, _fig7_describe)
-
-
-def run_fig7(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """p95 reset latency under concurrent I/O of each type."""
-    return run_via_points(FIG7_PLAN, config)

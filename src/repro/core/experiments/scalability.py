@@ -14,14 +14,10 @@ from __future__ import annotations
 
 from ...sim.engine import ms
 from ...workload.job import IoKind, JobSpec, Pattern
-from ..results import ExperimentResult
 from .common import KIB, ExperimentConfig, build_device, measure_job
-from .points import ExperimentPlan, run_via_points
+from .points import ExperimentPlan
 
 __all__ = [
-    "run_fig4a",
-    "run_fig4b",
-    "run_fig4c",
     "INTRA_LEVELS",
     "INTER_LEVELS",
     "READ_LEVELS",
@@ -211,21 +207,9 @@ def _fig4c_point(config: ExperimentConfig, params: dict) -> dict:
     }
 
 
+#: Intra-zone scalability in KIOPS, 4 KiB requests.
 FIG4A_PLAN = ExperimentPlan("fig4a", _fig4a_plan, _fig4a_point, _fig4a_describe)
+#: Inter-zone scalability in KIOPS, 4 KiB requests, QD1 per zone.
 FIG4B_PLAN = ExperimentPlan("fig4b", _fig4b_plan, _fig4b_point, _fig4b_describe)
+#: Bandwidth: intra-zone append vs inter-zone write at 4/8/16 KiB.
 FIG4C_PLAN = ExperimentPlan("fig4c", _fig4c_plan, _fig4c_point, _fig4c_describe)
-
-
-def run_fig4a(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Intra-zone scalability in KIOPS, 4 KiB requests."""
-    return run_via_points(FIG4A_PLAN, config)
-
-
-def run_fig4b(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Inter-zone scalability in KIOPS, 4 KiB requests, QD1 per zone."""
-    return run_via_points(FIG4B_PLAN, config)
-
-
-def run_fig4c(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Bandwidth: intra-zone append vs inter-zone write at 4/8/16 KiB."""
-    return run_via_points(FIG4C_PLAN, config)

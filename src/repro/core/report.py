@@ -1,110 +1,16 @@
-"""Top-level reporting: Table I, Table II, and the full-suite runner."""
+"""Top-level reporting: the paper's Table I and Table II."""
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..flash.geometry import MIB
 from ..zns.profiles import DeviceProfile, zn540
-from .experiments.common import ExperimentConfig
 from .observations import ObservationCheck
 from .recommendations import validate
-from .results import ExperimentResult, render_table
+from .results import render_table
 
-__all__ = ["run_experiments", "table1", "table2", "EXPERIMENT_RUNNERS"]
-
-
-def _runners() -> dict[str, Callable]:
-    # Imported lazily so ``import repro.core.report`` stays instant.
-    from .experiments.ablations import (
-        run_ablation_append_cost,
-        run_ablation_buffer,
-        run_ablation_gc_priority,
-        run_ablation_geometry,
-        run_ablation_zone_size,
-    )
-    from .experiments.aging import run_fig8_aging
-    from .experiments.fleet import run_fig7_fleet
-    from .experiments.io_interference import (
-        run_fig6,
-        run_fig6_rate_sweep,
-        run_obs11_read_tail,
-    )
-    from .experiments.lba_format import run_fig2a, run_fig2b
-    from .experiments.qd_latency import run_fig8
-    from .experiments.request_size import run_fig3
-    from .experiments.reset_interference import run_fig7
-    from .experiments.scalability import run_fig4a, run_fig4b, run_fig4c
-    from .experiments.state_machine import (
-        run_fig5a_reset,
-        run_fig5b_finish,
-        run_obs9_open_close,
-    )
-
-    return {
-        "fig2a": run_fig2a,
-        "fig2b": run_fig2b,
-        "fig3": run_fig3,
-        "fig4a": run_fig4a,
-        "fig4b": run_fig4b,
-        "fig4c": run_fig4c,
-        "obs9": run_obs9_open_close,
-        "fig5a": run_fig5a_reset,
-        "fig5b": run_fig5b_finish,
-        "fig6": run_fig6,
-        "obs11": run_obs11_read_tail,
-        "fig7": run_fig7,
-        "fig7_fleet": run_fig7_fleet,
-        "fig8": run_fig8,
-        "fig8_aging": run_fig8_aging,
-        "fig6rates": run_fig6_rate_sweep,
-        "ablation-buffer": run_ablation_buffer,
-        "ablation-append-cost": run_ablation_append_cost,
-        "ablation-gc-priority": run_ablation_gc_priority,
-        "ablation-geometry": run_ablation_geometry,
-        "ablation-zone-size": run_ablation_zone_size,
-    }
-
-
-#: Experiment id → driver, in paper order.
-EXPERIMENT_RUNNERS = _runners
-
-
-def run_experiments(
-    ids: Optional[list[str]] = None,
-    config: Optional[ExperimentConfig] = None,
-    verbose: bool = False,
-    jobs: int = 1,
-    cache: Optional[str] = None,
-) -> dict[str, ExperimentResult]:
-    """Run the named experiments (all of them by default).
-
-    ``jobs > 1`` or a ``cache`` directory routes through the execution
-    engine (:mod:`repro.exec`): points fan out over worker processes
-    and/or replay from the content-addressed cache, with output
-    byte-identical to this serial path.
-    """
-    if jobs != 1 or cache is not None:
-        from ..exec import execute_experiments
-
-        results, _report = execute_experiments(
-            ids, config, jobs=jobs, cache_dir=cache
-        )
-        if verbose:
-            for result in results.values():
-                print(result.table())
-                print()
-        return results
-    runners = _runners()
-    results = {}
-    for exp_id in ids or list(runners):
-        if exp_id not in runners:
-            raise KeyError(f"unknown experiment {exp_id!r}; choose from {list(runners)}")
-        results[exp_id] = runners[exp_id](config)
-        if verbose:
-            print(results[exp_id].table())
-            print()
-    return results
+__all__ = ["table1", "table2"]
 
 
 def table1(checks: list[ObservationCheck]) -> str:

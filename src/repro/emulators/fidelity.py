@@ -15,9 +15,7 @@ represent essential behavior to emulate".
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..core.experiments.points import ExperimentPlan, run_via_points
+from ..core.experiments.points import ExperimentPlan
 from ..hostif.commands import Command, Opcode, ZoneAction
 from ..sim.engine import ms
 from ..stacks.iouring import IoUringStack
@@ -33,7 +31,6 @@ __all__ = [
     "FIDELITY_PLAN",
     "PROBED_OBSERVATIONS",
     "probe_model",
-    "run_fidelity_matrix",
 ]
 
 KIB = 1024
@@ -253,40 +250,6 @@ def _verdicts(q: dict, ref: dict) -> dict[int, bool]:
 # the §IV matrix as an ExperimentPlan (one point per latency model)
 # --------------------------------------------------------------------------
 
-def _matrix_skeleton(models: tuple[EmulatorModel, ...]) -> dict:
-    return {
-        "experiment_id": "sec4",
-        "title": "Emulator fidelity: which observations does each latency model reproduce?",
-        "columns": ["observation"] + [m.name for m in models],
-        "notes": [
-            "verdict = quantities within tolerance of the calibrated reference model",
-            "paper §IV: FEMU reproduces none; NVMeVirt/ConfZNS miss append "
-            "(#4-#6) and zone transitions (#9, #10, #12, #13)",
-        ],
-    }
-
-
-def _fold_matrix(
-    result: ExperimentResult,
-    models: tuple[EmulatorModel, ...],
-    quantities: dict[str, dict],
-    ref: dict,
-) -> None:
-    """Verdict rows + meta from per-model quantities (cross-point, so it
-    always runs in the assembling process: the verdict dicts are keyed
-    by *int* observation ids, which a JSON round-trip would stringify)."""
-    verdicts = {}
-    for model in models:
-        verdicts[model.name] = _verdicts(quantities[model.name], ref)
-        result.meta[model.name] = quantities[model.name]
-    for obs in PROBED_OBSERVATIONS:
-        row = {"observation": f"#{obs}"}
-        for model in models:
-            row[model.name] = "yes" if verdicts[model.name].get(obs) else "no"
-        result.add_row(**row)
-    result.meta["verdicts"] = verdicts
-
-
 def _plan_points(config) -> list:
     return [{"model": model.name} for model in ALL_MODELS]
 
@@ -299,13 +262,34 @@ def _run_point(config, params: dict) -> dict:
 
 
 def _describe(config) -> dict:
-    return _matrix_skeleton(ALL_MODELS)
+    return {
+        "experiment_id": "sec4",
+        "title": "Emulator fidelity: which observations does each latency model reproduce?",
+        "columns": ["observation"] + [m.name for m in ALL_MODELS],
+        "notes": [
+            "verdict = quantities within tolerance of the calibrated reference model",
+            "paper §IV: FEMU reproduces none; NVMeVirt/ConfZNS miss append "
+            "(#4-#6) and zone transitions (#9, #10, #12, #13)",
+        ],
+    }
 
 
 def _fold(result: ExperimentResult, config, payloads: list) -> None:
+    """Verdict rows + meta from per-model quantities (cross-point, so it
+    always runs in the assembling process: the verdict dicts are keyed
+    by *int* observation ids, which a JSON round-trip would stringify)."""
     quantities = {p["quantities"]["name"]: p["quantities"] for p in payloads}
-    _fold_matrix(result, ALL_MODELS, quantities,
-                 ref=quantities[THIS_WORK.name])
+    ref = quantities[THIS_WORK.name]
+    verdicts = {}
+    for model in ALL_MODELS:
+        verdicts[model.name] = _verdicts(quantities[model.name], ref)
+        result.meta[model.name] = quantities[model.name]
+    for obs in PROBED_OBSERVATIONS:
+        row = {"observation": f"#{obs}"}
+        for model in ALL_MODELS:
+            row[model.name] = "yes" if verdicts[model.name].get(obs) else "no"
+        result.add_row(**row)
+    result.meta["verdicts"] = verdicts
 
 
 #: Registered as an *auxiliary* experiment ("sec4"): resolvable by the
@@ -313,23 +297,3 @@ def _fold(result: ExperimentResult, config, payloads: list) -> None:
 #: the default ``repro run`` suite.
 FIDELITY_PLAN = ExperimentPlan("sec4", _plan_points, _run_point, _describe,
                                fold=_fold)
-
-
-def run_fidelity_matrix(models: Optional[tuple[EmulatorModel, ...]] = None) -> ExperimentResult:
-    """The §IV matrix: observation × emulator reproduction verdicts.
-
-    With the default model set this is the serial reference path over
-    :data:`FIDELITY_PLAN` — exactly what ``repro fidelity`` computes
-    through the execution engine. A ``models`` subset (tests, notebooks)
-    probes only those models against the calibrated reference.
-    """
-    if models is None:
-        return run_via_points(FIDELITY_PLAN)
-    ref = probe_model(THIS_WORK)
-    quantities = {
-        model.name: (ref if model is THIS_WORK else probe_model(model))
-        for model in models
-    }
-    result = ExperimentResult(**_matrix_skeleton(models))
-    _fold_matrix(result, models, quantities, ref)
-    return result

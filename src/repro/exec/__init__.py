@@ -3,8 +3,10 @@
 ``repro.exec`` decomposes every experiment into its independent sweep
 points (see :mod:`repro.core.experiments.points`), fans them out over a
 crash-tolerant process pool, serves previously-computed points from a
-content-addressed cache, and reassembles the exact tables the serial
-drivers produce — byte-identical output, a fraction of the wall clock.
+content-addressed cache, and reassembles the tables in plan order —
+byte-identical output at any job count, a fraction of the wall clock.
+It is the only way an experiment runs: serial, parallel, cached and
+traced runs all go through it.
 
 Entry points: :func:`execute_experiments` (library),
 ``python -m repro run --jobs N`` (CLI).

@@ -9,7 +9,10 @@ sweep points (:mod:`repro.core.experiments.points`). The engine
    checkpoint: an interrupted sweep resumes from disk),
 3. fans the remaining points out over a
    :class:`~repro.exec.pool.WorkerPool` (``--jobs N``) with a per-point
-   timeout and crash recovery, or runs them inline when ``jobs == 1``,
+   timeout and crash recovery, or runs them inline when ``jobs == 1``
+   (the only mode a traced run may use: a trace is one in-process
+   timeline, so it can neither be merged across workers nor replayed
+   from the cache),
 4. reassembles payloads **in plan order** — never completion order — so
    parallel output is byte-identical to the serial run, and
 5. merges per-point :class:`MetricsRegistry` snapshots back into the
@@ -36,9 +39,8 @@ from ..core.experiments.points import (
     point_label,
 )
 from ..core.results import ExperimentResult, render_table
-from ..sim.engine import events_total
 from .cache import ResultCache
-from .pool import DEFAULT_POINT_TIMEOUT_S, WorkerPool
+from .pool import DEFAULT_POINT_TIMEOUT_S, WorkerPool, run_point
 
 __all__ = [
     "ExecutionError",
@@ -190,35 +192,11 @@ class _Point:
 
 def _run_point_inline(plans, task: dict, config: ExperimentConfig) -> dict:
     """Execute one task in-process (the ``jobs == 1`` path)."""
-    from ..obs.metrics import MetricsRegistry
-    from ..obs.telemetry import TelemetryCollector
-
-    started = time.perf_counter()
-    events_before = events_total()
     try:
-        run_config = config
-        metrics = None
-        if task["collect_metrics"]:
-            metrics = MetricsRegistry()
-            run_config = dataclasses.replace(config, metrics=metrics)
-        telemetry = None
-        if config.telemetry_interval_ns:
-            # Fresh collector per point (never the caller's): segments
-            # must stay separated by point for plan-order merging, same
-            # as the worker path.
-            telemetry = TelemetryCollector(config.telemetry_interval_ns)
-            run_config = dataclasses.replace(run_config, telemetry=telemetry)
-        payload = plans[task["experiment_id"]].point(run_config, task["params"])
-        return {
-            "task_id": task["task_id"],
-            "ok": True,
-            "payload": payload,
-            "metrics": metrics.snapshot() if metrics is not None else None,
-            "telemetry": telemetry.drain() if telemetry is not None else None,
-            "elapsed_s": time.perf_counter() - started,
-            "events": events_total() - events_before,
-            "attempts": 1,
-        }
+        reply = run_point(
+            plans[task["experiment_id"]], config, task["params"],
+            task["collect_metrics"],
+        )
     except Exception:
         import traceback
 
@@ -228,6 +206,8 @@ def _run_point_inline(plans, task: dict, config: ExperimentConfig) -> dict:
             "error": traceback.format_exc(),
             "attempts": 1,
         }
+    reply.update(task_id=task["task_id"], ok=True, attempts=1)
+    return reply
 
 
 def execute_experiments(
@@ -243,13 +223,16 @@ def execute_experiments(
     Returns ``(results, report)`` where ``results`` maps experiment id →
     :class:`ExperimentResult` in request order. Raises
     :class:`ExecutionError` if any point still fails after its retry.
+
+    A config carrying a tracer runs every point inline, in plan order,
+    into that one tracer; it needs ``jobs == 1`` and no ``cache_dir``.
     """
     config = config or ExperimentConfig()
-    if config.tracer is not None:
+    if config.tracer is not None and (jobs != 1 or cache_dir is not None):
         raise ValueError(
-            "command tracing records one in-process timeline and cannot be "
-            "merged across workers; run traced experiments serially via "
-            "the legacy path (repro run --trace forces it)"
+            "command tracing records one in-process timeline: it cannot be "
+            "merged across workers or replayed from the cache; run traced "
+            "experiments serially (jobs=1, cache_dir=None)"
         )
     if config.telemetry is not None:
         raise ValueError(

@@ -38,11 +38,9 @@ so messages never interleave mid-frame. Heartbeats report liveness only
 but over budget is still killed).
 
 Workers build the :class:`ExperimentConfig` from the scalar ``config``
-fields and look the experiment up in the shared plan registry, so each
-point runs exactly the code the serial path runs. When the config
-carries a telemetry interval the worker creates the per-point
-:class:`~repro.obs.telemetry.TelemetryCollector` itself and ships the
-drained segments in the reply.
+fields, look the experiment up in the shared plan registry and call
+:func:`run_point` — the same function the engine's in-process path
+calls — so each point runs exactly the code the serial path runs.
 """
 
 from __future__ import annotations
@@ -56,7 +54,12 @@ import traceback
 from multiprocessing.connection import Connection, wait as connection_wait
 from typing import Callable, Optional
 
-__all__ = ["WorkerPool", "DEFAULT_POINT_TIMEOUT_S", "DEFAULT_HEARTBEAT_S"]
+__all__ = [
+    "WorkerPool",
+    "DEFAULT_POINT_TIMEOUT_S",
+    "DEFAULT_HEARTBEAT_S",
+    "run_point",
+]
 
 #: Generous per-point wall-clock budget; the longest full-scale point
 #: (fig6 interference timelines) simulates in well under a minute.
@@ -66,12 +69,42 @@ DEFAULT_POINT_TIMEOUT_S = 600.0
 DEFAULT_HEARTBEAT_S = 5.0
 
 
+def run_point(plan, config, params: dict, collect_metrics: bool) -> dict:
+    """Run one sweep point; the only caller of ``ExperimentPlan.point``.
+
+    The point gets its own :class:`~repro.obs.metrics.MetricsRegistry`
+    (when ``collect_metrics``) and
+    :class:`~repro.obs.telemetry.TelemetryCollector` (when the config
+    carries a sampling interval) — never the caller's — so snapshots and
+    segments stay separated by point for plan-order merging. A tracer on
+    the config is passed through untouched. Returns the success fields
+    of a reply; exceptions propagate to the caller.
+    """
+    from ..obs.metrics import MetricsRegistry
+    from ..obs.telemetry import TelemetryCollector
+    from ..sim.engine import events_total
+
+    started = time.perf_counter()
+    events_before = events_total()
+    metrics = MetricsRegistry() if collect_metrics else None
+    telemetry = None
+    if config.telemetry_interval_ns:
+        telemetry = TelemetryCollector(config.telemetry_interval_ns)
+    config = dataclasses.replace(config, metrics=metrics, telemetry=telemetry)
+    payload = plan.point(config, params)
+    return {
+        "payload": payload,
+        "metrics": metrics.snapshot() if metrics is not None else None,
+        "telemetry": telemetry.drain() if telemetry is not None else None,
+        "elapsed_s": time.perf_counter() - started,
+        "events": events_total() - events_before,
+    }
+
+
 def _worker_main(conn: Connection) -> None:
     """Worker loop: receive tasks until ``None`` / EOF, send replies."""
     from ..core.experiments.common import ExperimentConfig
     from ..core.experiments.points import experiment_plans
-    from ..obs.metrics import MetricsRegistry
-    from ..obs.telemetry import TelemetryCollector
     from ..sim.engine import events_total
 
     plans = experiment_plans(auxiliary=True)
@@ -121,26 +154,12 @@ def _worker_main(conn: Connection) -> None:
             )
             beat_thread.start()
         try:
-            config = ExperimentConfig(**task["config"])
-            metrics = None
-            if task["collect_metrics"]:
-                metrics = MetricsRegistry()
-                config = dataclasses.replace(config, metrics=metrics)
-            telemetry = None
-            if config.telemetry_interval_ns:
-                telemetry = TelemetryCollector(config.telemetry_interval_ns)
-                config = dataclasses.replace(config, telemetry=telemetry)
-            plan = plans[task["experiment_id"]]
-            payload = plan.point(config, task["params"])
-            reply = {
-                "task_id": task_id,
-                "ok": True,
-                "payload": payload,
-                "metrics": metrics.snapshot() if metrics is not None else None,
-                "telemetry": telemetry.drain() if telemetry is not None else None,
-                "elapsed_s": time.perf_counter() - started,
-                "events": events_total() - events_before,
-            }
+            reply = run_point(
+                plans[task["experiment_id"]],
+                ExperimentConfig(**task["config"]),
+                task["params"], task["collect_metrics"],
+            )
+            reply.update(task_id=task_id, ok=True)
         except BaseException:
             reply = {
                 "task_id": task_id,

@@ -18,10 +18,13 @@ Spans with no command id (GC runs, background flushes) are reported in
 a separate background table; they consume device time but belong to no
 single command.
 
-This module deliberately avoids importing ``repro.core`` at module
-scope (``repro.core`` imports device code that imports ``repro.obs``);
-the experiment registry is resolved lazily inside
-:func:`profile_experiment`.
+:func:`profile_experiment` runs the experiment through the execution
+engine (:func:`repro.exec.execute_experiments`) with ``jobs=1`` and no
+cache — the same per-point code as every other run, each point traced
+into one tracer in plan order. This module deliberately avoids
+importing ``repro.core``/``repro.exec`` at module scope (``repro.core``
+imports device code that imports ``repro.obs``); both are resolved
+lazily inside :func:`profile_experiment`.
 """
 
 from __future__ import annotations
@@ -199,17 +202,13 @@ def profile_experiment(
     from dataclasses import replace
 
     from ..core.experiments.common import ExperimentConfig
-    from ..core.report import EXPERIMENT_RUNNERS
+    from ..exec import execute_experiments
 
-    runners = EXPERIMENT_RUNNERS()
-    if exp_id not in runners:
-        raise KeyError(
-            f"unknown experiment {exp_id!r}; choose from {list(runners)}"
-        )
     tracer = Tracer()
-    config = replace(config or ExperimentConfig(), tracer=tracer)
-    result = runners[exp_id](config)
-    return tracer, LayerBreakdown.from_tracer(tracer), result
+    results, _report = execute_experiments(
+        [exp_id], replace(config or ExperimentConfig(), tracer=tracer), jobs=1
+    )
+    return tracer, LayerBreakdown.from_tracer(tracer), results[exp_id]
 
 
 def _self_smoke_workload(tracer: Optional[Tracer] = None) -> None:

@@ -159,3 +159,30 @@ class TestGarbageCollectionBehaviour:
             run_cmd(sim, dev, write(i * page_lbas, page_lbas))
         sim.run()
         assert dev.gc_stats.activations == 0
+
+
+class TestBuildConvDevice:
+    def test_carries_every_config_hook(self):
+        from repro.conv.device import PRIO_IO
+        from repro.core.experiments.common import (
+            ExperimentConfig,
+            build_conv_device,
+        )
+        from repro.faults import resolve
+        from repro.obs import MetricsRegistry, Tracer
+        from repro.obs.telemetry import TelemetryCollector
+
+        tracer, metrics = Tracer(), MetricsRegistry()
+        telemetry = TelemetryCollector(100_000)
+        config = ExperimentConfig(tracer=tracer, metrics=metrics,
+                                  faults="chaos", telemetry=telemetry)
+        sim, device = build_conv_device(config, conv_profile(),
+                                        gc_priority=PRIO_IO)
+        assert device.sim is sim
+        assert device.tracer is tracer
+        assert device.metrics is metrics
+        assert device.faults is not None
+        assert device.faults.plan == resolve("chaos")
+        assert device.telemetry is not None
+        assert telemetry.drain() == [device.telemetry.segment()]
+        assert device.gc_priority == PRIO_IO

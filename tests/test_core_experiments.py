@@ -7,12 +7,6 @@ in tens of seconds; the benchmark harness runs the full-scale versions.
 import pytest
 
 from repro.core import ExperimentConfig
-from repro.core.experiments.lba_format import run_fig2a, run_fig2b
-from repro.core.experiments.state_machine import (
-    run_fig5a_reset,
-    run_fig5b_finish,
-    run_obs9_open_close,
-)
 from repro.core.observations import (
     check_obs1,
     check_obs2,
@@ -21,6 +15,8 @@ from repro.core.observations import (
     check_obs10,
 )
 from repro.sim import ms
+
+from .util import run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -37,12 +33,12 @@ def config():
 
 @pytest.fixture(scope="module")
 def fig2a(config):
-    return run_fig2a(config)
+    return run_experiment("fig2a", config)
 
 
 @pytest.fixture(scope="module")
 def fig2b(config):
-    return run_fig2b(config)
+    return run_experiment("fig2b", config)
 
 
 class TestFig2:
@@ -76,50 +72,36 @@ class TestFig2:
 
 class TestStateMachineExperiments:
     def test_obs9_costs(self, config):
-        result = run_obs9_open_close(config)
+        result = run_experiment("obs9", config)
         check = check_obs9(result)
         assert check.passed, check.details
         open_us = result.value("latency_us", quantity="explicit open")
         assert open_us == pytest.approx(9.56, rel=0.15)
 
     def test_fig5_occupancy_effects(self, config):
-        fig5a = run_fig5a_reset(config)
-        fig5b = run_fig5b_finish(config)
+        fig5a = run_experiment("fig5a", config)
+        fig5b = run_experiment("fig5b", config)
         check = check_obs10(fig5a, fig5b)
         assert check.passed, check.details
 
     def test_fig5a_anchors(self, config):
-        fig5a = run_fig5a_reset(config)
+        fig5a = run_experiment("fig5a", config)
         full = fig5a.value("reset_ms", occupancy="100%", finished_first=False)
         half = fig5a.value("reset_ms", occupancy="50%", finished_first=False)
         assert full == pytest.approx(16.19, rel=0.1)
         assert half == pytest.approx(11.60, rel=0.1)
 
     def test_fig5a_finished_zones_cost_more_than_unfinished(self, config):
-        fig5a = run_fig5a_reset(config)
+        fig5a = run_experiment("fig5a", config)
         for occ in ("25%", "50%"):
             plain = fig5a.value("reset_ms", occupancy=occ, finished_first=False)
             finished = fig5a.value("reset_ms", occupancy=occ, finished_first=True)
             assert finished > plain
 
     def test_fig5b_anchors(self, config):
-        fig5b = run_fig5b_finish(config)
+        fig5b = run_experiment("fig5b", config)
         low = fig5b.value("finish_ms", occupancy="<0.1%")
         high = fig5b.value("finish_ms", occupancy="~100%")
         assert low == pytest.approx(907.51, rel=0.15)
         assert high == pytest.approx(3.07, rel=0.15)
 
-
-class TestRunExperimentsDispatch:
-    def test_unknown_id_rejected(self, config):
-        from repro.core import run_experiments
-
-        with pytest.raises(KeyError):
-            run_experiments(["figZZ"], config)
-
-    def test_selected_run_returns_results(self, config):
-        from repro.core import run_experiments
-
-        results = run_experiments(["fig2a"], config)
-        assert set(results) == {"fig2a"}
-        assert results["fig2a"].rows

@@ -13,11 +13,7 @@ import pathlib
 from repro.conv import ConvDevice
 from repro.conv.device import DeviceCounters as ConvCounters
 from repro.core import ExperimentConfig
-from repro.core.experiments.points import (
-    assemble,
-    experiment_plans,
-    run_via_points,
-)
+from repro.core.experiments.points import assemble, experiment_plans
 from repro.device import DeviceCore, DeviceCounters, RequestPlanner
 from repro.device.core import PRIO_IO as CORE_PRIO_IO
 from repro.hostif import LBA_512, Command, Opcode
@@ -27,7 +23,7 @@ from repro.zns.device import PRIO_IO as ZNS_PRIO_IO
 from repro.zns.device import DeviceCounters as ZnsCounters
 
 from .test_conv_device import make_conv
-from .util import append, make_device, read, run_cmd, write
+from .util import append, make_device, read, run_cmd, run_experiment, write
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -138,8 +134,7 @@ class TestGoldenIdentity:
     """The refactor must not move a single byte of experiment output."""
 
     def _check(self, exp_id: str, golden_name: str):
-        plans = experiment_plans()
-        result = run_via_points(plans[exp_id], golden_config())
+        result = run_experiment(exp_id, golden_config())
         golden = (GOLDEN_DIR / golden_name).read_text()
         assert result.table() + "\n" == golden
 

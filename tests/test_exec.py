@@ -25,7 +25,6 @@ from repro.core.experiments.points import (
     experiment_plans,
     serialize_result,
 )
-from repro.core.report import run_experiments
 from repro.exec import (
     ExecutionError,
     ResultCache,
@@ -134,16 +133,11 @@ class TestCanonicalization:
 class TestEngineOutputIdentity:
     IDS = ["fig2a", "obs9"]
 
-    def test_parallel_matches_serial_and_legacy(self):
+    def test_parallel_matches_serial(self):
         config = tiny_config()
-        legacy = run_experiments(self.IDS, config)
         serial, _ = execute_experiments(self.IDS, config, jobs=1)
         parallel, _ = execute_experiments(self.IDS, config, jobs=2)
         assert results_blob(serial) == results_blob(parallel)
-        # The engine's canonicalized tables render exactly like the
-        # legacy serial driver's.
-        for exp_id in self.IDS:
-            assert serial[exp_id].table() == legacy[exp_id].table()
 
     def test_cached_rerun_skips_all_simulation(self, tmp_path):
         config = tiny_config()
@@ -197,10 +191,34 @@ class TestEngineOutputIdentity:
             execute_experiments(["fig2a"], tiny_config(tracer=Tracer()),
                                 jobs=2)
 
-    def test_registry_covers_every_legacy_runner(self):
-        from repro.core.report import EXPERIMENT_RUNNERS
+    def test_tracer_with_cache_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="cache"):
+            execute_experiments(["fig2a"], tiny_config(tracer=Tracer()),
+                                jobs=1, cache_dir=tmp_path)
+        assert not list(tmp_path.iterdir())  # rejected before any store
 
-        assert list(experiment_plans()) == list(EXPERIMENT_RUNNERS())
+    def test_traced_inline_run_matches_untraced(self):
+        plain, _ = execute_experiments(self.IDS, tiny_config(), jobs=1)
+        tracer = Tracer()
+        traced, report = execute_experiments(
+            self.IDS, tiny_config(tracer=tracer), jobs=1
+        )
+        assert results_blob(traced) == results_blob(plain)
+        assert len(tracer) > 0
+        assert report.executed == len(report.points)
+
+    def test_traced_telemetry_matches_untraced(self):
+        config = tiny_config(telemetry_interval_ns=100_000)
+        _, plain = execute_experiments(["fig2a"], config, jobs=1)
+        tracer = Tracer()
+        _, traced = execute_experiments(
+            ["fig2a"], tiny_config(tracer=tracer, telemetry_interval_ns=100_000),
+            jobs=1,
+        )
+        assert plain.telemetry and len(tracer) > 0
+        assert json.dumps(traced.telemetry, sort_keys=True) == json.dumps(
+            plain.telemetry, sort_keys=True
+        )
 
 
 # --- worker failure handling -------------------------------------------------

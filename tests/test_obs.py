@@ -5,6 +5,7 @@ must not change simulation results at all (the tracer only observes the
 integer-ns clock; it never touches the RNG streams or the event heap).
 """
 
+import hashlib
 import io
 import json
 
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.core import ExperimentConfig
-from repro.core.experiments.lba_format import run_fig2b
 from repro.hostif import Command, Opcode, ZoneAction
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS_NS,
@@ -27,7 +27,7 @@ from repro.sim import Simulator, ms
 from repro.sim.engine import SimulationError
 from repro.workload.stats import LatencyStats, TimeSeries
 
-from .util import append, make_device, read, run_cmd, write
+from .util import append, make_device, read, run_cmd, run_experiment, write
 
 
 class TestTracer:
@@ -339,10 +339,33 @@ def _fig2b_config(**extra):
 
 class TestTracingDeterminism:
     def test_traced_run_identical_to_untraced(self):
-        plain = run_fig2b(_fig2b_config())
+        plain = run_experiment("fig2b", _fig2b_config())
         tracer = Tracer()
         registry = MetricsRegistry()
-        traced = run_fig2b(_fig2b_config(tracer=tracer, metrics=registry))
+        traced = run_experiment(
+            "fig2b", _fig2b_config(tracer=tracer, metrics=registry))
         assert plain.rows == traced.rows
         assert len(tracer) > 0
         assert registry.snapshot()["device.completed.write"] > 0
+
+
+#: sha256 of the ``repro --fast run fig2b --trace`` JSON-lines file,
+#: recorded at commit 325f0f2, before traced runs moved onto the
+#: execution engine. Tracing must neither perturb the simulation nor
+#: change what it records; a deliberate change to the trace schema or to
+#: fig2b updates this digest in the same commit and says why.
+FIG2B_FAST_TRACE_SHA256 = (
+    "e71938f5b2edaa59a7de77bcb1dd7cca7c73bfc62686a33bab0ed460ed09b7c8"
+)
+
+
+class TestTraceOracle:
+    @pytest.mark.parametrize("extra", [[], ["--metrics"]])
+    def test_fast_fig2b_trace_digest_is_pinned(self, tmp_path, capsys, extra):
+        from repro.__main__ import main
+
+        path = tmp_path / "fig2b.jsonl"
+        assert main(["--fast", "run", "fig2b", "--trace", str(path)] + extra) == 0
+        capsys.readouterr()
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == FIG2B_FAST_TRACE_SHA256

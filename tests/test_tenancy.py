@@ -8,7 +8,6 @@ import pytest
 
 from repro.apps import LsmConfig, LsmWorkload, ZoneFs
 from repro.core.experiments.common import ExperimentConfig
-from repro.core.experiments.fleet import run_fig7_fleet
 from repro.core.experiments.points import serialize_result
 from repro.exec import execute_experiments
 from repro.hostif import Command, Opcode, Status, ZoneAction
@@ -25,7 +24,7 @@ from repro.workload.job import JobSpec
 from repro.workload.runner import JobRunner
 from repro.zns import ZoneState
 
-from .util import make_device, quiet_profile
+from .util import make_device, quiet_profile, run_experiment
 
 
 def fleet_config(**extra) -> ExperimentConfig:
@@ -264,7 +263,7 @@ class TestLsmWorkload:
 
 class TestFig7Fleet:
     def test_reports_per_tenant_slo_and_inflation(self):
-        result = run_fig7_fleet(fleet_config())
+        result = run_experiment("fig7_fleet", fleet_config())
         modes = {row["mode"] for row in result.rows}
         assert modes == {"baseline", "reset-storm"}
         serving = [r for r in result.rows if r["workload"] == "lsm"]
@@ -277,7 +276,7 @@ class TestFig7Fleet:
         assert violations["reset-storm"] > violations["baseline"]
 
     def test_tenant_count_is_a_config_knob(self):
-        result = run_fig7_fleet(fleet_config(fleet_tenants=2))
+        result = run_experiment("fig7_fleet", fleet_config(fleet_tenants=2))
         baseline = [r for r in result.rows if r["mode"] == "baseline"]
         assert [r["tenant"] for r in baseline] == ["serve0", "serve1"]
 

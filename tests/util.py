@@ -1,7 +1,8 @@
-"""Shared helpers for device-level tests."""
+"""Shared helpers for device-level and experiment tests."""
 
 from __future__ import annotations
 
+from repro.exec import execute_experiments
 from repro.hostif import LBA_4K, Command, Completion, Opcode, ZoneAction
 from repro.sim import Simulator
 from repro.zns import ZnsDevice
@@ -19,6 +20,13 @@ def make_device(profile=None, lba_format=LBA_4K, tracer=None, metrics=None,
     device = ZnsDevice(sim, profile or quiet_profile(), lba_format=lba_format,
                        tracer=tracer, metrics=metrics, faults=faults)
     return sim, device
+
+
+def run_experiment(exp_id: str, config):
+    """One experiment's result through the execution engine, in-process
+    (``jobs=1``, no cache) — the path every experiment run takes."""
+    results, _report = execute_experiments([exp_id], config, jobs=1)
+    return results[exp_id]
 
 
 def run_cmd(sim: Simulator, device, command: Command) -> Completion:
