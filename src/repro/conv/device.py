@@ -17,6 +17,8 @@ module holds only the FTL and GC machinery (DESIGN.md §11).
 
 from __future__ import annotations
 
+import pickle
+from collections import OrderedDict
 from typing import Generator, Optional
 
 from ..device.core import PRIO_IO, DeviceCore, DeviceCounters
@@ -40,6 +42,11 @@ __all__ = ["ConvDevice", "DeviceCounters", "PRIO_GC_URGENT"]
 #: what collapses user throughput during GC bursts (Fig. 6a) and stretches
 #: read tails to hundreds of milliseconds (Observation #11).
 PRIO_GC_URGENT = -1
+
+#: Preconditioned FTLs kept per process (see :meth:`ConvDevice.precondition`),
+#: least recently used evicted first. One entry is a pickle of a few MiB.
+PRECONDITION_MEMO_ENTRIES = 4
+_preconditioned: OrderedDict[tuple, bytes] = OrderedDict()
 
 
 class ConvDevice(DeviceCore):
@@ -176,25 +183,47 @@ class ConvDevice(DeviceCore):
         steady state, so the measured run starts with realistic write
         amplification instead of spending hundreds of simulated seconds
         converging.
+
+        The FTL must be pristine. The result depends only on the FTL's
+        shape, the GC watermarks and the arguments, so it is memoized per
+        process and a repeat call restores a copy: ``self.ftl`` is
+        replaced by an FTL equal to the one a fresh fill would build.
         """
         if not 0 <= utilization <= 1:
             raise ValueError(f"utilization must be in [0, 1], got {utilization}")
         if steady_state_churn < 0:
             raise ValueError("steady_state_churn must be >= 0")
-        mapped = int(self.ftl.logical_pages * utilization)
+        ftl = self.ftl
+        if (ftl.mapped_pages() or ftl.total_user_pages_written
+                or ftl.total_gc_pages_copied or ftl.bad_blocks):
+            raise ValueError(
+                "precondition requires a pristine FTL: no mapped pages, "
+                "no counted user or GC writes, no bad blocks"
+            )
+        key = (ftl.geometry, ftl.overprovision, ftl.spare_blocks_per_die,
+               self.gc_policy, utilization, steady_state_churn, seed)
+        blob = _preconditioned.get(key)
+        if blob is not None:
+            _preconditioned.move_to_end(key)
+            self.ftl = pickle.loads(blob)
+            return
+        mapped = int(ftl.logical_pages * utilization)
         for logical in range(mapped):
-            self.ftl.commit_write(logical)
+            ftl.commit_write(logical)
         if steady_state_churn > 0 and mapped > 0:
             import numpy as np
 
             rng = np.random.default_rng(seed)
             for logical in rng.integers(0, mapped, round(mapped * steady_state_churn)):
-                if self.gc_policy.should_start(self.ftl.free_fraction):
+                if self.gc_policy.should_start(ftl.free_fraction):
                     self._metadata_gc(self.gc_policy.high_watermark)
-                self.ftl.commit_write(int(logical))
+                ftl.commit_write(int(logical))
         # The fill is preconditioning, not measured traffic.
-        self.ftl.total_user_pages_written = 0
-        self.ftl.total_gc_pages_copied = 0
+        ftl.total_user_pages_written = 0
+        ftl.total_gc_pages_copied = 0
+        _preconditioned[key] = pickle.dumps(ftl, pickle.HIGHEST_PROTOCOL)
+        if len(_preconditioned) > PRECONDITION_MEMO_ENTRIES:
+            _preconditioned.popitem(last=False)
 
     def _metadata_gc(self, target_free_fraction: float) -> None:
         """Instantaneous GC used only during preconditioning."""

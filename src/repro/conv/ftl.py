@@ -14,7 +14,8 @@ Structure:
   round-robin die cursor, remap the logical page, and invalidate the old
   physical page,
 * GC picks greedy victims (fewest valid pages), relocates the survivors,
-  and erases.
+  and erases. Victims come from a lazy ``(valid_count, block_id)``
+  min-heap rather than a scan over every block (DESIGN.md §18).
 
 The FTL is pure bookkeeping (no simulated time); the device model drives
 the matching NAND operations through the shared flash backend.
@@ -22,12 +23,17 @@ the matching NAND operations through the shared flash backend.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import Optional
 
 from ..flash.geometry import FlashGeometry
 
 __all__ = ["Block", "PageMappedFtl", "FtlFullError"]
+
+#: The victim heap is rebuilt from the blocks once it holds more than
+#: this many entries per block (stale entries pile up between pops).
+VICTIM_HEAP_SLACK = 4
 
 
 class FtlFullError(RuntimeError):
@@ -50,9 +56,6 @@ class Block:
     def is_full(self) -> bool:
         return self.write_slot >= len(self.slot_to_logical)
 
-    def garbage_pages(self) -> int:
-        return self.write_slot - self.valid_count
-
 
 class PageMappedFtl:
     """Logical→physical page mapping with per-die block pools."""
@@ -67,12 +70,16 @@ class PageMappedFtl:
         self.logical_pages = int(geometry.total_pages * (1 - overprovision))
         if self.logical_pages <= 0:
             raise ValueError("geometry too small for any logical capacity")
-        self._l2p: dict[int, int] = {}
+        #: Dense logical→physical map (``None`` = unmapped) and the number
+        #: of mapped entries in it.
+        self._l2p: list[Optional[int]] = [None] * self.logical_pages
+        self._mapped = 0
         blocks_per_die = geometry.planes_per_die * geometry.blocks_per_plane
         if not 0 <= spare_blocks_per_die < blocks_per_die:
             raise ValueError(
                 f"spare_blocks_per_die must be in [0, {blocks_per_die}), "
                 f"got {spare_blocks_per_die}")
+        self.spare_blocks_per_die = spare_blocks_per_die
         self.blocks: list[Block] = []
         self._free: list[deque[int]] = [deque() for _ in range(geometry.total_dies)]
         #: Bad-block management (DESIGN.md §17): factory spares held out
@@ -98,6 +105,10 @@ class PageMappedFtl:
         )
         self.total_user_pages_written = 0
         self.total_gc_pages_copied = 0
+        #: Lazy victim heap of ``(valid_count, block_id)``: an entry is
+        #: pushed whenever a full block's count changes, and stale entries
+        #: are dropped when they surface in :meth:`pick_victim`.
+        self._victims: list[tuple[int, int]] = []
 
     # -- introspection -----------------------------------------------------
     @property
@@ -105,7 +116,7 @@ class PageMappedFtl:
         return self.free_block_count / self.geometry.total_blocks
 
     def mapped_pages(self) -> int:
-        return len(self._l2p)
+        return self._mapped
 
     def write_amplification(self) -> float:
         """Cumulative WA = (user + GC copies) / user pages."""
@@ -118,7 +129,7 @@ class PageMappedFtl:
     def lookup(self, logical_page: int) -> Optional[int]:
         """Physical page id of a logical page, or None if unmapped."""
         self._check_logical(logical_page)
-        return self._l2p.get(logical_page)
+        return self._l2p[logical_page]
 
     def die_of_physical(self, physical_page: int) -> int:
         return self.blocks[physical_page // self.pages_per_block].die
@@ -133,6 +144,43 @@ class PageMappedFtl:
 
     def spare_blocks_left(self, die: int) -> int:
         return len(self._spare[die])
+
+    def check_invariants(self) -> None:
+        """Assert the mapping/pool/victim-heap invariants (used by property tests)."""
+        pages_per_block = self.pages_per_block
+        mapped = 0
+        for logical, physical in enumerate(self._l2p):
+            if physical is None:
+                continue
+            mapped += 1
+            block = self.blocks[physical // pages_per_block]
+            assert block.slot_to_logical[physical % pages_per_block] == logical, \
+                "L2P and back-map disagree"
+        assert mapped == self._mapped, "mapped-page counter drift"
+        for block in self.blocks:
+            live = [slot for slot, logical in enumerate(block.slot_to_logical)
+                    if logical >= 0]
+            assert block.valid_count == len(live), "valid_count drift"
+            assert all(slot < block.write_slot for slot in live), \
+                "mapped slot beyond the write slot"
+            for slot in live:
+                logical = block.slot_to_logical[slot]
+                assert self._l2p[logical] == block.block_id * pages_per_block + slot, \
+                    "back-map entry missing from L2P"
+        free = [b for pool in self._free for b in pool]
+        spare = [b for pool in self._spare for b in pool]
+        active = [block.block_id for block in self._user_active + self._gc_active
+                  if block is not None]
+        pooled = free + spare + active + sorted(self.bad_blocks)
+        assert len(pooled) == len(set(pooled)), \
+            "free, spare and active pools and bad blocks overlap"
+        assert self.free_block_count == len(free), "free-block count drift"
+        for block_id in free + spare:
+            assert self.blocks[block_id].write_slot == 0, "pooled block not erased"
+        assert set(self._collectable_entries()) <= set(self._victims), \
+            "collectable block without a live victim-heap entry"
+        assert len(self._victims) <= VICTIM_HEAP_SLACK * len(self.blocks), \
+            "victim heap past its bound"
 
     # -- writes --------------------------------------------------------------
     def commit_write(self, logical_page: int, reserve: int = 0) -> int:
@@ -149,8 +197,10 @@ class PageMappedFtl:
         """
         self._check_logical(logical_page)
         physical = self._allocate(self._user_active, logical_page, reserve)
-        old = self._l2p.get(logical_page)
-        if old is not None:
+        old = self._l2p[logical_page]
+        if old is None:
+            self._mapped += 1
+        else:
             self._invalidate_physical(old)
         self._l2p[logical_page] = physical
         self.total_user_pages_written += 1
@@ -159,37 +209,47 @@ class PageMappedFtl:
     def trim(self, logical_page: int) -> bool:
         """Unmap a logical page (NVMe deallocate); True if it was mapped."""
         self._check_logical(logical_page)
-        old = self._l2p.pop(logical_page, None)
+        old = self._l2p[logical_page]
         if old is None:
             return False
+        self._l2p[logical_page] = None
+        self._mapped -= 1
         self._invalidate_physical(old)
         return True
 
     # -- garbage collection ----------------------------------------------------
     def pick_victim(self, exclude: Optional[set[int]] = None) -> Optional[Block]:
         """Greedy victim: the full block with the fewest valid pages that
-        has at least one garbage page.
+        has at least one garbage page; ties go to the lowest block id.
 
         ``exclude`` skips blocks already being collected (lets a pipelined
-        GC pick several victims concurrently).
+        GC pick several victims concurrently). The victim's heap entry
+        stays in place, so asking twice returns the same block.
         """
         # Only full blocks are candidates. A block still accepting writes
         # (every active block) is never full; a full block is collectable
         # even while still referenced as a stream's most-recent active
-        # block.
+        # block. Fully valid blocks yield nothing: no entry is ever pushed
+        # for them, so an entry whose count matches its block is live.
+        heap = self._victims
+        blocks = self.blocks
+        bad = self.bad_blocks
+        pages_per_block = self.pages_per_block
+        skipped = []
         best: Optional[Block] = None
-        for block in self.blocks:
-            if not block.is_full or block.block_id in self.bad_blocks:
-                continue
-            if exclude and block.block_id in exclude:
-                continue
-            if block.garbage_pages() == 0 and block.valid_count > 0:
-                # Fully valid blocks yield nothing: never picked.
-                continue
-            if best is None or block.valid_count < best.valid_count:
+        while heap:
+            count, block_id = heap[0]
+            block = blocks[block_id]
+            if (count != block.valid_count or block.write_slot != pages_per_block
+                    or block_id in bad):
+                heapq.heappop(heap)  # stale
+            elif exclude and block_id in exclude:
+                skipped.append(heapq.heappop(heap))
+            else:
                 best = block
-                if best.valid_count == 0:
-                    break
+                break
+        for entry in skipped:
+            heapq.heappush(heap, entry)
         return best
 
     def relocate(self, victim: Block, slot: int) -> Optional[int]:
@@ -202,10 +262,11 @@ class PageMappedFtl:
         if logical < 0:
             return None
         physical = victim.block_id * self.pages_per_block + slot
-        if self._l2p.get(logical) != physical:
+        if self._l2p[logical] != physical:
             return None  # stale: overwritten since GC scanned
-        self._invalidate_physical(physical)
+        # Allocate first: a FtlFullError leaves the mapping untouched.
         new_physical = self._allocate(self._gc_active, logical)
+        self._invalidate_physical(physical)
         self._l2p[logical] = new_physical
         self.total_gc_pages_copied += 1
         return new_physical
@@ -216,6 +277,7 @@ class PageMappedFtl:
             raise ValueError(
                 f"erasing block {victim.block_id} with {victim.valid_count} valid pages"
             )
+        self._detach(victim)
         victim.slot_to_logical = [-1] * self.pages_per_block
         victim.write_slot = 0
         self._free[victim.die].append(victim.block_id)
@@ -236,6 +298,7 @@ class PageMappedFtl:
                 f"retiring block {victim.block_id} with "
                 f"{victim.valid_count} valid pages"
             )
+        self._detach(victim)
         self.bad_blocks.add(victim.block_id)
         victim.slot_to_logical = [-1] * self.pages_per_block
         victim.write_slot = self.pages_per_block  # full forever: never allocated
@@ -262,15 +325,29 @@ class PageMappedFtl:
             raise ValueError(f"double invalidate of physical page {physical}")
         block.slot_to_logical[slot] = -1
         block.valid_count -= 1
+        if block.write_slot == self.pages_per_block:
+            self._push_victim(block)
+
+    def _detach(self, victim: Block) -> None:
+        """Forget a recycled block as the active block of the stream that
+        filled it, so that stream cannot keep writing into a pooled block."""
+        die = victim.die
+        if self._user_active[die] is victim:
+            self._user_active[die] = None
+        if self._gc_active[die] is victim:
+            self._gc_active[die] = None
 
     def _allocate(self, active_set: list[Optional[Block]], logical: int,
                   reserve: int = 0) -> int:
         dies = self.geometry.total_dies
+        full = self.pages_per_block
         for _ in range(dies):
             die = self._die_cursor
-            self._die_cursor = (self._die_cursor + 1) % dies
+            self._die_cursor = (die + 1) % dies
             block = active_set[die]
-            if block is None or block.is_full:
+            # ``write_slot == full`` is ``is_full`` without the property
+            # lookup: when the FTL stalls this loop runs for every die.
+            if block is None or block.write_slot == full:
                 if self.free_block_count <= reserve:
                     continue  # don't eat into the GC reserve
                 block = self._take_free_block(die)
@@ -281,8 +358,27 @@ class PageMappedFtl:
             block.write_slot += 1
             block.slot_to_logical[slot] = logical
             block.valid_count += 1
-            return block.block_id * self.pages_per_block + slot
+            if block.write_slot == full and block.valid_count < full:
+                # Filled with garbage already in it: collectable now.
+                self._push_victim(block)
+            return block.block_id * full + slot
         raise FtlFullError("no allocatable block outside the GC reserve")
+
+    def _push_victim(self, block: Block) -> None:
+        heap = self._victims
+        heapq.heappush(heap, (block.valid_count, block.block_id))
+        if len(heap) > VICTIM_HEAP_SLACK * len(self.blocks):
+            self._victims = self._collectable_entries()
+            heapq.heapify(self._victims)
+
+    def _collectable_entries(self) -> list[tuple[int, int]]:
+        """``(valid_count, block_id)`` of every block pick_victim may return."""
+        full = self.pages_per_block
+        return [
+            (block.valid_count, block.block_id) for block in self.blocks
+            if block.write_slot == full and block.valid_count < full
+            and block.block_id not in self.bad_blocks
+        ]
 
     def _take_free_block(self, die: int) -> Optional[Block]:
         if not self._free[die]:

@@ -6,6 +6,8 @@ from repro.flash import KIB, MIB, FlashGeometry
 from repro.hostif import Command, Opcode, Status
 from repro.sim import Simulator, ms, sec, us
 from repro.conv import ConvDevice
+from repro.conv import device as conv_device
+from repro.faults import resolve
 
 from .util import quiet_profile, read, run_cmd, write
 
@@ -88,6 +90,102 @@ class TestPrecondition:
         sim, dev = make_conv()
         with pytest.raises(ValueError):
             dev.precondition(1.5)
+
+    def test_second_precondition_rejected(self):
+        """A refill of a full device would run without GC; refuse it."""
+        sim, dev = make_conv()
+        dev.precondition(1.0)
+        with pytest.raises(ValueError, match="pristine"):
+            dev.precondition(1.0)
+
+    def test_precondition_after_io_rejected(self):
+        sim, dev = make_conv()
+        dev.ftl.commit_write(0)
+        dev.ftl.trim(0)
+        with pytest.raises(ValueError, match="pristine"):
+            dev.precondition(0.5)
+
+    def test_precondition_with_bad_blocks_rejected(self):
+        sim, dev = make_conv()
+        dev.ftl.retire_block(dev.ftl.blocks[0])
+        with pytest.raises(ValueError, match="pristine"):
+            dev.precondition(0.5)
+
+
+def ftl_state(ftl) -> dict:
+    """Everything a preconditioned FTL carries into a measured run."""
+    return {
+        "back_maps": [(b.block_id, b.die, list(b.slot_to_logical), b.write_slot,
+                       b.valid_count) for b in ftl.blocks],
+        "l2p": list(ftl._l2p),
+        "mapped": ftl.mapped_pages(),
+        "free": [list(pool) for pool in ftl._free],
+        "spare": [list(pool) for pool in ftl._spare],
+        "user_active": [b and b.block_id for b in ftl._user_active],
+        "gc_active": [b and b.block_id for b in ftl._gc_active],
+        "die_cursor": ftl._die_cursor,
+        "free_block_count": ftl.free_block_count,
+        "counters": (ftl.total_user_pages_written, ftl.total_gc_pages_copied),
+        "bad": sorted(ftl.bad_blocks),
+        "remapped": sorted(ftl.remapped_blocks),
+        "victims": sorted(ftl._victims),
+    }
+
+
+class TestPreconditionMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        conv_device._preconditioned.clear()
+        yield
+        conv_device._preconditioned.clear()
+
+    def preconditioned(self, seed=3, faults=None):
+        dev = ConvDevice(Simulator(), conv_profile(), faults=faults)
+        dev.precondition(0.9, steady_state_churn=1.0, seed=seed)
+        return dev
+
+    def test_hit_equals_fresh_precondition(self):
+        fresh = self.preconditioned()
+        assert len(conv_device._preconditioned) == 1
+        restored = self.preconditioned()
+        assert len(conv_device._preconditioned) == 1
+        assert restored.ftl is not fresh.ftl
+        assert ftl_state(restored.ftl) == ftl_state(fresh.ftl)
+        restored.ftl.check_invariants()
+        # The churn really ran GC: the state is not a plain fill.
+        assert fresh.ftl.free_block_count < fresh.ftl.geometry.total_blocks
+        assert any(0 < b.valid_count < b.write_slot for b in fresh.ftl.blocks)
+
+    def test_mutating_a_restored_ftl_does_not_leak(self):
+        fresh = self.preconditioned()
+        expected = ftl_state(fresh.ftl)
+        restored = self.preconditioned()
+        for ftl in (fresh.ftl, restored.ftl):
+            for logical in range(64):
+                ftl.commit_write(logical)
+            ftl.trim(100)
+        assert ftl_state(self.preconditioned().ftl) == expected
+
+    def test_erase_fault_plan_gets_its_own_entry(self):
+        plain = self.preconditioned()
+        spared = self.preconditioned(faults=resolve("wearout"))
+        assert len(conv_device._preconditioned) == 2
+        assert spared.ftl.spare_blocks_per_die == 2
+        assert all(spared.ftl.spare_blocks_left(die) == 2
+                   for die in range(spared.ftl.geometry.total_dies))
+        assert ftl_state(spared.ftl) != ftl_state(plain.ftl)
+
+    def test_seeds_do_not_share_an_entry(self):
+        first = self.preconditioned(seed=1)
+        second = self.preconditioned(seed=2)
+        assert len(conv_device._preconditioned) == 2
+        assert ftl_state(first.ftl) != ftl_state(second.ftl)
+        assert ftl_state(self.preconditioned(seed=1).ftl) == ftl_state(first.ftl)
+
+    def test_memo_is_bounded(self):
+        for seed in range(conv_device.PRECONDITION_MEMO_ENTRIES + 2):
+            self.preconditioned(seed=seed)
+        assert len(conv_device._preconditioned) == conv_device.PRECONDITION_MEMO_ENTRIES
 
 
 class TestGarbageCollectionBehaviour:

@@ -1,5 +1,7 @@
 """Unit + property tests for the page-mapped FTL and GC policy."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,7 +93,7 @@ class TestGarbageCollection:
             ftl.commit_write(logical)
         victim = ftl.pick_victim()
         assert victim is not None
-        assert victim.garbage_pages() > 0
+        assert victim.valid_count < ftl.pages_per_block
 
     def test_relocate_preserves_all_mappings(self):
         ftl = PageMappedFtl(tiny_geometry(), overprovision=0.5)
@@ -180,3 +182,112 @@ def test_mapping_integrity_under_random_overwrites_and_gc(writes):
         physical = ftl.lookup(logical)
         block = ftl.blocks[physical // ftl.pages_per_block]
         assert block.slot_to_logical[physical % ftl.pages_per_block] == logical
+
+
+def reference_victim(ftl: PageMappedFtl, exclude=frozenset()):
+    """The O(blocks) greedy scan the victim heap replaced: the oracle."""
+    best = None
+    for block in ftl.blocks:
+        if not block.is_full or block.block_id in ftl.bad_blocks:
+            continue
+        if block.block_id in exclude:
+            continue
+        if block.write_slot == block.valid_count and block.valid_count > 0:
+            continue
+        if best is None or block.valid_count < best.valid_count:
+            best = block
+            if best.valid_count == 0:
+                break
+    return best
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=st.lists(
+    st.tuples(st.sampled_from(["write", "trim", "pick", "relocate", "collect"]),
+              st.integers(0, 63)),
+    min_size=100, max_size=400,
+))
+def test_victim_heap_matches_scan_under_random_ops(ops):
+    """Writes, overwrites, trims and a pipelined GC (several victims in
+    flight, picked with ``exclude=``, relocated a page at a time, then
+    erased or retired) never make the heap disagree with the scan."""
+    ftl = PageMappedFtl(tiny_geometry(), overprovision=0.25,
+                        spare_blocks_per_die=1)
+    reserve = ftl.geometry.total_dies
+    inflight: list = []
+    for op, arg in ops:
+        if op == "write":
+            try:
+                ftl.commit_write(arg % ftl.logical_pages, reserve=reserve)
+            except FtlFullError:
+                pass
+        elif op == "trim":
+            ftl.trim(arg % ftl.logical_pages)
+        elif op == "pick":
+            # A block id outside the pipeline in the exclude set is harmless.
+            extra = arg % len(ftl.blocks)
+            exclude = {v.block_id for v in inflight} | {extra}
+            victim = ftl.pick_victim(exclude=exclude)
+            assert victim is reference_victim(ftl, exclude)
+            if victim is not None:
+                inflight.append(victim)
+        elif op == "relocate" and inflight:
+            victim = inflight[arg % len(inflight)]
+            slot = next((s for s, logical in enumerate(victim.slot_to_logical)
+                         if logical >= 0), None)
+            if slot is not None:
+                try:
+                    assert ftl.relocate(victim, slot) is not None
+                except FtlFullError:
+                    pass
+        elif op == "collect":
+            done = [v for v in inflight if v.valid_count == 0]
+            if done:
+                victim = done[0]
+                inflight.remove(victim)
+                if arg % 2:
+                    ftl.retire_block(victim)
+                else:
+                    ftl.erase(victim)
+        exclude = {v.block_id for v in inflight}
+        assert ftl.pick_victim(exclude=exclude) is reference_victim(ftl, exclude)
+        assert ftl.pick_victim() is reference_victim(ftl)
+        ftl.check_invariants()
+
+
+def test_erased_active_block_leaves_its_stream():
+    """A user block that fills with garbage can be collected while still
+    the die's active block; the stream must not keep writing into it."""
+    ftl = PageMappedFtl(tiny_geometry(), overprovision=0.25)
+    for _ in range(2 * ftl.pages_per_block):
+        ftl.commit_write(0)  # every slot but the last is garbage
+    victim = ftl.pick_victim()
+    assert victim is not None and victim.valid_count == 0
+    ftl.erase(victim)
+    ftl.check_invariants()
+    physical = ftl.commit_write(1)
+    assert ftl.block_of_physical(physical) != victim.block_id
+    ftl.check_invariants()
+
+
+def test_victim_heap_rebuild_keeps_the_scan_order():
+    """GC driven by the scan instead of the heap never pops a stale
+    entry, so they pile up until the heap rebuilds itself; the rebuilt
+    heap still picks what the scan picks."""
+    rng = random.Random(7)
+    ftl = PageMappedFtl(tiny_geometry(), overprovision=0.5)
+    rebuilds = 0
+    for step in range(2000):
+        while ftl.free_fraction < 0.2:
+            victim = reference_victim(ftl)
+            for slot in range(ftl.pages_per_block):
+                ftl.relocate(victim, slot)
+            ftl.erase(victim)
+        before = len(ftl._victims)
+        ftl.commit_write(rng.randrange(ftl.logical_pages))
+        rebuilds += len(ftl._victims) < before  # commit_write only pushes
+        if step % 100 == 0:
+            ftl.check_invariants()
+    assert rebuilds > 0
+    ftl.check_invariants()
+    assert ftl.pick_victim() is reference_victim(ftl)
