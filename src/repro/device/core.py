@@ -27,6 +27,7 @@ re-exported from both historical module paths.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Generator, Optional
 
 from ..hostif.commands import Command, Completion, Opcode
@@ -47,6 +48,12 @@ PRIO_IO = 0
 PRIO_MGMT = 10
 #: Power-loss handling preempts everything else queued at the controller.
 PRIO_PANIC = -100
+
+
+@lru_cache(maxsize=None)
+def _die_busy_keys(dies: int) -> tuple[str, ...]:
+    """Telemetry keys of the per-die busy totals, built once per die count."""
+    return tuple(f"nand.die{i}.busy_ns" for i in range(dies))
 
 
 class DeviceCounters:
@@ -341,16 +348,15 @@ class DeviceCore:
             "wbuf.level_bytes": self.buffer.level,
         }
 
-    def _telemetry_cumulative(self) -> dict:
-        """Monotonic totals sampled per window; the sampler emits deltas
-        (``*.busy_ns`` keys become busy fractions of the window)."""
+    def _telemetry_cumulative(self) -> tuple[tuple[str, ...], list[int]]:
+        """Monotonic ``*.busy_ns`` totals as ``(keys, totals)``, the keys
+        fixed per device; the sampler emits each as a ``*.busy_frac`` of
+        the window. ``totals`` may be the live list: copy it to keep it."""
         backend = getattr(self, "backend", None)
         if backend is None:
-            return {}
-        return {
-            f"nand.die{i}.busy_ns": busy
-            for i, busy in enumerate(backend._die_busy_ns)
-        }
+            return (), []
+        busy = backend._die_busy_ns
+        return _die_busy_keys(len(busy)), busy
 
     def _power_loss_drop(self, target: int) -> tuple[int, int]:
         """Drop up to ``target`` unpersisted buffered bytes (model hook).

@@ -24,12 +24,30 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS_NS",
+    "bucket_percentile",
 ]
 
 #: Exponential latency buckets: 1 µs .. ~8.6 s in powers of two (ns).
 DEFAULT_LATENCY_BUCKETS_NS: tuple[int, ...] = tuple(
     1_000 * 2**i for i in range(24)
 )
+
+
+def bucket_percentile(bounds: Sequence[int], counts: Sequence[int],
+                      total: int, p: float) -> float:
+    """Interpolated p-th percentile of bucket ``counts`` (one more than
+    ``bounds``, the last one overflow) that sum to ``total`` > 0."""
+    rank = p / 100 * total
+    cumulative = 0
+    for i, count in enumerate(counts):
+        if count > 0 and cumulative + count >= rank:
+            lower = 0 if i == 0 else bounds[i - 1]
+            if i == len(bounds):
+                return float(lower)  # overflow bucket: clamp to last bound
+            fraction = (rank - cumulative) / count
+            return lower + (bounds[i] - lower) * min(1.0, max(0.0, fraction))
+        cumulative += count
+    return float(bounds[-1])
 
 
 class Counter:
@@ -212,18 +230,7 @@ class Histogram:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
         if self.total == 0:
             return float("nan")
-        rank = p / 100 * self.total
-        cumulative = 0
-        for i, count in enumerate(self.counts):
-            if cumulative + count >= rank and count > 0:
-                lower = 0 if i == 0 else self.bounds[i - 1]
-                if i == len(self.bounds):
-                    return float(lower)  # overflow bucket: clamp to last bound
-                upper = self.bounds[i]
-                fraction = (rank - cumulative) / count
-                return lower + (upper - lower) * min(1.0, max(0.0, fraction))
-            cumulative += count
-        return float(self.bounds[-1])
+        return bucket_percentile(self.bounds, self.counts, self.total, p)
 
     def snapshot(self) -> dict[str, Any]:
         return {

@@ -27,19 +27,13 @@ Determinism contract (the whole point of the design):
   span since the previous row (``spans`` records how many intervals
   that is), which keeps idle stretches free instead of materializing
   runs of zeros.
-
-``TelemetryCollector`` is the per-point aggregation handle: experiment
-code puts one on the :class:`~repro.core.experiments.common
-.ExperimentConfig`, every device built for the point attaches a sampler
-(in construction order, which is deterministic), and the execution
-engine drains the collector into the point's reply/cache entry.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Gauge, Histogram, bucket_percentile
 
 __all__ = ["TelemetryCollector", "TelemetrySampler", "DEFAULT_INTERVAL_US"]
 
@@ -50,39 +44,29 @@ DEFAULT_INTERVAL_US = 100.0
 _PERCENTILES = (50, 95, 99)
 
 
-def _delta_percentile(bounds: tuple[int, ...], dcounts: list[int],
-                      dtotal: int, p: float) -> float:
-    """Interpolated percentile of a *delta* histogram (mirror of
-    :meth:`Histogram.percentile` over windowed bucket counts)."""
-    rank = p / 100 * dtotal
-    cumulative = 0
-    last = len(bounds)
-    for i, count in enumerate(dcounts):
-        if count > 0 and cumulative + count >= rank:
-            lower = 0 if i == 0 else bounds[i - 1]
-            if i == last:
-                return float(lower)  # overflow bucket: clamp to last bound
-            upper = bounds[i]
-            fraction = (rank - cumulative) / count
-            return lower + (upper - lower) * min(1.0, max(0.0, fraction))
-        cumulative += count
-    return float(bounds[-1])
-
-
 class TelemetrySampler:
     """Windowed columnar sampler for one device.
 
     Attached by :meth:`TelemetryCollector.attach` from the device
-    constructor; never instantiate directly. All state is plain Python —
-    the per-advance cost while armed is a single integer comparison
-    (:meth:`_on_advance`), and the per-window cost is one pass over the
-    device's registry.
+    constructor; never instantiate directly. A clock advance costs one
+    integer comparison (:meth:`_on_advance`). The registry is bound into
+    a plan, extended only when it grows. A row appends to the gauge and
+    level columns but records counter deltas, histogram windows and busy
+    fractions only as *entries* where they moved, which :meth:`segment`
+    fills into default-valued columns (DESIGN.md §13.5).
+
+    Padding is pinned, as segments are digested output: a column first
+    seen at row *k* reads ``0`` before it (``None`` for percentiles).
+    Only level key sets shrink: the ZNS census names only states some
+    zone is in, so ``zones.<state>`` reads ``0`` before that state is
+    first seen and ``None`` in later rows where no zone is in it.
     """
 
     __slots__ = (
-        "interval_ns", "device", "ordinal",
-        "_closed", "_next", "_rows", "_windows", "_spans", "_cols",
-        "_prev_counters", "_prev_hists", "_prev_cumulative", "_finalized",
+        "interval_ns", "device", "ordinal", "_closed", "_next", "_rows",
+        "_windows", "_spans", "_cols", "_defaults", "_entries", "_bound",
+        "_counters", "_counter_prev", "_gauges", "_hists",
+        "_levels", "_busy_names", "_busy_prev", "_finalized",
     )
 
     def __init__(self, interval_ns: int, device: Any, ordinal: int):
@@ -94,10 +78,17 @@ class TelemetrySampler:
         self._rows = 0
         self._windows: list[int] = []
         self._spans: list[int] = []
-        self._cols: dict[str, list] = {}
-        self._prev_counters: dict[str, int] = {}
-        self._prev_hists: dict[str, tuple[list[int], int]] = {}
-        self._prev_cumulative: dict[str, int] = {}
+        self._cols: dict[str, list] = {}     # gauge and level columns
+        self._defaults: dict[str, Any] = {}  # entry columns' defaults
+        self._entries: list[tuple[str, int, Any]] = []  # (column, row, value)
+        self._bound = 0                      # registry metrics planned
+        self._counters: list[Counter] = []
+        self._counter_prev: list[int] = []
+        self._gauges: list[tuple[Gauge, list]] = []
+        self._hists: list[list] = []  # [metric, column names, counts, total]
+        self._levels: dict[str, list] = {}
+        self._busy_names: Optional[list[str]] = None
+        self._busy_prev: list[int] = []
         self._finalized = False
 
     # ------------------------------------------------------------- sampling
@@ -113,80 +104,88 @@ class TelemetrySampler:
         self._sample(completed, completed * self.interval_ns)
         self._next = (completed + 1) * self.interval_ns
 
+    def _bind(self, metrics: list) -> None:
+        """Plan the metrics registered since the last row (registries
+        only grow, in registration order)."""
+        for metric in metrics[self._bound:]:
+            name = metric.name
+            cls = type(metric)
+            if cls is Counter:
+                self._counters.append(metric)
+                self._counter_prev.append(0)
+                self._defaults[name] = 0
+            elif cls is Gauge and not name.startswith("nand.die"):
+                # (Per-die busy gauges repeat the busy fractions below.)
+                col = self._cols[name] = [0] * self._rows
+                self._gauges.append((metric, col))
+            elif cls is Histogram:
+                names = [f"{name}.count"]
+                names += (f"{name}.p{p}" for p in _PERCENTILES)
+                self._defaults.update(zip(names, (0, None, None, None)))
+                self._hists.append([metric, names, [0] * len(metric.counts), 0])
+        self._bound = len(metrics)
+
     def _sample(self, completed: int, end_ns: int) -> None:
         """Emit one row covering ``(last row .. completed]`` windows."""
         span = completed - self._closed
         elapsed = end_ns - self._closed * self.interval_ns
         if elapsed <= 0:
             elapsed = self.interval_ns
-        cols = self._cols
-        nrows = self._rows
-
-        def put(name: str, value, pad=0) -> None:
-            col = cols.get(name)
-            if col is None:
-                col = [pad] * nrows
-                cols[name] = col
-            col.append(value)
-
         device = self.device
-        prev_counters = self._prev_counters
-        prev_hists = self._prev_hists
-        for metric in device.metrics:
-            name = metric.name
-            cls = type(metric)
-            if cls is Counter:
-                value = metric.value
-                put(name, value - prev_counters.get(name, 0))
-                prev_counters[name] = value
-            elif cls is Gauge:
-                # Per-die busy gauges mirror the backend's cumulative
-                # counters; the fraction columns below cover them.
-                if not name.startswith("nand.die"):
-                    put(name, metric.value)
-            elif cls is Histogram:
+        if len(device.metrics) != self._bound:
+            self._bind(list(device.metrics))
+        row = self._rows
+        entries = self._entries
+
+        values = [metric.value for metric in self._counters]
+        if values != self._counter_prev:
+            for metric, value, prev in zip(self._counters, values,
+                                           self._counter_prev):
+                if value != prev:
+                    entries.append((metric.name, row, value - prev))
+            self._counter_prev = values
+        for metric, col in self._gauges:
+            col.append(metric.value)
+        for hist in self._hists:
+            metric, names, pcounts, ptotal = hist
+            total = metric.total
+            if total != ptotal:
                 counts = metric.counts
-                total = metric.total
-                prev = prev_hists.get(name)
-                if prev is None:
-                    dcounts = list(counts)
-                    dtotal = total
-                else:
-                    pcounts, ptotal = prev
-                    dtotal = total - ptotal
-                    dcounts = (
-                        [c - p for c, p in zip(counts, pcounts)]
-                        if dtotal else None
-                    )
-                put(f"{name}.count", dtotal)
-                for p in _PERCENTILES:
-                    put(
-                        f"{name}.p{p}",
-                        round(_delta_percentile(metric.bounds, dcounts,
-                                                dtotal, p), 1)
-                        if dtotal else None,
-                        pad=None,
-                    )
-                prev_hists[name] = (list(counts), total)
-        for name, value in device._telemetry_levels().items():
-            put(name, value)
-        prev_cumulative = self._prev_cumulative
-        for name, value in device._telemetry_cumulative().items():
-            delta = value - prev_cumulative.get(name, 0)
-            prev_cumulative[name] = value
-            if name.endswith(".busy_ns"):
-                put(name[: -len(".busy_ns")] + ".busy_frac",
-                    round(delta / elapsed, 6))
-            else:
-                put(name, delta)
-        # Columns that appeared in earlier rows but not this pass cannot
-        # happen: registries only grow and the hooks return stable key
-        # sets per device — but guard anyway so a drained column never
-        # desynchronizes row counts.
-        self._rows += 1
-        for col in cols.values():
-            if len(col) < self._rows:
-                col.append(None)
+                dtotal = total - ptotal
+                dcounts = [c - p for c, p in zip(counts, pcounts)]
+                entries.append((names[0], row, dtotal))
+                for name, p in zip(names[1:], _PERCENTILES):
+                    entries.append((name, row, round(bucket_percentile(
+                        metric.bounds, dcounts, dtotal, p), 1)))
+                hist[2] = list(counts)
+                hist[3] = total
+
+        levels = device._telemetry_levels()
+        for name, value in levels.items():
+            col = self._levels.get(name)
+            if col is None:
+                col = self._levels[name] = self._cols[name] = [0] * row
+            col.append(value)
+        if len(levels) < len(self._levels):
+            for col in self._levels.values():
+                if len(col) == row:
+                    col.append(None)
+
+        keys, totals = device._telemetry_cumulative()
+        if self._busy_names is None:
+            self._busy_names = [key.removesuffix("_ns") + "_frac"
+                                for key in keys]
+            self._defaults.update(dict.fromkeys(self._busy_names, 0.0))
+            self._busy_prev = [0] * len(keys)
+        if totals != self._busy_prev:
+            for name, total, prev in zip(self._busy_names, totals,
+                                         self._busy_prev):
+                if total != prev:
+                    entries.append(
+                        (name, row, round((total - prev) / elapsed, 6)))
+            self._busy_prev = list(totals)
+
+        self._rows = row + 1
         self._windows.append(completed)
         self._spans.append(span)
         self._closed = completed
@@ -203,11 +202,12 @@ class TelemetrySampler:
             self._finalized = True
             now = int(self.device.sim.now)
             self._sample(self._closed + 1, now)
-        columns = {}
-        for name in sorted(self._cols):
-            col = self._cols[name]
-            if any(v is not None and v != 0 for v in col):
-                columns[name] = col
+        cols = dict(self._cols)
+        for name, default in self._defaults.items():
+            cols[name] = [default] * self._rows
+        for name, row, value in self._entries:
+            cols[name][row] = value
+        columns = {name: cols[name] for name in sorted(cols) if any(cols[name])}
         return {
             "device": f"{self.device.kind}:{self.device.profile.name}",
             "ordinal": self.ordinal,

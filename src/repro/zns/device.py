@@ -49,6 +49,9 @@ from .zone import Zone
 
 __all__ = ["ZnsDevice", "DeviceCounters", "PRIO_IO", "PRIO_MGMT"]
 
+#: Telemetry column per zone state, in the census's (declaration) order.
+_CENSUS_KEYS = tuple(f"zones.{state.value}" for state in ZoneState)
+
 
 class ZnsDevice(DeviceCore):
     """A calibrated, mechanistic ZNS SSD model."""
@@ -318,15 +321,14 @@ class ZnsDevice(DeviceCore):
     # --------------------------------------------------------------- helpers
     def _telemetry_levels(self) -> dict:
         levels = super()._telemetry_levels()
-        census: dict[str, int] = {}
-        for zone in self.zones.zones:
-            key = zone.state.value
-            census[key] = census.get(key, 0) + 1
-        for state, count in census.items():
-            levels[f"zones.{state}"] = count
+        census = self.zones.census
+        # Only states some zone is in get a key (see TelemetrySampler on
+        # what that means for the zones.<state> columns).
+        for key, count in zip(_CENSUS_KEYS, census.values()):
+            if count:
+                levels[key] = count
         levels["zones.retired"] = (
-            census.get(ZoneState.READ_ONLY.value, 0)
-            + census.get(ZoneState.OFFLINE.value, 0)
+            census[ZoneState.READ_ONLY] + census[ZoneState.OFFLINE]
         )
         levels["fw.debt_ns"] = self._fw_debt_ns
         return levels

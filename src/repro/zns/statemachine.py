@@ -61,6 +61,10 @@ class ZoneManager:
         self.max_active = max_active
         self._open_count = 0
         self._active_count = 0
+        #: Zones per state, kept by :meth:`_enter` so the telemetry
+        #: census is a read, not a walk over every zone.
+        self._census = dict.fromkeys(ZoneState, 0)
+        self._census[ZoneState.EMPTY] = num_zones
         #: Optional observer called as ``on_transition(zone, old, new)``
         #: after every state change. Pure observation: the device wires
         #: this to its tracer/metrics; the state machine itself stays
@@ -79,6 +83,12 @@ class ZoneManager:
     @property
     def active_count(self) -> int:
         return self._active_count
+
+    @property
+    def census(self) -> dict[ZoneState, int]:
+        """Live zone count per state: every state, in declaration order
+        (read-only)."""
+        return self._census
 
     def zone_containing(self, lba: int) -> Zone | None:
         """The zone owning an LBA, or None when out of range."""
@@ -108,7 +118,7 @@ class ZoneManager:
         A fixture, like :meth:`force_state`: states are assigned
         directly (``on_transition`` observers do not fire — restoring is
         not a simulated transition) and the open/active counters are
-        recomputed from the restored states.
+        recomputed from the restored states, as is the census.
         """
         if len(snapshot) != len(self.zones):
             raise ValueError(
@@ -119,18 +129,23 @@ class ZoneManager:
             zone.state = ZoneState(state)
             zone.wp = wp
             zone.finished_pad_lbas = pad
-        self._open_count = sum(
-            1 for z in self.zones if z.state in OPEN_STATES
-        )
-        self._active_count = sum(
-            1 for z in self.zones if z.state in ACTIVE_STATES
-        )
+        self._census = self._recount()
+        self._open_count = sum(self._census[s] for s in OPEN_STATES)
+        self._active_count = sum(self._census[s] for s in ACTIVE_STATES)
         self.check_invariants()
+
+    def _recount(self) -> dict[ZoneState, int]:
+        census = dict.fromkeys(ZoneState, 0)
+        for zone in self.zones:
+            census[zone.state] += 1
+        return census
 
     def check_invariants(self) -> None:
         """Assert the counter/limit invariants (used by property tests)."""
-        open_zones = sum(1 for z in self.zones if z.state in OPEN_STATES)
-        active_zones = sum(1 for z in self.zones if z.state in ACTIVE_STATES)
+        census = self._recount()
+        assert census == self._census, "census drift"
+        open_zones = sum(census[s] for s in OPEN_STATES)
+        active_zones = sum(census[s] for s in ACTIVE_STATES)
         assert open_zones == self._open_count, "open-count drift"
         assert active_zones == self._active_count, "active-count drift"
         assert self._open_count <= self.max_open, "max_open violated"
@@ -147,6 +162,9 @@ class ZoneManager:
         old = zone.state
         self._open_count += (new_state in OPEN_STATES) - (old in OPEN_STATES)
         self._active_count += (new_state in ACTIVE_STATES) - (old in ACTIVE_STATES)
+        census = self._census
+        census[old] -= 1
+        census[new_state] += 1
         zone.state = new_state
         if self.on_transition is not None:
             self.on_transition(zone, old, new_state)

@@ -417,6 +417,56 @@ def test_random_operation_sequences_preserve_invariants(ops):
         mgr.check_invariants()
 
 
+_CENSUS_OPS = st.sampled_from([
+    "write", "append", "open", "close", "finish", "reset",
+    "read_only", "offline", "retire", "rollback", "snapshot", "restore",
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ops=st.lists(st.tuples(_CENSUS_OPS, st.integers(0, 5), st.integers(1, 90)),
+                 max_size=60),
+)
+def test_census_matches_a_recount(ops):
+    """The incremental per-state census equals a recount after every
+    transition, failure injection, retirement and restore."""
+    mgr = manager(num_zones=6, size=100, cap=80, max_open=2, max_active=3)
+    snapshot = mgr.state_snapshot()
+    for op, zone_index, nlb in ops:
+        zone = mgr.zones[zone_index]
+        if op == "write":
+            mgr.admit_write(zone, zone.wp, nlb)
+        elif op == "append":
+            mgr.admit_append(zone, zone.zslba, nlb)
+        elif op in ("open", "close", "finish", "reset"):
+            getattr(mgr, op)(zone)
+        elif op == "read_only":
+            mgr.force_state(zone, ZoneState.READ_ONLY)
+        elif op == "offline":
+            mgr.force_state(zone, ZoneState.OFFLINE)
+        elif op == "retire":
+            mgr.retire(zone, ZoneState.READ_ONLY if nlb % 2 else ZoneState.OFFLINE)
+        elif op == "rollback":
+            mgr.power_loss_rollback(zone, nlb)
+        elif op == "snapshot":
+            snapshot = mgr.state_snapshot()
+        else:
+            mgr.restore_state(snapshot)
+        recount = {state: 0 for state in ZoneState}
+        for z in mgr.zones:
+            recount[z.state] += 1
+        assert mgr.census == recount
+        mgr.check_invariants()
+
+
+def test_check_invariants_catches_census_drift():
+    mgr = manager()
+    mgr.zones[0].state = ZoneState.OFFLINE  # bypasses the manager
+    with pytest.raises(AssertionError, match="census drift"):
+        mgr.check_invariants()
+
+
 @settings(max_examples=100, deadline=None)
 @given(chunks=st.lists(st.integers(1, 30), min_size=1, max_size=20))
 def test_append_assigned_lbas_are_contiguous_and_ordered(chunks):
