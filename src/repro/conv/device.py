@@ -9,10 +9,9 @@ write throughput swinging between a few MiB/s and the device limit, and
 read tail latencies inflated by orders of magnitude.
 
 The shared mechanics literally are the ZNS device's: both models extend
-:class:`repro.device.core.DeviceCore` (controller front-end, completion
-path, write buffer, flush tail) and draw precomputed per-request costs
-from the shared :class:`repro.device.planner.RequestPlanner`; this
-module holds only the FTL and GC machinery (DESIGN.md §11).
+:class:`repro.device.core.DeviceCore` (controller front-end, per-request
+costs, completion path, write buffer, flush tail); this module holds
+only the FTL and GC machinery (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -164,13 +163,6 @@ class ConvDevice(DeviceCore):
             injector.max_erase_count.set(high)
         return 0
 
-    def _require_reformattable(self) -> None:
-        if self._gc_running or self.buffer.level:
-            raise RuntimeError(
-                "reformat requires a quiescent device: buffered writes or "
-                "GC in flight; run the simulator to exhaustion first"
-            )
-
     def precondition(self, utilization: float = 1.0,
                      steady_state_churn: float = 0.0, seed: int = 99) -> None:
         """Metadata-only stand-in for the hours-long fill + churn a real
@@ -236,22 +228,19 @@ class ConvDevice(DeviceCore):
             self.ftl.erase(victim)
 
     # ----------------------------------------------------------------- paths
+    def _page_span(self, slba: int, nbytes: int) -> tuple[int, int]:
+        """``(first flash page, page count)`` a request's bytes touch."""
+        start = slba * self._block_size
+        first = start // self._page_size
+        return first, -(-(start + nbytes) // self._page_size) - first
+
     def _exec_read(self, command: Command, cid: int = 0) -> Generator:
-        shape = self._read_shapes.get(command.nlb)
-        if shape is None:
-            shape = self.planner.io_shape(Opcode.READ, command.nlb)
-        if self.tracer.enabled:
-            yield from self._controller_service(shape.service_ns, cid)
-        else:
-            # Untraced fast path: the controller handshake inlined (same
-            # events in the same order as _controller_service).
-            req = self.controller.request(PRIO_IO)
-            yield req
-            yield self.sim.timeout(self._io_jitter.jitter(shape.service_ns))
-            self.controller.release(req)
+        shape = self._io_shape(Opcode.READ, command.nlb)
+        yield from self._controller_service(shape.service_ns, cid)
         if command.slba + command.nlb > self._capacity_lbas:
             return self._complete(command, Status.LBA_OUT_OF_RANGE, cid=cid)
-        start_page, n_pages, take = self.planner.page_plan(command.slba, command.nlb)
+        start_page, n_pages = self._page_span(command.slba, shape.nbytes)
+        take = min(self._page_size, shape.nbytes)
         nand_started = self.sim.now if self.tracer.enabled else 0
         sim = self.sim
         lookup = self.ftl.lookup
@@ -297,20 +286,12 @@ class ConvDevice(DeviceCore):
         return self._complete(command, Status.SUCCESS, nbytes=shape.nbytes, cid=cid)
 
     def _exec_write(self, command: Command, cid: int = 0) -> Generator:
-        shape = self._write_shapes.get(command.nlb)
-        if shape is None:
-            shape = self.planner.io_shape(Opcode.WRITE, command.nlb)
-        if self.tracer.enabled:
-            yield from self._controller_service(shape.service_ns, cid)
-        else:
-            req = self.controller.request(PRIO_IO)
-            yield req
-            yield self.sim.timeout(self._io_jitter.jitter(shape.service_ns))
-            self.controller.release(req)
+        shape = self._io_shape(Opcode.WRITE, command.nlb)
+        yield from self._controller_service(shape.service_ns, cid)
         if command.slba + command.nlb > self._capacity_lbas:
             return self._complete(command, Status.LBA_OUT_OF_RANGE, cid=cid)
         nbytes = shape.nbytes
-        start_page, n_pages, _ = self.planner.page_plan(command.slba, command.nlb)
+        start_page, n_pages = self._page_span(command.slba, nbytes)
         flash_bytes = n_pages * self._page_size
         admit_started = self.sim.now if self.tracer.enabled else 0
         yield self.sim.timeout(shape.admit_ns)
@@ -399,13 +380,11 @@ class ConvDevice(DeviceCore):
         (The service-time class is deliberately the WRITE formula: trim
         rides the write command path on real controllers.)
         """
-        shape = self._write_shapes.get(command.nlb)
-        if shape is None:
-            shape = self.planner.io_shape(Opcode.WRITE, command.nlb)
+        shape = self._io_shape(Opcode.WRITE, command.nlb)
         yield from self._controller_service(shape.service_ns, cid)
         if command.slba + command.nlb > self._capacity_lbas:
             return self._complete(command, Status.LBA_OUT_OF_RANGE, cid=cid)
-        start_page, n_pages, _ = self.planner.page_plan(command.slba, command.nlb)
+        start_page, n_pages = self._page_span(command.slba, shape.nbytes)
         unmapped = 0
         for logical in range(start_page, start_page + n_pages):
             if self.ftl.trim(logical):

@@ -1,20 +1,17 @@
-"""Shared device core: controller pipeline + precomputed request plans.
+"""Shared device core: the controller pipeline both SSD models extend.
 
 :class:`DeviceCore` (``core``) owns the pipeline both SSD models share —
-controller front-end, completion path, counters, write buffer and flush
-tail — and :class:`RequestPlanner` (``planner``) memoizes the per-request
-arithmetic. The concrete models live in :mod:`repro.zns.device` and
-:mod:`repro.conv.device`.
+controller front-end, completion path, counters, per-request costs,
+write buffer and flush tail. The concrete models live in
+:mod:`repro.zns.device` and :mod:`repro.conv.device`.
 """
 
-from .core import PRIO_IO, PRIO_MGMT, DeviceCore, DeviceCounters
-from .planner import IoShape, RequestPlanner
+from .core import PRIO_IO, PRIO_MGMT, DeviceCore, DeviceCounters, IoShape
 
 __all__ = [
     "DeviceCore",
     "DeviceCounters",
     "IoShape",
-    "RequestPlanner",
     "PRIO_IO",
     "PRIO_MGMT",
 ]

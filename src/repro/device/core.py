@@ -13,9 +13,9 @@ duplicate:
   command trace span,
 * the capacitor-backed **write buffer** and the per-die flush tail
   (:meth:`_flush_page_to_die`: program the page, drain the buffer),
-* the :class:`~repro.device.planner.RequestPlanner` that memoizes
-  per-request-shape plans, and the ``reformat`` hook that invalidates
-  them when the namespace LBA format changes.
+* the per-request costs (:meth:`_io_shape`): a pure function of opcode,
+  LBA count and the namespace LBA format (Observation #1), computed once
+  per shape and fixed for the device's lifetime.
 
 :class:`~repro.zns.device.ZnsDevice` and
 :class:`~repro.conv.device.ConvDevice` are specializations holding only
@@ -28,7 +28,7 @@ re-exported from both historical module paths.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Generator, Optional
+from typing import Generator, NamedTuple, Optional
 
 from ..hostif.commands import Command, Completion, Opcode
 from ..hostif.namespace import LbaFormat, Namespace
@@ -39,9 +39,9 @@ from ..sim.engine import Event, Simulator
 from ..sim.resources import Container, Resource
 from ..sim.rng import LatencySampler, StreamFactory
 from ..zns.profiles import DeviceProfile
-from .planner import RequestPlanner
 
-__all__ = ["DeviceCore", "DeviceCounters", "PRIO_IO", "PRIO_MGMT", "PRIO_PANIC"]
+__all__ = ["DeviceCore", "DeviceCounters", "IoShape", "PRIO_IO", "PRIO_MGMT",
+           "PRIO_PANIC"]
 
 #: Firmware/flash scheduling priorities (lower value served first).
 PRIO_IO = 0
@@ -54,6 +54,19 @@ PRIO_PANIC = -100
 def _die_busy_keys(dies: int) -> tuple[str, ...]:
     """Telemetry keys of the per-die busy totals, built once per die count."""
     return tuple(f"nand.die{i}.busy_ns" for i in range(dies))
+
+
+class IoShape(NamedTuple):
+    """The costs of one request shape (one per ``(opcode, nlb)``)."""
+
+    #: Host-visible transfer size (``nlb`` × LBA size).
+    nbytes: int
+    #: Nominal controller service time (pre-jitter).
+    service_ns: int
+    #: DMA + buffer-admission time (writes/appends; 0 otherwise).
+    admit_ns: int
+    #: Firmware mapping-update debt one completion generates.
+    fw_ns: int
 
 
 class DeviceCounters:
@@ -178,13 +191,9 @@ class DeviceCore:
         #: to tie their own spans to the device-assigned trace id).
         self.last_cid = 0
         self._page_size = profile.geometry.page_size
-        self.planner = RequestPlanner(profile, self.namespace)
-        #: Live ``nlb -> IoShape`` maps (one dict per opcode) for the
-        #: generator hot paths; re-fetched by :meth:`_bind_plan_caches`
-        #: whenever the planner invalidates.
-        self._read_shapes: dict = {}
-        self._write_shapes: dict = {}
-        self._bind_plan_caches()
+        self._block_size = self.namespace.block_size
+        self._capacity_lbas = self.namespace.capacity_lbas
+        self._shape_cache: dict[tuple[Opcode, int], IoShape] = {}
         #: Windowed timeseries sampler (DESIGN.md §13), attached to this
         #: device's simulator tick hook. ``None`` (the default) leaves
         #: the simulator hook-free and every path byte-identical. The
@@ -192,34 +201,6 @@ class DeviceCore:
         #: FTL) are only touched at window boundaries during the run,
         #: after construction completes.
         self.telemetry = telemetry.attach(self) if telemetry is not None else None
-
-    # --------------------------------------------------------------- planner
-    def _bind_plan_caches(self) -> None:
-        """(Re)fetch the planner's live lookup tables after (re)binding."""
-        self._read_shapes = self.planner.shape_map(Opcode.READ)
-        self._write_shapes = self.planner.shape_map(Opcode.WRITE)
-        self._block_size = self.namespace.block_size
-        self._capacity_lbas = self.namespace.capacity_lbas
-
-    def reformat(self, lba_format: LbaFormat) -> None:
-        """NVMe ``Format NVM``: swap the LBA format and drop all plans.
-
-        Requires a quiescent, logically-empty device — reformatting
-        destroys the data anyway, so the models only support it as a
-        between-experiments fixture. Every cached request plan keys on
-        the LBA size and is invalidated.
-        """
-        self._require_reformattable()
-        self.namespace = Namespace(self.namespace.capacity_bytes, lba_format)
-        self.planner.invalidate(self.namespace)
-        self._after_reformat()
-        self._bind_plan_caches()
-
-    def _require_reformattable(self) -> None:
-        """Subclass veto hook (in-flight commands, non-empty zones...)."""
-
-    def _after_reformat(self) -> None:
-        """Subclass hook: rebuild LBA-denominated state (zone tables...)."""
 
     # ------------------------------------------------------------------ api
     def submit(self, command: Command) -> Event:
@@ -260,6 +241,26 @@ class DeviceCore:
                 slba=command.slba, nlb=command.nlb,
             )
         return completion
+
+    def _io_shape(self, opcode: Opcode, nlb: int) -> IoShape:
+        """The costs of an ``(opcode, nlb)`` request, computed once per shape."""
+        shape = self._shape_cache.get((opcode, nlb))
+        if shape is None:
+            profile = self.profile
+            nbytes = self.namespace.bytes_of(nlb)
+            service_ns = profile.cmd_service_ns(opcode, nbytes, nlb,
+                                                self._block_size)
+            admit_ns = 0
+            if opcode is Opcode.WRITE or opcode is Opcode.APPEND:
+                admit_ns = profile.dma_ns(nbytes) + profile.write_admit_ns
+                if opcode is Opcode.APPEND:
+                    admit_ns += profile.append_alloc_ns
+            fw_ns = 0
+            if opcode in (Opcode.READ, Opcode.WRITE, Opcode.APPEND):
+                fw_ns = profile.fw_io_ns(opcode)
+            shape = IoShape(nbytes, service_ns, admit_ns, fw_ns)
+            self._shape_cache[(opcode, nlb)] = shape
+        return shape
 
     def _controller_service(self, service_ns: int, cid: int = 0) -> Generator:
         traced = self.tracer.enabled

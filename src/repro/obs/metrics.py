@@ -144,26 +144,6 @@ class Histogram:
         if len(pending) >= self._FLUSH_THRESHOLD:
             self._flush()
 
-    def observe_many(self, values: Sequence[Union[int, float]]) -> None:
-        """Record a batch of observations in one call.
-
-        Equivalent to ``observe`` per value (the whole batch is
-        validated before any value is queued, so a bad batch never
-        leaves the histogram partially updated).
-        """
-        batch = np.asarray(values).ravel().tolist()
-        if not batch:
-            return
-        low = min(batch)
-        if low < 0:
-            raise ValueError(
-                f"histogram {self.name!r} observed negative {low}"
-            )
-        pending = self._pending
-        pending.extend(batch)
-        if len(pending) >= self._FLUSH_THRESHOLD:
-            self._flush()
-
     def _flush(self) -> None:
         """Fold queued observations into the bucket counts (vectorized).
 

@@ -63,21 +63,15 @@ class LatencySampler:
     deterministic emulator models use).
     """
 
-    __slots__ = ("_rng", "_sigma", "_factors", "_cursor", "_block")
+    __slots__ = ("_rng", "_sigma", "_factors", "_cursor")
 
-    def __init__(self, rng: np.random.Generator, sigma: float = 0.03,
-                 block: int | None = None):
+    def __init__(self, rng: np.random.Generator, sigma: float = 0.03):
         if sigma < 0:
             raise ValueError(f"jitter sigma must be >= 0, got {sigma}")
-        if block is None:
-            block = DEFAULT_JITTER_BLOCK
-        if block < 1:
-            raise ValueError(f"jitter block must be >= 1, got {block}")
         self._rng = rng
         self._sigma = float(sigma)
         self._factors: list[float] = []
         self._cursor = 0
-        self._block = block
 
     @property
     def sigma(self) -> float:
@@ -92,7 +86,7 @@ class LatencySampler:
         cursor = self._cursor
         if cursor == len(self._factors):
             self._factors = np.exp(
-                self._rng.normal(0.0, self._sigma, size=self._block)
+                self._rng.normal(0.0, self._sigma, size=DEFAULT_JITTER_BLOCK)
             ).tolist()
             cursor = 0
         self._cursor = cursor + 1

@@ -33,32 +33,6 @@ class LatencyStats:
         self._samples.append(latency_ns)
         self._sorted = None
 
-    def record_many(self, latencies_ns) -> None:
-        """Record a batch of samples (any array-like of non-negative ns).
-
-        Float inputs are rounded (not truncated) to integer nanoseconds.
-        The batch is validated fully before any sample is stored, so a
-        bad batch (negative, NaN, inf) never leaves the stats partially
-        mutated.
-        """
-        arr = np.asarray(latencies_ns)
-        if arr.size == 0:
-            return
-        if np.issubdtype(arr.dtype, np.floating):
-            if not np.isfinite(arr).all():
-                raise ValueError("non-finite latency in batch (NaN or inf)")
-            converted = np.rint(arr).astype(np.int64)
-        elif np.issubdtype(arr.dtype, np.integer):
-            converted = arr.astype(np.int64, copy=False)
-        else:
-            raise ValueError(f"non-numeric latencies (dtype {arr.dtype})")
-        if converted.min() < 0:
-            raise ValueError(f"negative latency {int(converted.min())}")
-        # Convert the whole batch before touching _samples (atomicity).
-        batch = [int(v) for v in converted.ravel()]
-        self._samples.extend(batch)
-        self._sorted = None
-
     def merge(self, other: "LatencyStats") -> None:
         self._samples.extend(other._samples)
         self._sorted = None

@@ -20,10 +20,10 @@ Command flow (see DESIGN.md §5 for the calibration story):
 
 The controller/buffer/completion plumbing lives in
 :class:`repro.device.core.DeviceCore` (shared with the conventional
-model); this module holds only the zone state machine, striping and the
-firmware management engine. Per-request costs and die spans come
-precomputed from the :class:`repro.device.planner.RequestPlanner`
-(DESIGN.md §11).
+model), and so do the per-request costs; this module holds only the zone
+state machine, striping (each zone's die stripe comes from
+:meth:`repro.zns.ftl.ZoneStriping.zone_table`) and the firmware
+management engine (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 # DeviceCounters/PRIO_* are re-exported from their historical home here.
-from ..device.core import PRIO_IO, PRIO_MGMT, DeviceCore, DeviceCounters
+from ..device.core import PRIO_IO, PRIO_MGMT, DeviceCore, DeviceCounters, IoShape
 from ..flash.backend import FlashBackend
 from ..hostif.commands import Command, Opcode, ZoneAction
 from ..hostif.namespace import LBA_4K, LbaFormat
@@ -93,7 +93,6 @@ class ZnsDevice(DeviceCore):
         self.striping = ZoneStriping(
             profile.geometry, profile.zone_size_bytes, profile.stripe_width
         )
-        self.planner.bind_striping(self.striping)
         self.firmware = Resource(sim, capacity=1, name="firmware")
         self._mgmt_jitter = LatencySampler(
             streams.stream("zns-mgmt"), profile.mgmt_jitter_sigma
@@ -120,10 +119,6 @@ class ZnsDevice(DeviceCore):
             Opcode.APPEND: self._exec_append,
             Opcode.ZONE_MGMT: self._exec_zone_mgmt,
         }
-
-    def _bind_plan_caches(self) -> None:
-        super()._bind_plan_caches()
-        self._append_shapes = self.planner.shape_map(Opcode.APPEND)
 
     # ------------------------------------------------------------------ api
     def _dispatch(self, command: Command, cid: int) -> Generator:
@@ -218,28 +213,6 @@ class ZnsDevice(DeviceCore):
                 f"{self.buffer.level - residual} buffered bytes await "
                 "page flush; run the simulator to exhaustion first"
             )
-
-    def _require_reformattable(self) -> None:
-        self._require_quiescent("reformat")
-
-    def _after_reformat(self) -> None:
-        # A format wipes the data: rebuild the zone table in the new LBA
-        # denomination and discard buffered residuals/cursors.
-        block = self.namespace.block_size
-        profile = self.profile
-        self.zones = ZoneManager(
-            num_zones=profile.num_zones,
-            size_lbas=profile.zone_size_bytes // block,
-            cap_lbas=profile.zone_cap_bytes // block,
-            max_open=profile.max_open_zones,
-            max_active=profile.max_active_zones,
-        )
-        self.zones.on_transition = self._on_zone_transition
-        self._zone_residual.clear()
-        self._zone_page_cursor.clear()
-        self.buffer.force_level(0)
-        if self.observing:
-            self._wbuf_gauge.set(0)
 
     def age(self, epochs: int, churn_erases: int = 4) -> int:
         """Fast-forward ``epochs`` "days" of wear without simulating them.
@@ -361,25 +334,15 @@ class ZnsDevice(DeviceCore):
     # ------------------------------------------------------------------ read
     def _exec_read(self, command: Command, cid: int = 0) -> Generator:
         zone, status = self._zone_for_io(command)
-        shape = self._read_shapes.get(command.nlb)
-        if shape is None:
-            shape = self.planner.io_shape(Opcode.READ, command.nlb)
-        if self.tracer.enabled:
-            yield from self._controller_service(shape.service_ns, cid)
-        else:
-            # Untraced fast path: the controller handshake inlined (same
-            # events in the same order as _controller_service).
-            req = self.controller.request(PRIO_IO)
-            yield req
-            yield self.sim.timeout(self._io_jitter.jitter(shape.service_ns))
-            self.controller.release(req)
+        shape = self._io_shape(Opcode.READ, command.nlb)
+        yield from self._controller_service(shape.service_ns, cid)
         if status.ok and zone.state is ZoneState.OFFLINE:
             status = Status.ZONE_IS_OFFLINE  # data is gone; READ_ONLY still reads
         if not status.ok:
             return self._complete(command, status, cid=cid)
         nbytes = shape.nbytes
         offset = (command.slba - zone.zslba) * self._block_size
-        spans = self.planner.read_spans(zone.index, offset, nbytes)
+        spans = self.striping.dies_for_span(zone.index, offset, nbytes)
         nand_started = self.sim.now if self.tracer.enabled else 0
         sim = self.sim
         read_page = self.backend.read_page
@@ -416,9 +379,7 @@ class ZnsDevice(DeviceCore):
     # ----------------------------------------------------------------- write
     def _exec_write(self, command: Command, cid: int = 0) -> Generator:
         zone, status = self._zone_for_io(command)
-        shape = self._write_shapes.get(command.nlb)
-        if shape is None:
-            shape = self.planner.io_shape(Opcode.WRITE, command.nlb)
+        shape = self._io_shape(Opcode.WRITE, command.nlb)
         if status.ok and zone.index in self._mgmt_busy:
             status = Status.INVALID_ZONE_STATE_TRANSITION
         if status.ok and self._inflight_writes.get(zone.index, 0) > 0:
@@ -450,28 +411,16 @@ class ZnsDevice(DeviceCore):
                                  self.sim.now, track="controller", cid=cid)
             if not status.ok:
                 return self._complete(command, status, cid=cid)
-            nbytes = shape.nbytes
-            admit_started = self.sim.now if traced else 0
-            yield self.sim.timeout(shape.admit_ns)
-            yield self.buffer.put(nbytes)
-            if self.observing:
-                self._wbuf_gauge.set(self.buffer.level)
-            if traced:
-                self.tracer.span("buffer", "write.admit", admit_started,
-                                 self.sim.now, track="buffer", cid=cid,
-                                 nbytes=nbytes)
-            self._enqueue_flush(zone.index, nbytes)
-            self._fw_debt_ns += shape.fw_ns
-            return self._complete(command, Status.SUCCESS, nbytes=nbytes, cid=cid)
+            yield from self._admit(zone.index, shape, cid, "write.admit")
+            return self._complete(command, Status.SUCCESS, nbytes=shape.nbytes,
+                                  cid=cid)
         finally:
             self._inflight_writes[zone.index] -= 1
 
     # ---------------------------------------------------------------- append
     def _exec_append(self, command: Command, cid: int = 0) -> Generator:
         zone, status = self._zone_for_io(command)
-        shape = self._append_shapes.get(command.nlb)
-        if shape is None:
-            shape = self.planner.io_shape(Opcode.APPEND, command.nlb)
+        shape = self._io_shape(Opcode.APPEND, command.nlb)
         if status.ok and zone.index in self._mgmt_busy:
             status = Status.INVALID_ZONE_STATE_TRANSITION
         if not status.ok:
@@ -498,19 +447,26 @@ class ZnsDevice(DeviceCore):
                              self.sim.now, track="controller", cid=cid)
         if not status.ok:
             return self._complete(command, status, cid=cid)
+        yield from self._admit(zone.index, shape, cid, "append.admit")
+        return self._complete(command, Status.SUCCESS, nbytes=shape.nbytes,
+                              assigned_lba=assigned, cid=cid)
+
+    def _admit(self, zone_index: int, shape: IoShape, cid: int,
+               label: str) -> Generator:
+        """Write/append tail: DMA the payload into the write buffer, queue
+        it for flushing and book the firmware mapping-update debt."""
         nbytes = shape.nbytes
+        traced = self.tracer.enabled
         admit_started = self.sim.now if traced else 0
         yield self.sim.timeout(shape.admit_ns)
         yield self.buffer.put(nbytes)
         if self.observing:
             self._wbuf_gauge.set(self.buffer.level)
         if traced:
-            self.tracer.span("buffer", "append.admit", admit_started,
-                             self.sim.now, track="buffer", cid=cid, nbytes=nbytes)
-        self._enqueue_flush(zone.index, nbytes)
+            self.tracer.span("buffer", label, admit_started, self.sim.now,
+                             track="buffer", cid=cid, nbytes=nbytes)
+        self._enqueue_flush(zone_index, nbytes)
         self._fw_debt_ns += shape.fw_ns
-        return self._complete(command, Status.SUCCESS, nbytes=nbytes,
-                              assigned_lba=assigned, cid=cid)
 
     # -------------------------------------------------------------- flushing
     def _enqueue_flush(self, zone_index: int, nbytes: int) -> None:
@@ -518,7 +474,7 @@ class ZnsDevice(DeviceCore):
         page = self._page_size
         total = self._zone_residual.get(zone_index, 0) + nbytes
         if total >= page:
-            table = self.planner.zone_table(zone_index)
+            table = self.striping.zone_table(zone_index)
             width = len(table)
             cursor = self._zone_page_cursor.get(zone_index, 0)
             start_process = self.sim.process

@@ -47,6 +47,7 @@ class ZoneStriping:
         self.geometry = geometry
         self.zone_size_bytes = zone_size_bytes
         self.stripe_width = width
+        self._tables: dict[int, tuple[int, ...]] = {}
 
     @property
     def die_groups(self) -> int:
@@ -67,6 +68,15 @@ class ZoneStriping:
         offset = (zone_index * _ZONE_STRIDE + zone_page) % self.stripe_width
         return base + offset
 
+    def zone_table(self, zone_index: int) -> tuple[int, ...]:
+        """A zone's stripe: its page ``p`` lives on ``table[p % stripe_width]``."""
+        table = self._tables.get(zone_index)
+        if table is None:
+            table = tuple(self.die_for_page(zone_index, page)
+                          for page in range(self.stripe_width))
+            self._tables[zone_index] = table
+        return table
+
     def dies_for_span(self, zone_index: int, offset_bytes: int, nbytes: int) -> list[tuple[int, int]]:
         """Dies (with per-die byte counts) covering a byte span of a zone.
 
@@ -77,6 +87,8 @@ class ZoneStriping:
             raise ValueError("span must have non-negative offset and positive size")
         if offset_bytes + nbytes > self.zone_size_bytes:
             raise ValueError("span exceeds the zone")
+        table = self.zone_table(zone_index)
+        width = self.stripe_width
         page_size = self.geometry.page_size
         spans: list[tuple[int, int]] = []
         cursor = offset_bytes
@@ -85,6 +97,6 @@ class ZoneStriping:
             page = cursor // page_size
             page_end = (page + 1) * page_size
             take = min(end, page_end) - cursor
-            spans.append((self.die_for_page(zone_index, page), take))
+            spans.append((table[page % width], take))
             cursor += take
         return spans

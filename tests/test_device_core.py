@@ -1,7 +1,6 @@
 """Tests for the shared device-core layer.
 
-Covers the :class:`~repro.device.core.DeviceCore` extraction: the
-request-planner cache lifecycle (hits, reformat invalidation), ZNS/conv
+Covers the :class:`~repro.device.core.DeviceCore` extraction: ZNS/conv
 parity of the shared pipeline (one definition of the controller service,
 completion path, and counters), golden-output identity for
 representative experiments, the §IV fidelity plan, and the schema-2
@@ -14,16 +13,16 @@ from repro.conv import ConvDevice
 from repro.conv.device import DeviceCounters as ConvCounters
 from repro.core import ExperimentConfig
 from repro.core.experiments.points import assemble, experiment_plans
-from repro.device import DeviceCore, DeviceCounters, RequestPlanner
+from repro.device import DeviceCore, DeviceCounters
 from repro.device.core import PRIO_IO as CORE_PRIO_IO
-from repro.hostif import LBA_512, Command, Opcode
+from repro.hostif import Command, Opcode
 from repro.sim import ms
 from repro.zns import ZnsDevice
 from repro.zns.device import PRIO_IO as ZNS_PRIO_IO
 from repro.zns.device import DeviceCounters as ZnsCounters
 
 from .test_conv_device import make_conv
-from .util import append, make_device, read, run_cmd, run_experiment, write
+from .util import make_device, run_cmd, run_experiment, write
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -34,57 +33,6 @@ def golden_config():
     return ExperimentConfig(point_runtime_ns=ms(3), ramp_ns=ms(0.5),
                             zones_per_level=5, interference_reset_zones=12,
                             interference_runtime_ns=ms(600))
-
-
-class TestPlannerCache:
-    def test_repeated_shapes_hit_the_cache(self):
-        sim, dev = make_device()
-        planner = dev.planner
-        zone = dev.zones.zones[0]
-        assert run_cmd(sim, dev, write(zone.wp, 4)).ok
-        built = planner.plans_built
-        assert built > 0
-        assert run_cmd(sim, dev, write(zone.wp, 4)).ok
-        assert planner.plans_built == built  # same shape: pure lookup
-        assert planner.cached_plans > 0
-
-    def test_read_spans_shared_across_same_stripe_class(self):
-        sim, dev = make_device()
-        dev.force_fill(0, 8)
-        dev.force_fill(dev.zones.zones[1].index, 8)
-        assert run_cmd(sim, dev, read(dev.zones.zones[0].zslba, 4)).ok
-        built = dev.planner.plans_built
-        # Zone 1 starts on a different die, so its table is a new plan,
-        # but a second read of zone 0 reuses everything.
-        assert run_cmd(sim, dev, read(dev.zones.zones[0].zslba, 4)).ok
-        assert dev.planner.plans_built == built
-
-    def test_reformat_invalidates_every_plan(self):
-        sim, dev = make_device()
-        zone = dev.zones.zones[0]
-        assert run_cmd(sim, dev, append(zone.zslba, 4)).ok
-        sim.run()  # drain background flushes so the device is quiescent
-        assert dev.planner.cached_plans > 0
-        assert dev.planner.invalidations == 0
-        dev.reformat(LBA_512)
-        assert dev.planner.invalidations == 1
-        assert dev.planner.cached_plans == 0
-        assert dev.namespace.block_size == 512
-        # Plans rebuild against the new LBA size.
-        zone = dev.zones.zones[0]
-        assert run_cmd(sim, dev, write(zone.wp, 8)).ok
-        shape = dev.planner.io_shape(Opcode.WRITE, 8)
-        assert shape.nbytes == 8 * 512
-
-    def test_conv_reformat_also_invalidates(self):
-        sim, dev = make_conv()
-        assert run_cmd(sim, dev, write(0, 4)).ok
-        sim.run()
-        assert dev.planner.cached_plans > 0
-        dev.reformat(LBA_512)
-        assert dev.planner.invalidations == 1
-        assert dev.planner.cached_plans == 0
-        assert run_cmd(sim, dev, write(0, 8)).ok
 
 
 class TestSharedCore:
@@ -99,15 +47,9 @@ class TestSharedCore:
         assert ZnsDevice.kind == "zns" and ConvDevice.kind == "conv"
         # The pipeline methods are inherited, not re-implemented.
         for name in ("_controller_service", "_complete", "submit",
-                     "reformat", "_flush_page_to_die"):
+                     "_io_shape", "_flush_page_to_die"):
             assert getattr(ZnsDevice, name) is getattr(DeviceCore, name)
             assert getattr(ConvDevice, name) is getattr(DeviceCore, name)
-
-    def test_both_models_share_planner_type(self):
-        _sim, zns = make_device()
-        _sim2, conv = make_conv()
-        assert isinstance(zns.planner, RequestPlanner)
-        assert isinstance(conv.planner, RequestPlanner)
 
     def test_unsupported_opcodes_raise_synchronously(self):
         import pytest

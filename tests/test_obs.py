@@ -287,19 +287,10 @@ class TestSatellites:
         with pytest.raises(SimulationError, match="no scheduled events"):
             sim.step()
 
-    def test_latency_record_many_matches_record(self):
-        a, b = LatencyStats(), LatencyStats()
-        values = [300, 100, 200, 500, 400]
-        for v in values:
-            a.record(v)
-        b.record_many(np.asarray(values))
-        assert a.count == b.count == 5
-        assert a.percentile_ns(95) == b.percentile_ns(95)
-        assert b.min_ns == 100 and b.max_ns == 500
-
     def test_latency_cache_invalidated_on_write(self):
         stats = LatencyStats()
-        stats.record_many([100, 200])
+        stats.record(100)
+        stats.record(200)
         assert stats.max_ns == 200
         stats.record(900)  # must drop the cached sorted array
         assert stats.max_ns == 900 and stats.count == 3
@@ -307,13 +298,6 @@ class TestSatellites:
         other.record(50)
         stats.merge(other)
         assert stats.min_ns == 50
-
-    def test_record_many_validates(self):
-        stats = LatencyStats()
-        with pytest.raises(ValueError):
-            stats.record_many([10, -1])
-        stats.record_many([])  # empty batch is a no-op
-        assert stats.count == 0
 
     def test_timeseries_idle_fraction(self):
         ts = TimeSeries(interval_ns=100)

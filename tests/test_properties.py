@@ -158,6 +158,26 @@ def test_striping_span_covers_exactly_the_request(zone_index, offset_pages, nbyt
     assert all(0 <= die < geometry.total_dies for die, _ in spans)
     # No span crosses a page boundary.
     assert all(take <= geometry.page_size for _, take in spans)
+    # One span per page, in page order, each served by that page's die.
+    assert [die for die, _ in spans] == [
+        striping.die_for_page(zone_index, offset_pages + i)
+        for i in range(len(spans))
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    zone_index=st.integers(0, 903),
+    zone_page=st.integers(0, 10_000),
+    stripe_width=st.sampled_from([8, 16]),
+)
+def test_zone_table_matches_die_for_page(zone_index, zone_page, stripe_width):
+    striping = ZoneStriping(FlashGeometry(), zone_size_bytes=2048 * 1024 * 1024,
+                            stripe_width=stripe_width)
+    table = striping.zone_table(zone_index)
+    assert len(table) == stripe_width
+    assert (table[zone_page % stripe_width]
+            == striping.die_for_page(zone_index, zone_page))
 
 
 @settings(max_examples=30, deadline=None)

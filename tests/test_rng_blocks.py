@@ -22,19 +22,19 @@ from .test_exec import results_blob, tiny_config
 BLOCKS = (1, 16, 4096)
 
 
-def _fresh_sampler(block=None) -> LatencySampler:
-    return LatencySampler(StreamFactory(seed=7).stream("jitter"),
-                          sigma=0.05, block=block)
+def _fresh_sampler() -> LatencySampler:
+    return LatencySampler(StreamFactory(seed=7).stream("jitter"), sigma=0.05)
 
 
 class TestSamplerDrawOrder:
-    def test_block_size_never_changes_draws(self):
+    def test_block_size_never_changes_draws(self, monkeypatch):
         # Span several refills of every block size (including many
         # refills at block=1 and a partial final block at 4096).
         nominals = [100, 10_000, 1_000_000] * 3_000
         reference = None
         for block in (1, 16, 256, 4096):
-            sampler = _fresh_sampler(block)
+            monkeypatch.setattr("repro.sim.rng.DEFAULT_JITTER_BLOCK", block)
+            sampler = _fresh_sampler()
             draws = [sampler.jitter(n) for n in nominals]
             if reference is None:
                 reference = draws
@@ -48,12 +48,14 @@ class TestSamplerDrawOrder:
         scalars = [scalar_rng.normal(0.0, 1.0) for _ in range(64)]
         assert batched.tolist() == scalars
 
-    def test_default_block(self):
-        assert _fresh_sampler()._block == DEFAULT_JITTER_BLOCK
-
-    def test_invalid_block_rejected(self):
-        with pytest.raises(ValueError, match="block"):
-            _fresh_sampler(block=0)
+    def test_default_block(self, monkeypatch):
+        # A refill draws DEFAULT_JITTER_BLOCK factors, so patching the
+        # constant (as every test here does) really varies the block.
+        for block in (16, DEFAULT_JITTER_BLOCK):
+            monkeypatch.setattr("repro.sim.rng.DEFAULT_JITTER_BLOCK", block)
+            sampler = _fresh_sampler()
+            sampler.jitter(100)
+            assert len(sampler._factors) == block
 
 
 def _run_blob(monkeypatch, block, faults=None) -> str:

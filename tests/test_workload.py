@@ -65,6 +65,9 @@ class TestStats:
         assert stats.mean_us == pytest.approx(50.5)
         assert stats.percentile_us(95) == pytest.approx(95.05, rel=0.01)
         assert stats.min_ns == 1000 and stats.max_ns == 100_000
+        with pytest.raises(ValueError, match="negative"):
+            stats.record(-1)
+        assert stats.count == 100
 
     def test_latency_empty_degrades_to_nan(self):
         # Zero samples is legitimate under fault injection (an aggressive
@@ -98,30 +101,6 @@ class TestStats:
         values = [v for _, v in ts.bandwidth_series()]
         assert len(values) == 4
         assert values[1] == 0.0 and values[2] == 0.0
-
-    def test_record_many_rejects_nan_and_inf_atomically(self):
-        import numpy as np
-
-        stats = LatencyStats()
-        stats.record(500)
-        for batch in ([100.0, float("nan"), 200.0],
-                      [100.0, float("inf")],
-                      np.array([1.0, -np.inf])):
-            with pytest.raises(ValueError, match="non-finite"):
-                stats.record_many(batch)
-            # The failed batch must not leave partial samples behind.
-            assert stats.count == 1 and stats.max_ns == 500
-
-    def test_record_many_rounds_floats(self):
-        stats = LatencyStats()
-        stats.record_many([10.6, 10.4, 9.5])
-        # Round half-to-even, never truncate: 10.6 -> 11, 9.5 -> 10.
-        assert stats.count == 3
-        assert stats.max_ns == 11 and stats.min_ns == 10
-
-    def test_record_many_rejects_non_numeric(self):
-        with pytest.raises(ValueError, match="non-numeric"):
-            LatencyStats().record_many(["fast", "slow"])
 
 
 class TestRatePacer:
