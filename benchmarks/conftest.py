@@ -12,12 +12,10 @@ Experiments run through the :mod:`repro.exec` engine, so the suite is
 
 * **parallel** — sweep points fan out over ``REPRO_BENCH_JOBS`` worker
   processes (default: the CPU count; output stays byte-identical at any
-  job count),
+  job count), and
 * **cached** — finished points are served from ``REPRO_BENCH_CACHE``
   (default ``.repro_cache`` at the repo root, shared with the CLI; set
-  it to the empty string to benchmark everything fresh), and
-* **longest-first** — cache misses are scheduled by recorded duration
-  hints so the slowest points start first and the pool drains level.
+  it to the empty string to benchmark everything fresh).
 
 Experiments shared between benchmarks (e.g. Fig. 6a/6b) additionally
 run once per session via the ``results`` fixture.
@@ -57,9 +55,9 @@ class ResultsCache:
     def get_many(self, exp_ids: list[str]) -> dict[str, object]:
         """Produce several experiments in one engine invocation.
 
-        Batching lets the longest-first scheduler interleave points
-        *across* experiments, so one slow sweep cannot serialize the
-        tail of the run.
+        Batching lets the worker pool interleave points *across*
+        experiments, so one slow sweep cannot serialize the tail of the
+        run.
         """
         missing = [e for e in exp_ids if e not in self._results]
         if missing:

@@ -158,10 +158,6 @@ def main(argv: list[str] | None = None) -> int:
                                      "of the simulated-time breakdown")
     profile_parser.add_argument("--jobs", "-j", type=int, default=1,
                                 help="worker processes for --points")
-    profile_parser.add_argument("--by-layer", action="store_true",
-                                help="with --self: also attribute Python "
-                                     "compute time to code layers "
-                                     "(core-pipeline vs model-specific)")
     obs_parser = sub.add_parser(
         "observations", help="evaluate the 13 observations (Table I)")
     obs_parser.add_argument(
@@ -356,8 +352,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "profile":
         from .obs.profile import profile_experiment, run_self_profile
 
-        if args.by_layer and not args.self_profile:
-            profile_parser.error("--by-layer needs --self")
         if args.points:
             if not args.experiment:
                 profile_parser.error("--points needs an experiment id")
@@ -384,17 +378,6 @@ def main(argv: list[str] | None = None) -> int:
             print("[profile] built-in smoke workload (zn540_small)")
             print(f"[profile] {events} events in {wall_s * 1e3:.1f} ms "
                   f"({events / wall_s:,.0f} events/sec)")
-            if args.by_layer:
-                from .obs.profile import run_self_profile_by_layer
-
-                _shares, layer_table = run_self_profile_by_layer()
-                print(breakdown.table())
-                print()
-                print(layer_table)
-                if args.trace:
-                    count = tracer.write_jsonl(args.trace)
-                    print(f"[trace] {count} events -> {args.trace}")
-                return 0
         elif args.experiment:
             config = _config_from_args(args)
             tracer, breakdown, _result = profile_experiment(

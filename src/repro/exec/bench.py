@@ -35,8 +35,7 @@ noisiest member (CI runs this against the committed
 Schema 3 adds pure-engine microbenchmarks under the ``engine`` key:
 tiny synthetic simulations that isolate the event-core paths the
 experiment sweeps lean on (timeout churn through the heap, FIFO
-resource handoffs, bulk pre-sorted heap insertion via
-``schedule_after_many``, process spawn/join, and container put/get
+resource handoffs, process spawn/join, and container put/get
 backpressure). Their events/sec figures are **informational** — CI
 renders them alongside the sweep numbers but :func:`compare` does not
 gate on them, because a sub-second microbench has far more runner
@@ -135,21 +134,6 @@ def _build_wakeup_batch() -> Simulator:
     return sim
 
 
-def _build_heap_insert() -> Simulator:
-    """Bulk pre-sorted insertion via ``schedule_after_many`` followed by
-    a full drain — the trace-shaped arrival pattern."""
-    sim = Simulator()
-
-    def driver():
-        delays = list(range(1, 4097))
-        for _ in range(32):
-            handles = sim.schedule_after_many(delays)
-            yield handles[-1]
-
-    sim.process(driver())
-    return sim
-
-
 def _build_spawn_join() -> Simulator:
     """Process spawn + all_of join: the fan-out/fan-in of striped I/O."""
     sim = Simulator()
@@ -192,7 +176,6 @@ def _build_container_putget() -> Simulator:
 ENGINE_MICROBENCHES: tuple[tuple[str, Callable[[], Simulator]], ...] = (
     ("timeout_churn", _build_timeout_churn),
     ("wakeup_batch", _build_wakeup_batch),
-    ("heap_insert", _build_heap_insert),
     ("spawn_join", _build_spawn_join),
     ("container_putget", _build_container_putget),
 )

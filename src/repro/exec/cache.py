@@ -22,13 +22,6 @@ orphans the previous generation of entries on disk;
 :meth:`ResultCache.prune` (``repro cache prune``) deletes them. Each
 entry records the code version it was built under so pruning never has
 to guess.
-
-Next to the entries lives a **duration sidecar** (``durations.json``)
-keyed *without* the code version: it remembers how long each point took
-to simulate on this machine. The execution engine sorts cache misses
-longest-first from these hints, which minimizes parallel makespan (the
-classic LPT heuristic) — and because the hints survive code changes,
-the very first run after an edit is already well-scheduled.
 """
 
 from __future__ import annotations
@@ -75,7 +68,6 @@ class ResultCache:
         self.version = version if version is not None else code_version()
         self.hits = 0
         self.misses = 0
-        self._durations: Optional[dict[str, float]] = None
 
     # -- keying ----------------------------------------------------------
     def key(self, experiment_id: str, params: dict, config_fields: dict,
@@ -167,9 +159,7 @@ class ResultCache:
 
         Returns ``(stale, kept)`` where ``stale`` lists the entry paths
         that were deleted (or, with ``dry_run``, *would* be) and
-        ``kept`` counts the entries from the current code version. The
-        duration sidecar is never pruned — its whole point is surviving
-        code changes.
+        ``kept`` counts the entries from the current code version.
         """
         stale: list[Path] = []
         kept = 0
@@ -199,49 +189,3 @@ class ResultCache:
                 except OSError:
                     pass
         return stale, kept
-
-    # -- duration hints --------------------------------------------------
-    def hint_key(self, experiment_id: str, params: dict,
-                 config_fields: dict) -> str:
-        """Sidecar key: like :meth:`key` but code-version-independent."""
-        blob = json.dumps(
-            {
-                "experiment": experiment_id,
-                "params": params,
-                "config": config_fields,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-    def _load_durations(self) -> dict[str, float]:
-        if self._durations is None:
-            try:
-                with open(self.directory / "durations.json",
-                          encoding="utf-8") as fh:
-                    raw = json.load(fh)
-                self._durations = {
-                    k: float(v) for k, v in raw.items()
-                    if isinstance(v, (int, float))
-                }
-            except (FileNotFoundError, json.JSONDecodeError, OSError,
-                    AttributeError):
-                self._durations = {}
-        return self._durations
-
-    def duration_hint(self, hint_key: str) -> Optional[float]:
-        """Last known wall-clock seconds for this point, if any."""
-        return self._load_durations().get(hint_key)
-
-    def record_duration(self, hint_key: str, elapsed_s: float) -> None:
-        """Remember how long a point took (in-memory until :meth:`flush_durations`)."""
-        self._load_durations()[hint_key] = round(float(elapsed_s), 6)
-
-    def flush_durations(self) -> None:
-        """Atomically persist the duration sidecar."""
-        if self._durations is None:
-            return
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._atomic_write(self.directory / "durations.json",
-                           self._durations)

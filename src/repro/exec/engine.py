@@ -186,8 +186,6 @@ class _Point:
     params: dict
     label: str
     cache_key: Optional[str] = None
-    hint_key: Optional[str] = None
-    hint_s: Optional[float] = None
 
 
 def _run_point_inline(plans, task: dict, config: ExperimentConfig) -> dict:
@@ -280,9 +278,6 @@ def execute_experiments(
             point.cache_key = cache.key(
                 point.experiment_id, point.params, cfg_fields, collect_metrics
             )
-            point.hint_key = cache.hint_key(
-                point.experiment_id, point.params, cfg_fields
-            )
             entry = cache.load(point.cache_key)
             if entry is not None:
                 payloads[point.experiment_id][point.index] = entry["payload"]
@@ -295,7 +290,6 @@ def execute_experiments(
                 )
                 report.cache_hits += 1
                 continue
-            point.hint_s = cache.duration_hint(point.hint_key)
         misses.append(point)
 
     total = len(points)
@@ -303,18 +297,9 @@ def execute_experiments(
         f"{report.cache_hits} cached, {len(misses)} to run "
         f"(jobs={jobs})")
 
-    # 3. Run the cache misses — fanned out or inline. Dispatch order is
-    #    longest-first from the duration sidecar (LPT minimizes parallel
-    #    makespan: a multi-second point started last would tail the whole
-    #    sweep). Points with no hint sort first — an unknown duration
-    #    might be the longest — and the sort is stable, so a cold cache
-    #    degrades to plain plan order (FIFO). Results are assembled in
-    #    plan order regardless, so scheduling never changes output.
-    if cache is not None and any(p.hint_s is not None for p in misses):
-        misses = sorted(
-            misses,
-            key=lambda p: -(p.hint_s if p.hint_s is not None else float("inf")),
-        )
+    # 3. Run the cache misses — fanned out or inline — dispatched in
+    #    plan order. Results are assembled in plan order too, so
+    #    scheduling never changes output.
     tasks = [
         {
             "task_id": point.task_id,
@@ -399,10 +384,7 @@ def execute_experiments(
                 "elapsed_s": reply["elapsed_s"],
                 "events": int(reply.get("events", 0)),
             })
-            cache.record_duration(point.hint_key, reply["elapsed_s"])
 
-    if cache is not None and report.executed:
-        cache.flush_durations()
     report.points = [records[point.task_id] for point in points]
     report.wall_s = time.monotonic() - started
     if failures:

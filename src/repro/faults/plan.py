@@ -338,9 +338,9 @@ class FaultInjector:
     ``"faults"`` stream (per-point salted by the execution engine), in a
     fixed per-operation order, so outcomes depend only on (seed, salt,
     operation sequence) — never on worker count or wall-clock timing.
-    Uniform variates are drawn in batches (like
-    :class:`~repro.sim.rng.LatencySampler`) to keep the per-op cost to a
-    list index; batching does not change the draw sequence.
+    Uniform variates are drawn in batches of ``_BATCH`` to keep the
+    per-op cost to a list index; batching does not change the draw
+    sequence.
     """
 
     _BATCH = 256

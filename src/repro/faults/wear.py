@@ -144,9 +144,6 @@ class WearTracker:
             return 0
         return max(w.erase_count for w in self._units.values())
 
-    def total_program_failures(self) -> int:
-        return sum(w.program_failures for w in self._units.values())
-
     def snapshot(self) -> dict:
         return {str(key): wear.snapshot() for key, wear in self._units.items()}
 

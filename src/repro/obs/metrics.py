@@ -14,9 +14,8 @@ enabling them cannot change simulation results.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Iterator, Optional, Sequence, Union
-
-import numpy as np
 
 __all__ = [
     "Counter",
@@ -88,9 +87,6 @@ class Gauge:
     def inc(self, amount: float = 1) -> None:
         self.set(self.value + amount)
 
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
-
     def snapshot(self) -> dict[str, float]:
         return {"value": self.value, "max": self.max_value}
 
@@ -102,24 +98,11 @@ class Histogram:
     overflow bucket catches everything above the last bound. Percentiles
     interpolate linearly within the winning bucket (the standard
     Prometheus-style estimate), which the bucket-math unit tests pin
-    down exactly.
-
-    Bucketing is deferred: observations queue in ``_pending`` and are
-    folded into the bucket counts in one vectorized pass when any
-    aggregate (``counts``/``total``/``sum``/percentiles/snapshots) is
-    read, or when the queue reaches ``_FLUSH_THRESHOLD``. Deferral is
-    invisible to readers — every accessor flushes first — and cannot
-    reorder anything: bucket counts are order-independent and the sum is
-    accumulated with exact integer arithmetic (DESIGN.md §15).
+    down exactly. ``counts`` holds the live per-bucket counts (the last
+    entry is the overflow bucket).
     """
 
-    __slots__ = ("name", "help", "bounds", "_bounds_arr",
-                 "_counts", "_total", "_sum", "_pending")
-
-    #: Pending observations that trigger an automatic flush. Bounds the
-    #: queue's memory without flushing so often the numpy call overhead
-    #: dominates.
-    _FLUSH_THRESHOLD = 4096
+    __slots__ = ("name", "help", "bounds", "counts", "total", "sum")
 
     def __init__(self, name: str, bounds: Sequence[int], help: str = ""):
         if not bounds:
@@ -130,69 +113,16 @@ class Histogram:
         self.name = name
         self.help = help
         self.bounds: tuple[int, ...] = tuple(ordered)
-        self._bounds_arr = np.asarray(ordered)
-        self._counts = [0] * (len(ordered) + 1)
-        self._total = 0
-        self._sum = 0
-        self._pending: list = []
+        self.counts = [0] * (len(ordered) + 1)
+        self.total = 0
+        self.sum = 0
 
     def observe(self, value: Union[int, float]) -> None:
         if value < 0:
             raise ValueError(f"histogram {self.name!r} observed negative {value}")
-        pending = self._pending
-        pending.append(value)
-        if len(pending) >= self._FLUSH_THRESHOLD:
-            self._flush()
-
-    def _flush(self) -> None:
-        """Fold queued observations into the bucket counts (vectorized).
-
-        ``searchsorted(..., side="left")`` computes exactly
-        ``bisect_left(bounds, value)`` per value; ``bincount`` then
-        accumulates per-bucket. The sum uses builtin ``sum`` over the
-        original values so integer observations stay exact (no float64
-        rounding at large totals).
-        """
-        pending = self._pending
-        if not pending:
-            return
-        idx = np.searchsorted(self._bounds_arr, np.asarray(pending),
-                              side="left")
-        binned = np.bincount(idx, minlength=len(self._counts)).tolist()
-        counts = self._counts
-        for i, c in enumerate(binned):
-            if c:
-                counts[i] += c
-        self._total += len(pending)
-        self._sum += sum(pending)
-        self._pending = []
-
-    @property
-    def counts(self) -> list[int]:
-        """Live per-bucket counts (last entry is the overflow bucket)."""
-        if self._pending:
-            self._flush()
-        return self._counts
-
-    @property
-    def total(self) -> int:
-        if self._pending:
-            self._flush()
-        return self._total
-
-    @total.setter
-    def total(self, value: int) -> None:
-        self._total = value
-
-    @property
-    def sum(self):
-        if self._pending:
-            self._flush()
-        return self._sum
-
-    @sum.setter
-    def sum(self, value) -> None:
-        self._sum = value
+        self.counts[bisect_left(self.bounds, value)] += 1
+        self.total += 1
+        self.sum += value
 
     @property
     def mean(self) -> float:

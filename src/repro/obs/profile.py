@@ -35,13 +35,10 @@ from typing import Any, Optional
 from .tracer import PH_COMPLETE, TraceEvent, Tracer
 
 __all__ = [
-    "CODE_LAYERS",
     "LAYER_ORDER",
     "LayerBreakdown",
-    "code_layer_of",
     "profile_experiment",
     "run_self_profile",
-    "run_self_profile_by_layer",
 ]
 
 #: Layer categories in stack order (host-side first, media last).
@@ -211,13 +208,15 @@ def profile_experiment(
     return tracer, LayerBreakdown.from_tracer(tracer), results[exp_id]
 
 
-def _self_smoke_workload(tracer: Optional[Tracer] = None) -> None:
-    """Appends, reads, and a reset on a small device (optionally traced)."""
+def run_self_profile() -> tuple[Tracer, LayerBreakdown]:
+    """A built-in smoke workload: appends, reads, and a reset on a small
+    device, traced end to end. Used by ``repro profile --self`` and CI."""
     from ..hostif.commands import Command, Opcode, ZoneAction
     from ..sim.engine import Simulator
     from ..zns.device import ZnsDevice
     from ..zns.profiles import zn540_small
 
+    tracer = Tracer()
     sim = Simulator()
     device = ZnsDevice(sim, zn540_small(), tracer=tracer)
     nlb = device.namespace.lbas(16 * 1024)
@@ -230,79 +229,4 @@ def _self_smoke_workload(tracer: Optional[Tracer] = None) -> None:
             Command(Opcode.READ, slba=zone.zslba + i * nlb, nlb=nlb)))
     sim.run(until=device.submit(
         Command(Opcode.ZONE_MGMT, slba=zone.zslba, action=ZoneAction.RESET)))
-
-
-def run_self_profile() -> tuple[Tracer, LayerBreakdown]:
-    """A built-in smoke workload: appends, reads, and a reset on a small
-    device, traced end to end. Used by ``repro profile --self`` and CI."""
-    tracer = Tracer()
-    _self_smoke_workload(tracer)
     return tracer, LayerBreakdown.from_tracer(tracer)
-
-
-#: Code-layer buckets for ``profile --self --by-layer``, matched against
-#: source paths in declaration order (first hit wins). "core-pipeline"
-#: is the shared device layer (:mod:`repro.device`); the model buckets
-#: are what remains specific to each device; "faults", "workload" and
-#: "exec-engine" attribute the newer subsystems instead of lumping them
-#: into "other-repro".
-CODE_LAYERS = (
-    ("core-pipeline", "/repro/device/"),
-    ("zns-model", "/repro/zns/"),
-    ("conv-model", "/repro/conv/"),
-    ("flash-backend", "/repro/flash/"),
-    ("sim-engine", "/repro/sim/"),
-    ("host-side", "/repro/hostif/"),
-    ("host-stacks", "/repro/stacks/"),
-    ("observability", "/repro/obs/"),
-    ("faults", "/repro/faults/"),
-    ("workload", "/repro/workload/"),
-    ("exec-engine", "/repro/exec/"),
-)
-
-
-def code_layer_of(filename: str) -> str:
-    """Bucket one source path into a code layer."""
-    normalized = filename.replace("\\", "/")
-    for layer, fragment in CODE_LAYERS:
-        if fragment in normalized:
-            return layer
-    if "/repro/" in normalized:
-        return "other-repro"
-    return "python-runtime"
-
-
-def run_self_profile_by_layer(repeat: int = 20) -> tuple[dict[str, float], str]:
-    """Attribute the smoke workload's *Python* compute time to code
-    layers (``repro profile --self --by-layer``).
-
-    Runs the untraced smoke workload ``repeat`` times under cProfile
-    and buckets per-function self time (tottime) by source path. This
-    is wall-clock attribution — which code the interpreter spends its
-    time in — complementing :class:`LayerBreakdown`, which attributes
-    *simulated* time. Returns ``(seconds-by-layer, rendered table)``.
-    """
-    import cProfile
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    for _ in range(repeat):
-        _self_smoke_workload()
-    profiler.disable()
-
-    totals: dict[str, float] = defaultdict(float)
-    for entry in profiler.getstats():
-        filename = getattr(entry.code, "co_filename", "")
-        totals[code_layer_of(filename)] += entry.inlinetime
-    grand_total = sum(totals.values()) or 1.0
-
-    lines = [
-        f"per-code-layer Python self time ({repeat} untraced iterations)",
-        f"  {'layer':<14} {'time_ms':>10} {'share':>8}",
-    ]
-    for layer, seconds in sorted(totals.items(), key=lambda kv: -kv[1]):
-        lines.append(
-            f"  {layer:<14} {seconds * 1e3:>10.3f} "
-            f"{100 * seconds / grand_total:>7.1f}%"
-        )
-    return dict(totals), "\n".join(lines)

@@ -134,10 +134,6 @@ class Tracer:
         return self._cmd_seq
 
     # -- recording -------------------------------------------------------
-    def _append(self, event: TraceEvent) -> None:
-        self._events.append(event)
-        self._event_pids.append(self._cur_pid)
-
     def span(self, cat: str, name: str, start_ns: int, end_ns: int,
              track: str = "main", **args: Any) -> None:
         """Record a completed span ``[start_ns, end_ns)``."""

@@ -48,8 +48,8 @@ always holds its own object. The hottest constructors (:class:`Timeout`,
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional, Sequence
+from heapq import heappop, heappush
+from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
     "us",
@@ -504,58 +504,6 @@ class Simulator:
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         """Create an event firing ``delay`` nanoseconds from now."""
         return Timeout(self, delay, value)
-
-    def schedule_after_many(self, delays: Sequence[int]) -> list[Timeout]:
-        """Create one Timeout per delay; ``delays`` must be non-decreasing.
-
-        Equivalent — event for event, including heap tie-break sequence
-        numbers — to ``[self.timeout(d) for d in delays]``, but the
-        pre-sorted ``(when, seq)`` entries are bulk-inserted: zero delays
-        extend the ready deque directly, and the positive tail either
-        extends an empty heap (a sorted list is a valid binary heap) or
-        is merged with one ``heapify`` instead of a sift per event. This
-        is the batching primitive behind burst scheduling (DESIGN.md §15).
-        """
-        events: list[Timeout] = []
-        entries: list[tuple[int, int, Timeout]] = []
-        ready = self._ready
-        now = self.now
-        seq = self._sequence
-        last = 0
-        for delay in delays:
-            delay = int(delay)
-            if delay < last:
-                raise SimulationError(
-                    "schedule_after_many requires non-decreasing, "
-                    f"non-negative delays; got {delay} after {last}"
-                )
-            last = delay
-            timeout = Timeout.__new__(Timeout)
-            timeout.sim = self
-            timeout._cb = None
-            timeout._value = None
-            timeout._exception = None
-            timeout._processed = False
-            timeout._triggered = True
-            timeout.delay = delay
-            if delay:
-                seq += 1
-                entries.append((now + delay, seq, timeout))
-            else:
-                ready.append(timeout)
-            events.append(timeout)
-        self._sequence = seq
-        if entries:
-            heap = self._heap
-            if not heap:
-                heap.extend(entries)
-            elif len(entries) * 4 >= len(heap):
-                heap.extend(entries)
-                heapify(heap)
-            else:
-                for entry in entries:
-                    heappush(heap, entry)
-        return events
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a generator as a process; returns its completion event."""

@@ -11,14 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["StreamFactory", "LatencySampler", "DEFAULT_JITTER_BLOCK"]
-
-#: Jitter draws per batched sampler refill. ``Generator.normal(size=N)``
-#: produces bit-identical values to N sequential scalar draws (numpy
-#: fills the array through the same ziggurat sampler in draw order), so
-#: the block size changes only allocation amortization, never results —
-#: the draw-order contract in DESIGN.md §15.
-DEFAULT_JITTER_BLOCK = 256
+__all__ = ["StreamFactory", "LatencySampler"]
 
 
 class StreamFactory:
@@ -63,15 +56,13 @@ class LatencySampler:
     deterministic emulator models use).
     """
 
-    __slots__ = ("_rng", "_sigma", "_factors", "_cursor")
+    __slots__ = ("_rng", "_sigma")
 
     def __init__(self, rng: np.random.Generator, sigma: float = 0.03):
         if sigma < 0:
             raise ValueError(f"jitter sigma must be >= 0, got {sigma}")
         self._rng = rng
         self._sigma = float(sigma)
-        self._factors: list[float] = []
-        self._cursor = 0
 
     @property
     def sigma(self) -> float:
@@ -83,11 +74,7 @@ class LatencySampler:
             raise ValueError(f"nominal latency must be >= 0, got {nominal_ns}")
         if self._sigma == 0.0 or nominal_ns == 0:
             return int(nominal_ns)
-        cursor = self._cursor
-        if cursor == len(self._factors):
-            self._factors = np.exp(
-                self._rng.normal(0.0, self._sigma, size=DEFAULT_JITTER_BLOCK)
-            ).tolist()
-            cursor = 0
-        self._cursor = cursor + 1
-        return max(1, round(nominal_ns * self._factors[cursor]))
+        # numpy's exp, not math.exp: they can differ in the last ulp,
+        # which can move a rounded nanosecond.
+        factor = float(np.exp(self._rng.normal(0.0, self._sigma)))
+        return max(1, round(nominal_ns * factor))

@@ -37,10 +37,6 @@ class IoUringStack(StorageStack):
         else:
             raise ValueError(f"unknown scheduler {scheduler!r} (none | mq-deadline)")
 
-    @property
-    def scheduler_name(self) -> str:
-        return "none" if self.scheduler is None else self.scheduler.name
-
     def submit(self, command: Command) -> Event:
         if command.opcode in (Opcode.APPEND, Opcode.ZONE_MGMT):
             raise UnsupportedOperation(

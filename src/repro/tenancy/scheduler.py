@@ -110,9 +110,6 @@ class TenantScheduler:
         name = kind or type(workload).__name__.lower()
         self._workloads.append((tenant, workload, name))
 
-    def owner_of_zone(self, zone_id: int) -> Optional[str]:
-        return self._zone_owner.get(zone_id)
-
     def start(self) -> Event:
         """Launch every workload; fires when all of them finish.
 

@@ -135,9 +135,6 @@ class Tenant(HostSession):
         )
         return np.random.default_rng(child)
 
-    def owns_zone(self, zone_id: int) -> bool:
-        return self.zones is not None and zone_id in self.zones
-
     # -- submission ------------------------------------------------------
     def submit(self, command: Command) -> Event:
         """Stamp the tenant label and issue through the tenant's stack."""

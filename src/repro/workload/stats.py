@@ -16,32 +16,18 @@ __all__ = ["LatencyStats", "TimeSeries"]
 
 
 class LatencyStats:
-    """A latency sample set with percentile queries.
-
-    Percentile/min/max/mean queries share one sorted ``np.int64`` array,
-    built lazily and invalidated on every write, so repeated percentile
-    reads over a large sample set sort once instead of per call.
-    """
+    """A latency sample set with percentile queries."""
 
     def __init__(self) -> None:
         self._samples: list[int] = []
-        self._sorted: np.ndarray | None = None
 
     def record(self, latency_ns: int) -> None:
         if latency_ns < 0:
             raise ValueError(f"negative latency {latency_ns}")
         self._samples.append(latency_ns)
-        self._sorted = None
 
     def merge(self, other: "LatencyStats") -> None:
         self._samples.extend(other._samples)
-        self._sorted = None
-
-    def _sorted_samples(self) -> np.ndarray:
-        self._require_samples()
-        if self._sorted is None:
-            self._sorted = np.sort(np.asarray(self._samples, dtype=np.int64))
-        return self._sorted
 
     @property
     def count(self) -> int:
@@ -58,15 +44,17 @@ class LatencyStats:
         """
         if not self._samples:
             return float("nan")
-        return float(np.mean(self._sorted_samples()))
+        return float(np.mean(self.asarray()))
 
     @property
     def min_ns(self) -> int:
-        return int(self._sorted_samples()[0])
+        self._require_samples()
+        return int(min(self._samples))
 
     @property
     def max_ns(self) -> int:
-        return int(self._sorted_samples()[-1])
+        self._require_samples()
+        return int(max(self._samples))
 
     def percentile_ns(self, p: float) -> float:
         """The p-th percentile latency (e.g. p=95 for the paper's p95).
@@ -77,7 +65,7 @@ class LatencyStats:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
         if not self._samples:
             return float("nan")
-        return float(np.percentile(self._sorted_samples(), p))
+        return float(np.percentile(self.asarray(), p))
 
     @property
     def mean_us(self) -> float:
@@ -119,19 +107,6 @@ class TimeSeries:
             (
                 (bucket + 1) * self.interval_ns / NS_PER_S,
                 self._bytes.get(bucket, 0) * scale / (1024 * 1024),
-            )
-            for bucket in range(first, last + 1)
-        ]
-
-    def iops_series(self) -> list[tuple[float, float]]:
-        if not self._ops:
-            return []
-        first, last = min(self._ops), max(self._ops)
-        scale = NS_PER_S / self.interval_ns
-        return [
-            (
-                (bucket + 1) * self.interval_ns / NS_PER_S,
-                self._ops.get(bucket, 0) * scale,
             )
             for bucket in range(first, last + 1)
         ]

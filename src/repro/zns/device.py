@@ -352,20 +352,13 @@ class ZnsDevice(DeviceCore):
         else:
             fault_out = None
             wear = None
-        if len(spans) == 1:
-            die, take = spans[0]
-            yield sim.process(
-                read_page(die, priority=PRIO_IO, transfer_bytes=take, cid=cid,
-                          fault_out=fault_out, wear=wear)
+        yield sim.all_of([
+            sim.process(
+                read_page(die, priority=PRIO_IO, transfer_bytes=take,
+                          cid=cid, fault_out=fault_out, wear=wear)
             )
-        else:
-            yield sim.all_of([
-                sim.process(
-                    read_page(die, priority=PRIO_IO, transfer_bytes=take,
-                              cid=cid, fault_out=fault_out, wear=wear)
-                )
-                for die, take in spans
-            ])
+            for die, take in spans
+        ])
         if self.tracer.enabled:
             self.tracer.span("nand", "read.fanout", nand_started, self.sim.now,
                              track="nand", cid=cid, dies=len(spans))

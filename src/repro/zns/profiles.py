@@ -119,11 +119,6 @@ class DeviceProfile:
         """Addressable capacity (zones × zone size)."""
         return self.num_zones * self.zone_size_bytes
 
-    @property
-    def usable_bytes(self) -> int:
-        """Writable capacity (zones × zone capacity)."""
-        return self.num_zones * self.zone_cap_bytes
-
     def cmd_service_ns(self, opcode: Opcode, nbytes: int, nlb: int, block_size: int) -> int:
         """Controller front-end service time for one command.
 

@@ -59,13 +59,6 @@ class Zone:
         """One past the last addressable LBA of the zone."""
         return self.zslba + self.size_lbas
 
-    def contains(self, lba: int) -> bool:
-        return self.zslba <= lba < self.end
-
-    def io_within_capacity(self, slba: int, nlb: int) -> bool:
-        """Whether [slba, slba+nlb) fits in the writable capacity."""
-        return self.zslba <= slba and slba + nlb <= self.writable_end
-
     def __repr__(self) -> str:
         return (
             f"Zone(#{self.index}, state={self.state.value}, "

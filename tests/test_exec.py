@@ -384,15 +384,6 @@ class TestCachePrune:
         assert (len(stale), kept) == (1, 1)
         assert not bad.exists() and cache.load(key) is not None
 
-    def test_prune_preserves_duration_sidecar(self, tmp_path):
-        old = ResultCache(tmp_path, version="v1")
-        self._store_one(old, "old")
-        old.record_duration("deadbeef", 1.25)
-        old.flush_durations()
-        new = ResultCache(tmp_path, version="v2")
-        new.prune()
-        assert new.duration_hint("deadbeef") == 1.25
-
     def test_prune_missing_directory_is_noop(self, tmp_path):
         cache = ResultCache(tmp_path / "nonexistent", version="v1")
         assert cache.prune() == ([], 0)
@@ -409,6 +400,8 @@ def _ran_labels(progress_lines: list[str]) -> list[str]:
 
 
 class TestLongestFirstScheduling:
+    """Longest-first scheduling was removed: misses run in plan order."""
+
     def test_cold_cache_runs_in_plan_order(self, tmp_path):
         config = tiny_config()
         lines: list[str] = []
@@ -420,56 +413,27 @@ class TestLongestFirstScheduling:
         ]
         assert _ran_labels(lines) == plan_labels
 
-    def test_warm_hints_schedule_longest_first(self, tmp_path):
+    def test_orphaned_entries_rerun_in_plan_order(self, tmp_path):
+        # Misses that had run before still dispatch in plan order, and
+        # no per-point duration sidecar is written.
         config = tiny_config()
         serial, _ = execute_experiments(["fig2a"], config, jobs=1)
         execute_experiments(["fig2a"], config, jobs=1, cache_dir=tmp_path)
-
-        # Rewrite the sidecar so recorded durations grow with plan index,
-        # then orphan every entry: all points miss, but hints survive.
-        cache = ResultCache(tmp_path)
-        cfg = config_fields(config)
-        params = [canonical_payload(p)
-                  for p in experiment_plans()["fig2a"].plan(config)]
-        for index, point_params in enumerate(params):
-            cache.record_duration(
-                cache.hint_key("fig2a", point_params, cfg), float(index))
-        cache.flush_durations()
         for entry in tmp_path.glob("??/*.json"):
             entry.unlink()
 
-        lines = []
+        lines: list[str] = []
         results, report = execute_experiments(
             ["fig2a"], config, jobs=1, cache_dir=tmp_path,
             progress=lines.append)
-        plan_labels = ["fig2a:" + points_mod.point_label(p) for p in params]
-        # Longest hint first = reverse plan order ...
-        assert _ran_labels(lines) == list(reversed(plan_labels))
-        assert report.executed == len(params)
-        # ... while assembly stays in plan order: output is unchanged.
+        plan_labels = [
+            "fig2a:" + points_mod.point_label(canonical_payload(p))
+            for p in experiment_plans()["fig2a"].plan(config)
+        ]
+        assert _ran_labels(lines) == plan_labels
+        assert report.executed == len(plan_labels)
         assert results_blob(results) == results_blob(serial)
-
-    def test_unknown_hints_run_before_known(self, tmp_path):
-        config = tiny_config()
-        execute_experiments(["fig2a"], config, jobs=1, cache_dir=tmp_path)
-        # Start from an empty sidecar (the run above hinted every point).
-        (tmp_path / "durations.json").unlink()
-        cache = ResultCache(tmp_path)
-        cfg = config_fields(config)
-        params = [canonical_payload(p)
-                  for p in experiment_plans()["fig2a"].plan(config)]
-        # Hint every point except the last; orphan all entries.
-        for index, point_params in enumerate(params[:-1]):
-            cache.record_duration(
-                cache.hint_key("fig2a", point_params, cfg), 1.0 + index)
-        cache.flush_durations()
-        for entry in tmp_path.glob("??/*.json"):
-            entry.unlink()
-        lines = []
-        execute_experiments(["fig2a"], config, jobs=1, cache_dir=tmp_path,
-                            progress=lines.append)
-        first = _ran_labels(lines)[0]
-        assert first == "fig2a:" + points_mod.point_label(params[-1])
+        assert not (tmp_path / "durations.json").exists()
 
 
 class TestEngineDeterminism:

@@ -292,7 +292,7 @@ class TestSatellites:
         stats.record(100)
         stats.record(200)
         assert stats.max_ns == 200
-        stats.record(900)  # must drop the cached sorted array
+        stats.record(900)  # reads see every later write
         assert stats.max_ns == 900 and stats.count == 3
         other = LatencyStats()
         other.record(50)

@@ -1,12 +1,13 @@
-"""Jitter block-size independence: the sampler's block size is a pure
-performance constant.
+"""Scalar jitter draws against a block-drawing reference.
 
-``LatencySampler`` pre-draws jitter factors in refillable blocks;
-``Generator.normal(size=N)`` is bit-identical to N sequential scalar
-draws, so the block size must never change a single simulated result
-(the draw-order contract, DESIGN.md §15). These tests pin that down at
-two levels: the raw sampler sequence, and whole serial experiment
-artifacts (with and without chaos fault injection).
+``LatencySampler`` draws one jitter factor per call. An earlier sampler
+pre-drew factors in refillable blocks; ``Generator.normal(size=N)`` is
+bit-identical to N sequential scalar draws, so the scalar sampler must
+reproduce that block sampler exactly, whatever its block size (the
+draw-order contract, DESIGN.md §15). ``_BlockSampler`` keeps the block
+sampler as a reference. These tests pin the equivalence at two levels:
+the raw sampler sequence, and whole serial experiment artifacts (with
+and without chaos fault injection) run on the reference.
 """
 
 from __future__ import annotations
@@ -15,31 +16,54 @@ import numpy as np
 import pytest
 
 from repro.exec import execute_experiments
-from repro.sim.rng import DEFAULT_JITTER_BLOCK, LatencySampler, StreamFactory
+from repro.sim.rng import LatencySampler, StreamFactory
 
 from .test_exec import results_blob, tiny_config
 
 BLOCKS = (1, 16, 4096)
 
 
-def _fresh_sampler() -> LatencySampler:
-    return LatencySampler(StreamFactory(seed=7).stream("jitter"), sigma=0.05)
+class _BlockSampler:
+    """The block-drawing jitter sampler the scalar one replaced."""
+
+    def __init__(self, rng: np.random.Generator, sigma: float, block: int):
+        self._rng = rng
+        self._sigma = float(sigma)
+        self._block = block
+        self._factors: list[float] = []
+        self._cursor = 0
+
+    def jitter(self, nominal_ns: int) -> int:
+        if nominal_ns < 0:
+            raise ValueError(f"nominal latency must be >= 0, got {nominal_ns}")
+        if self._sigma == 0.0 or nominal_ns == 0:
+            return int(nominal_ns)
+        cursor = self._cursor
+        if cursor == len(self._factors):
+            self._factors = np.exp(
+                self._rng.normal(0.0, self._sigma, size=self._block)
+            ).tolist()
+            cursor = 0
+        self._cursor = cursor + 1
+        return max(1, round(nominal_ns * self._factors[cursor]))
+
+
+def _stream() -> np.random.Generator:
+    return StreamFactory(seed=7).stream("jitter")
 
 
 class TestSamplerDrawOrder:
-    def test_block_size_never_changes_draws(self, monkeypatch):
+    def test_block_size_never_changes_draws(self):
         # Span several refills of every block size (including many
-        # refills at block=1 and a partial final block at 4096).
-        nominals = [100, 10_000, 1_000_000] * 3_000
-        reference = None
+        # refills at block=1 and a partial final block at 4096), with
+        # zero nominals in the mix (they consume no draw).
+        nominals = [100, 10_000, 0, 1_000_000] * 3_000
+        scalar = LatencySampler(_stream(), sigma=0.05)
+        draws = [scalar.jitter(n) for n in nominals]
         for block in (1, 16, 256, 4096):
-            monkeypatch.setattr("repro.sim.rng.DEFAULT_JITTER_BLOCK", block)
-            sampler = _fresh_sampler()
-            draws = [sampler.jitter(n) for n in nominals]
-            if reference is None:
-                reference = draws
-            else:
-                assert draws == reference, f"block={block} diverged"
+            reference = _BlockSampler(_stream(), 0.05, block)
+            assert [reference.jitter(n) for n in nominals] == draws, (
+                f"block={block} diverged")
 
     def test_batched_normal_matches_scalar_draws(self):
         # The numpy guarantee the whole design rests on.
@@ -48,20 +72,23 @@ class TestSamplerDrawOrder:
         scalars = [scalar_rng.normal(0.0, 1.0) for _ in range(64)]
         assert batched.tolist() == scalars
 
-    def test_default_block(self, monkeypatch):
-        # A refill draws DEFAULT_JITTER_BLOCK factors, so patching the
-        # constant (as every test here does) really varies the block.
-        for block in (16, DEFAULT_JITTER_BLOCK):
-            monkeypatch.setattr("repro.sim.rng.DEFAULT_JITTER_BLOCK", block)
-            sampler = _fresh_sampler()
-            sampler.jitter(100)
-            assert len(sampler._factors) == block
-
 
 def _run_blob(monkeypatch, block, faults=None) -> str:
-    monkeypatch.setattr("repro.sim.rng.DEFAULT_JITTER_BLOCK", block)
+    """fig2a's artifacts with every sampler's draws served by a
+    ``_BlockSampler`` of ``block`` on the sampler's own stream."""
+    references: dict[LatencySampler, _BlockSampler] = {}
+
+    def jitter(self: LatencySampler, nominal_ns: int) -> int:
+        reference = references.get(self)
+        if reference is None:
+            reference = references[self] = _BlockSampler(
+                self._rng, self.sigma, block)
+        return reference.jitter(nominal_ns)
+
+    monkeypatch.setattr(LatencySampler, "jitter", jitter)
     config = tiny_config() if faults is None else tiny_config(faults=faults)
     results, _report = execute_experiments(["fig2a"], config, jobs=1)
+    assert references, "no sampler drew through the reference"
     return results_blob(results)
 
 
