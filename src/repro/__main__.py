@@ -20,10 +20,6 @@ Commands
 ``fidelity``     run the §IV emulator-fidelity matrix (one point per
                  latency model, through the same ``--jobs``/``--cache``
                  engine)
-``bench``        benchmark the suite: per-experiment wall clock and
-                 simulated events/sec, written to ``BENCH_sim.json``;
-                 ``--reps`` adds rep-to-rep variance, ``--baseline``
-                 turns it into a perf regression gate
 ``cache``        manage the point-result cache (``cache prune`` deletes
                  entries orphaned by code changes)
 ``faults``       inspect fault-injection profiles (``faults list`` shows
@@ -184,40 +180,6 @@ def main(argv: list[str] | None = None) -> int:
                                       "(default %(default)s)")
     fidelity_parser.add_argument("--no-cache", action="store_true",
                                  help="recompute every model probe")
-    bench_parser = sub.add_parser(
-        "bench", help="benchmark the suite, write BENCH_sim.json")
-    bench_parser.add_argument("ids", nargs="*",
-                              help="experiment ids (default: all)")
-    bench_parser.add_argument("--quick", action="store_true",
-                              help="CI smoke mode: the cheap sweep subset "
-                                   "at --fast scale")
-    bench_parser.add_argument("--jobs", "-j", type=int, default=1,
-                              help="worker processes (default 1)")
-    bench_parser.add_argument("--reps", type=int, default=1,
-                              help="benchmark repetitions; > 1 records "
-                                   "rep-to-rep stdev of wall seconds and "
-                                   "events/sec (and disables the cache so "
-                                   "every rep carries timing signal)")
-    bench_parser.add_argument("--output", "-o", metavar="PATH",
-                              default="BENCH_sim.json",
-                              help="where to write the benchmark JSON "
-                                   "(default %(default)s; '-' skips)")
-    bench_parser.add_argument("--cache", metavar="DIR", default=None,
-                              help="serve points from this cache (default: "
-                                   "no cache — benchmark everything fresh)")
-    bench_parser.add_argument("--baseline", metavar="PATH",
-                              help="compare against a previous BENCH_sim.json "
-                                   "and fail on regression")
-    bench_parser.add_argument("--max-regression", type=float, default=0.20,
-                              metavar="FRACTION",
-                              help="allowed aggregate events/sec drop vs "
-                                   "the baseline, and the per-experiment "
-                                   "floor allowance (default %(default)s)")
-    bench_parser.add_argument("--stdev-k", type=float, default=6.0,
-                              metavar="K",
-                              help="per-experiment gates fail below "
-                                   "baseline mean - K x recorded stdev "
-                                   "(recorded reps; default %(default)s)")
     cache_parser = sub.add_parser(
         "cache", help="manage the point-result cache")
     cache_sub = cache_parser.add_subparsers(dest="cache_command",
@@ -417,43 +379,6 @@ def main(argv: list[str] | None = None) -> int:
             progress=lambda message: print(message, file=sys.stderr),
         )
         print(results["sec4"].table())
-        return 0
-
-    if args.command == "bench":
-        import json
-
-        from .exec import bench
-
-        if args.quick:
-            config = _config_from_args(
-                argparse.Namespace(seed=args.seed, fast=True,
-                                   scale=args.scale))
-            ids = args.ids or bench.QUICK_IDS
-        else:
-            config = _config_from_args(args)
-            ids = args.ids or None
-        doc = bench.run_bench(
-            ids, config, jobs=args.jobs, cache_dir=args.cache,
-            reps=args.reps,
-            progress=lambda message: print(message, file=sys.stderr),
-        )
-        baseline = bench.load(args.baseline) if args.baseline else None
-        bench.render(doc, baseline)
-        if args.output and args.output != "-":
-            with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"[bench] wrote {args.output}")
-        if baseline is not None:
-            failures = bench.compare(doc, baseline, args.max_regression,
-                                     stdev_k=args.stdev_k)
-            for failure in failures:
-                print(f"[bench] FAIL: {failure}", file=sys.stderr)
-            if failures:
-                return 1
-            print(f"[bench] within baseline gates ({args.baseline}: "
-                  f"aggregate {args.max_regression:.0%}, per-experiment "
-                  f"mean - {args.stdev_k:g} x stdev)")
         return 0
 
     if args.command == "cache":

@@ -12,7 +12,6 @@ Entry points: :func:`execute_experiments` (library),
 ``python -m repro run --jobs N`` (CLI).
 """
 
-from .bench import BENCH_SCHEMA, QUICK_IDS, compare, run_bench
 from .cache import CACHE_SCHEMA, ResultCache, code_version
 from .engine import (
     ExecutionError,
@@ -25,12 +24,8 @@ from .engine import (
 from .pool import DEFAULT_POINT_TIMEOUT_S, WorkerPool
 
 __all__ = [
-    "BENCH_SCHEMA",
     "CACHE_SCHEMA",
     "DEFAULT_POINT_TIMEOUT_S",
-    "QUICK_IDS",
-    "compare",
-    "run_bench",
     "ExecutionError",
     "ExecutionReport",
     "PointRecord",

@@ -111,16 +111,6 @@ class ExecutionReport:
         """Simulated events dispatched by the freshly-executed points."""
         return sum(r.events for r in self.points if r.source == "run")
 
-    @property
-    def events_per_s(self) -> float:
-        """Aggregate simulation rate of the freshly-executed points."""
-        busy = sum(r.elapsed_s for r in self.points if r.source == "run")
-        return self.events / busy if busy > 0 else 0.0
-
-    @property
-    def hit_rate(self) -> float:
-        return self.cache_hits / len(self.points) if self.points else 0.0
-
     def summary(self) -> str:
         total = len(self.points)
         parts = [

@@ -53,7 +53,7 @@ class TelemetrySampler:
     a plan, extended only when it grows. A row appends to the gauge and
     level columns but records counter deltas, histogram windows and busy
     fractions only as *entries* where they moved, which :meth:`segment`
-    fills into default-valued columns (DESIGN.md §13.5).
+    fills into default-valued columns (DESIGN.md §13.4).
 
     Padding is pinned, as segments are digested output: a column first
     seen at row *k* reads ``0`` before it (``None`` for percentiles).

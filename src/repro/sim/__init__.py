@@ -13,7 +13,7 @@ from .engine import (
     sec,
     us,
 )
-from .resources import Container, Resource, Store
+from .resources import Container, Resource
 from .rng import LatencySampler, StreamFactory
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "Resource",
     "SimulationError",
     "Simulator",
-    "Store",
     "StreamFactory",
     "Timeout",
     "ms",

@@ -1,14 +1,12 @@
 """Shared-resource primitives for the simulation kernel.
 
-Three primitives cover every contention point in the device models:
+Two primitives cover every contention point in the device models:
 
 * :class:`Resource` — a server with fixed capacity and one FIFO queue of
   acquire requests per priority level. Models controller slots, NAND
   dies, channel buses, and the firmware management unit.
 * :class:`Container` — a reservoir of continuous "stuff" (bytes) with
   blocking put/get. Models the device write buffer.
-* :class:`Store` — a FIFO queue of discrete items with blocking get.
-  Models command queues between pipeline stages.
 
 Priority semantics on :class:`Resource`: lower numeric priority is served
 first; ties are FIFO. This is how the ZNS firmware unit prioritizes I/O
@@ -18,11 +16,10 @@ commands over background ``reset`` metadata work (paper §III-G).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
 
 from .engine import Event, SimulationError, Simulator
 
-__all__ = ["Resource", "Container", "Store"]
+__all__ = ["Resource", "Container"]
 
 
 class Resource:
@@ -195,51 +192,4 @@ class Container:
                 op = self._gets.popleft()
                 self._level -= op.amount
                 op.succeed(op.amount)
-                progressed = True
-
-
-class Store:
-    """An unbounded (or bounded) FIFO queue of discrete items."""
-
-    __slots__ = ("sim", "capacity", "name", "_items", "_getters", "_putters")
-
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None, name: str = ""):
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> Event:
-        """Append an item; blocks only when a capacity bound is hit."""
-        op = Event(self.sim)
-        self._putters.append((op, item))
-        self._settle()
-        return op
-
-    def get(self) -> Event:
-        """Pop the oldest item; blocks while the store is empty."""
-        op = Event(self.sim)
-        self._getters.append(op)
-        self._settle()
-        return op
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._putters and (
-                self.capacity is None or len(self._items) < self.capacity
-            ):
-                op, item = self._putters.popleft()
-                self._items.append(item)
-                op.succeed(item)
-                progressed = True
-            while self._getters and self._items:
-                op = self._getters.popleft()
-                op.succeed(self._items.popleft())
                 progressed = True

@@ -31,6 +31,12 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_bench_is_not_a_command(self):
+        # The suite's only speed instrument is benchmarks/e2e.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+
     def test_scale_validation(self):
         with pytest.raises(ValueError):
             main(["--scale", "-1", "run", "fig2a"])

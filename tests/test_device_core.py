@@ -3,8 +3,7 @@
 Covers the :class:`~repro.device.core.DeviceCore` extraction: ZNS/conv
 parity of the shared pipeline (one definition of the controller service,
 completion path, and counters), golden-output identity for
-representative experiments, the §IV fidelity plan, and the schema-2
-bench document.
+representative experiments, and the §IV fidelity plan.
 """
 
 import pathlib
@@ -135,51 +134,3 @@ class TestFidelityPlan:
         for model in ALL_MODELS:
             assert set(verdicts[model.name]) == set(PROBED_OBSERVATIONS)
 
-
-class TestBenchSchema3:
-    def test_reps_record_variance(self, tmp_path):
-        from repro.exec.bench import BENCH_SCHEMA, run_bench
-
-        from .test_exec import tiny_config
-
-        doc = run_bench(["fig2a"], tiny_config(), reps=2,
-                        cache_dir=str(tmp_path / "cache"))
-        assert doc["schema"] == BENCH_SCHEMA == 3
-        assert doc["reps"] == 2
-        assert doc["events_per_s_stdev"] >= 0.0
-        row = doc["experiments"]["fig2a"]
-        assert row["wall_s_stdev"] >= 0.0
-        assert row["events_per_s_stdev"] >= 0.0
-        # reps > 1 disables the cache: nothing may be written to it.
-        assert not (tmp_path / "cache").exists()
-
-    def test_single_rep_has_zero_stdev(self):
-        from repro.exec.bench import run_bench
-
-        from .test_exec import tiny_config
-
-        doc = run_bench(["fig2a"], tiny_config(), reps=1)
-        assert doc["reps"] == 1
-        assert doc["events_per_s_stdev"] == 0.0
-        assert doc["experiments"]["fig2a"]["wall_s_stdev"] == 0.0
-
-    def test_engine_microbench_rows(self):
-        from repro.exec.bench import ENGINE_MICROBENCHES, run_bench
-
-        from .test_exec import tiny_config
-
-        doc = run_bench(["fig2a"], tiny_config(), reps=1)
-        engine = doc["engine"]
-        assert set(engine) == {name for name, _ in ENGINE_MICROBENCHES}
-        for row in engine.values():
-            assert row["events"] > 0
-            assert row["events_per_s"] > 0.0
-            assert row["events_per_s_stdev"] == 0.0  # single rep
-
-    def test_engine_microbench_counts_are_deterministic(self):
-        from repro.exec.bench import run_engine_microbench
-
-        first = run_engine_microbench()
-        second = run_engine_microbench()
-        assert ({n: r["events"] for n, r in first.items()}
-                == {n: r["events"] for n, r in second.items()})

@@ -1,8 +1,8 @@
-"""Unit tests for simulation resources (Resource, Container, Store)."""
+"""Unit tests for simulation resources (Resource, Container)."""
 
 import pytest
 
-from repro.sim import Container, Resource, SimulationError, Simulator, Store, us
+from repro.sim import Container, Resource, SimulationError, Simulator, us
 
 
 class TestResource:
@@ -171,70 +171,6 @@ class TestContainer:
             tank.put(-1)
         with pytest.raises(SimulationError):
             tank.get(-1)
-
-
-class TestStore:
-    def test_fifo_item_order(self):
-        sim = Simulator()
-        store = Store(sim)
-        for item in [1, 2, 3]:
-            store.put(item)
-        popped = []
-
-        def consumer():
-            for _ in range(3):
-                item = yield store.get()
-                popped.append(item)
-
-        sim.process(consumer())
-        sim.run()
-        assert popped == [1, 2, 3]
-
-    def test_get_blocks_on_empty(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append((sim.now, item))
-
-        def producer():
-            yield sim.timeout(us(4))
-            yield store.put("x")
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert got == [(us(4), "x")]
-
-    def test_bounded_store_blocks_put(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        times = []
-
-        def producer():
-            yield store.put("a")
-            times.append(("a", sim.now))
-            yield store.put("b")
-            times.append(("b", sim.now))
-
-        def consumer():
-            yield sim.timeout(us(7))
-            yield store.get()
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert times == [("a", 0), ("b", us(7))]
-
-    def test_len_reports_queued_items(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put("a")
-        store.put("b")
-        sim.run()
-        assert len(store) == 2
 
 
 class TestStreamFactory:
