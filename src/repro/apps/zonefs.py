@@ -100,11 +100,11 @@ class ZoneFs:
         self.device = device
         self.sim = device.sim
         if stack is None:
-            # Every mount pays host-stack overhead: a bare device target
-            # here used to silently skip submit/complete costs, skewing
-            # any latency measured through the filesystem path. Anything
-            # with ``submit(Command) -> Event`` works — a StorageStack,
-            # a HostSession, or a Tenant (which also stamps its label).
+            # Every mount pays host-stack overhead, so latency measured
+            # through the filesystem path includes submit/complete
+            # costs. Anything with ``submit(Command) -> Event`` works — a
+            # StorageStack, a HostSession, or a Tenant (which also stamps
+            # its label).
             from ..stacks.spdk import SpdkStack
 
             stack = SpdkStack(device)

@@ -51,8 +51,8 @@ class StripedZoneArray:
         self.sim = device.sim
         if stack is None:
             # Same contract as ZoneFs: the array always submits through
-            # a host session so striped I/O pays stack overhead like any
-            # other path; a bare device target here used to skip it.
+            # a host stack so striped I/O pays stack overhead like any
+            # other path.
             from ..stacks.spdk import SpdkStack
 
             stack = SpdkStack(device)

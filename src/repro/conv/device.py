@@ -20,7 +20,7 @@ import pickle
 from collections import OrderedDict
 from typing import Generator, Optional
 
-from ..device.core import PRIO_IO, DeviceCore, DeviceCounters
+from ..device.core import PRIO_IO, DeviceCore
 from ..flash.backend import FlashBackend
 from ..hostif.commands import Command, Opcode
 from ..hostif.namespace import LBA_4K, LbaFormat
@@ -33,7 +33,7 @@ from ..zns.profiles import DeviceProfile
 from .ftl import FtlFullError, PageMappedFtl
 from .gc import GcPolicy, GcStats
 
-__all__ = ["ConvDevice", "DeviceCounters", "PRIO_GC_URGENT"]
+__all__ = ["ConvDevice", "PRIO_GC_URGENT"]
 
 #: GC only activates below the low free-space watermark, where it must
 #: outrank user traffic at the dies or the (buffer-deep) backlog of user
@@ -41,6 +41,11 @@ __all__ = ["ConvDevice", "DeviceCounters", "PRIO_GC_URGENT"]
 #: what collapses user throughput during GC bursts (Fig. 6a) and stretches
 #: read tails to hundreds of milliseconds (Observation #11).
 PRIO_GC_URGENT = -1
+
+#: Victim blocks GC processes concurrently. Real FTLs pipeline GC
+#: deeply; this is what piles relocation traffic onto the dies in front
+#: of user reads (the §III-F conventional read tails).
+GC_WINDOW = 16
 
 #: Preconditioned FTLs kept per process (see :meth:`ConvDevice.precondition`),
 #: least recently used evicted first. One entry is a pickle of a few MiB.
@@ -59,8 +64,6 @@ class ConvDevice(DeviceCore):
         profile: DeviceProfile,
         lba_format: LbaFormat = LBA_4K,
         streams: Optional[StreamFactory] = None,
-        gc_policy: Optional[GcPolicy] = None,
-        gc_window: int = 16,
         gc_priority: int = PRIO_GC_URGENT,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -69,7 +72,7 @@ class ConvDevice(DeviceCore):
     ):
         #: Factory spares per die for bad-block remapping — reserved only
         #: when the plan can actually fail erases, so fault-free (and
-        #: erase-fault-free) runs keep the exact historical block pools.
+        #: erase-fault-free) runs keep every block in the user pool.
         spares = 2 if faults is not None and faults.erase_faults_enabled else 0
         self.ftl = PageMappedFtl(profile.geometry, profile.overprovision,
                                  spare_blocks_per_die=spares)
@@ -91,7 +94,7 @@ class ConvDevice(DeviceCore):
         self._pending_flushes: list = []
         self._gc_victim_counter = self.metrics.counter("gc.victims_erased")
         self._gc_copy_counter = self.metrics.counter("gc.pages_copied")
-        self.gc_policy = gc_policy or GcPolicy(
+        self.gc_policy = GcPolicy(
             profile.gc_low_watermark, profile.gc_high_watermark
         )
         self.gc_stats = GcStats()
@@ -101,12 +104,6 @@ class ConvDevice(DeviceCore):
         #: Free blocks only GC may allocate from — guarantees relocation
         #: destinations so GC can always make forward progress.
         self._gc_reserve = profile.geometry.total_dies
-        #: Victim blocks processed concurrently. Real FTLs pipeline GC
-        #: deeply; this is what piles relocation traffic onto the dies in
-        #: front of user reads (the §III-F conventional read tails).
-        if gc_window < 1:
-            raise ValueError(f"gc_window must be >= 1, got {gc_window}")
-        self.gc_window = gc_window
         #: Die-scheduling priority of GC traffic; PRIO_GC_URGENT by
         #: default (see module note). The ablation benchmarks set this to
         #: PRIO_IO to demonstrate the starvation failure mode.
@@ -419,7 +416,7 @@ class ConvDevice(DeviceCore):
             while True:
                 # Keep the victim pipeline full while below the stop mark.
                 while (
-                    len(active) < self.gc_window
+                    len(active) < GC_WINDOW
                     and not self.gc_policy.should_stop(self.ftl.free_fraction)
                 ):
                     victim = self.ftl.pick_victim(exclude=self._gc_inflight_blocks)

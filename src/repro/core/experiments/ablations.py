@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...conv.device import PRIO_IO
+from ...device.core import PRIO_IO
 from ...flash.geometry import FlashGeometry
 from ...sim.engine import ms
 from ...stacks.spdk import SpdkStack

@@ -99,7 +99,7 @@ def _age_runtime_ns(config: ExperimentConfig) -> int:
 
 def _wear_columns(device) -> tuple[int, int]:
     """(max erase count, retired-zone census) for a row's wear columns."""
-    injector = getattr(device, "faults", None)
+    injector = device.faults
     if injector is None:
         return 0, 0
     retired = sum(

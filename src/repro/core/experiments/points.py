@@ -19,10 +19,9 @@ points out over worker processes and cache them individually:
 serial, parallel, cached and traced runs all execute the same per-point
 code and emit byte-identical tables.
 
-The zone state-machine sweeps (obs9, fig5a, fig5b) historically shared
-one device across occupancy levels; they were decomposed into per-level
-points using device state snapshot/restore and per-point seed salts (see
-:mod:`.state_machine`).
+The zone state-machine sweeps (obs9, fig5a, fig5b) run one point per
+occupancy level, using device state snapshot/restore and per-point seed
+salts (see :mod:`.state_machine`).
 
 Payload protocol (everything JSON-able, so payloads can be cached and
 shipped across process boundaries losslessly)::

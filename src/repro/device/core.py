@@ -3,8 +3,7 @@
 The paper's central comparison runs a ZNS device (ZN540) and a
 conventional device (SN640) with *the same hardware* under identical
 host stacks; the simulated models mirror that by sharing one controller
-pipeline. :class:`DeviceCore` owns everything the two models used to
-duplicate:
+pipeline. :class:`DeviceCore` owns everything the two models share:
 
 * the **controller front-end** (single-server resource + per-command
   service time + jitter) and its trace spans,
@@ -21,8 +20,8 @@ duplicate:
 :class:`~repro.conv.device.ConvDevice` are specializations holding only
 what genuinely differs: the zone state machine + firmware management
 engine on one side, the page-mapped FTL + garbage collector on the
-other. ``DeviceCounters`` (and the priority constants) continue to be
-re-exported from both historical module paths.
+other. Host stacks, tenants and workloads are typed against
+:class:`DeviceCore` and read its attributes directly.
 """
 
 from __future__ import annotations
@@ -72,10 +71,9 @@ class IoShape(NamedTuple):
 class DeviceCounters:
     """Completion accounting, backed by a :class:`MetricsRegistry`.
 
-    Historically this held plain dicts; the registry is now the single
-    source of truth and the dict-style attributes (``completed``,
-    ``errors``, ``bytes_written``, ``bytes_read``) are read-only views
-    kept for the existing callers and tests.
+    The registry is the single source of truth; the dict-style
+    attributes (``completed``, ``errors``, ``bytes_written``,
+    ``bytes_read``) are read-only views of it.
     """
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
@@ -131,6 +129,10 @@ class DeviceCore:
 
     #: Trace-process name prefix; subclasses override ("zns" / "conv").
     kind = "device"
+    #: The zone manager of a zoned model; ``None`` marks a conventional
+    #: namespace (host stacks, tenants and the conformance driver branch
+    #: on it).
+    zones = None
 
     def __init__(
         self,
@@ -262,12 +264,25 @@ class DeviceCore:
             self._shape_cache[(opcode, nlb)] = shape
         return shape
 
-    def _controller_service(self, service_ns: int, cid: int = 0) -> Generator:
+    def _controller_service(self, service_ns: int, cid: int = 0,
+                            admit=None, open_ns: int = 0) -> Generator:
+        """Hold the controller for one jittered service time.
+
+        ``admit``, when given, runs once the controller is granted and
+        before the jitter draw; it returns ``(status, opened, ...)``,
+        which this generator returns, and ``open_ns`` is added to the
+        service when the admission succeeded and opened a zone.
+        """
         traced = self.tracer.enabled
         queued_at = self.sim.now if traced else 0
         req = self.controller.request(PRIO_IO)
         yield req
         granted_at = self.sim.now if traced else 0
+        admitted = None
+        if admit is not None:
+            admitted = admit()
+            if admitted[0].ok and admitted[1]:
+                service_ns += open_ns
         yield self.sim.timeout(self._io_jitter.jitter(service_ns))
         self.controller.release(req)
         if traced:
@@ -276,6 +291,7 @@ class DeviceCore:
                                  granted_at, track="controller", cid=cid)
             self.tracer.span("controller", "controller.service", granted_at,
                              self.sim.now, track="controller", cid=cid)
+        return admitted
 
     # -------------------------------------------------------------- flushing
     def _flush_page_to_die(self, die: int, cancel: list | None = None,
@@ -353,10 +369,7 @@ class DeviceCore:
         """Monotonic ``*.busy_ns`` totals as ``(keys, totals)``, the keys
         fixed per device; the sampler emits each as a ``*.busy_frac`` of
         the window. ``totals`` may be the live list: copy it to keep it."""
-        backend = getattr(self, "backend", None)
-        if backend is None:
-            return (), []
-        busy = backend._die_busy_ns
+        busy = self.backend._die_busy_ns
         return _die_busy_keys(len(busy)), busy
 
     def _power_loss_drop(self, target: int) -> tuple[int, int]:

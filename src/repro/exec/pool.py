@@ -14,8 +14,7 @@ A sweep never hangs and never loses more than the one offending point.
 Task / reply protocol (everything picklable and JSON-able)::
 
     task  = {"task_id": int, "experiment_id": str, "params": dict,
-             "config": dict, "collect_metrics": bool,
-             "heartbeat_s": float}                    # 0 → no progress
+             "config": dict, "collect_metrics": bool}
     reply = {"task_id": int, "ok": True, "payload": dict,
              "metrics": dict | None, "telemetry": list | None,
              "elapsed_s": float, "events": int, "attempts": int}
@@ -31,9 +30,11 @@ pool bookkeeping::
     {"task_id": int, "progress": "heartbeat", "pid": int,
      "elapsed_s": float, "events": int}
 
-The heartbeat runs on a worker-side thread sampling the process-wide
-event counter; a lock serializes its pipe writes against the main reply,
-so messages never interleave mid-frame. Heartbeats report liveness only
+Every task yields one ``"started"`` message, then a heartbeat every
+:data:`HEARTBEAT_S` while it runs. The heartbeat runs on a worker-side
+thread sampling the process-wide event counter; a lock serializes its
+pipe writes against the main reply, so messages never interleave
+mid-frame. Heartbeats report liveness only
 — the per-point deadline is not extended by them (a point that is alive
 but over budget is still killed).
 
@@ -57,7 +58,8 @@ from typing import Callable, Optional
 __all__ = [
     "WorkerPool",
     "DEFAULT_POINT_TIMEOUT_S",
-    "DEFAULT_HEARTBEAT_S",
+    "HEARTBEAT_S",
+    "MAX_ATTEMPTS",
     "run_point",
 ]
 
@@ -66,7 +68,11 @@ __all__ = [
 DEFAULT_POINT_TIMEOUT_S = 600.0
 
 #: Interval between worker liveness heartbeats while a point runs.
-DEFAULT_HEARTBEAT_S = 5.0
+HEARTBEAT_S = 5.0
+
+#: Runs of one point before it is reported failed (the first plus one
+#: retry).
+MAX_ATTEMPTS = 2
 
 
 def run_point(plan, config, params: dict, collect_metrics: bool) -> dict:
@@ -129,30 +135,26 @@ def _worker_main(conn: Connection) -> None:
         task_id = task["task_id"]
         started = time.perf_counter()
         events_before = events_total()
-        heartbeat_s = task.get("heartbeat_s") or 0.0
-        stop: Optional[threading.Event] = None
-        beat_thread: Optional[threading.Thread] = None
-        if heartbeat_s > 0:
-            if not send({"task_id": task_id, "progress": "started", "pid": pid}):
-                return
-            stop = threading.Event()
+        if not send({"task_id": task_id, "progress": "started", "pid": pid}):
+            return
+        stop = threading.Event()
 
-            def beat() -> None:
-                while not stop.wait(heartbeat_s):
-                    alive = send({
-                        "task_id": task_id,
-                        "progress": "heartbeat",
-                        "pid": pid,
-                        "elapsed_s": time.perf_counter() - started,
-                        "events": events_total() - events_before,
-                    })
-                    if not alive:
-                        return
+        def beat() -> None:
+            while not stop.wait(HEARTBEAT_S):
+                alive = send({
+                    "task_id": task_id,
+                    "progress": "heartbeat",
+                    "pid": pid,
+                    "elapsed_s": time.perf_counter() - started,
+                    "events": events_total() - events_before,
+                })
+                if not alive:
+                    return
 
-            beat_thread = threading.Thread(
-                target=beat, name="repro-heartbeat", daemon=True
-            )
-            beat_thread.start()
+        beat_thread = threading.Thread(
+            target=beat, name="repro-heartbeat", daemon=True
+        )
+        beat_thread.start()
         try:
             reply = run_point(
                 plans[task["experiment_id"]],
@@ -167,9 +169,8 @@ def _worker_main(conn: Connection) -> None:
                 "error": traceback.format_exc(),
             }
         finally:
-            if stop is not None:
-                stop.set()
-                beat_thread.join(timeout=5)
+            stop.set()
+            beat_thread.join(timeout=5)
         if not send(reply):
             return
 
@@ -209,17 +210,11 @@ class WorkerPool:
     """Fan tasks out over worker processes with timeout/crash recovery."""
 
     def __init__(self, jobs: int, timeout_s: float = DEFAULT_POINT_TIMEOUT_S,
-                 max_attempts: int = 2, mp_context=None,
-                 retry_backoff_s: float = 0.5, max_respawns: int = 8,
-                 heartbeat_s: float = DEFAULT_HEARTBEAT_S):
+                 retry_backoff_s: float = 0.5, max_respawns: int = 8):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.timeout_s = timeout_s
-        self.max_attempts = max_attempts
-        #: Worker liveness-heartbeat interval; ``0`` disables progress
-        #: messages entirely (tasks carry the value to the worker).
-        self.heartbeat_s = heartbeat_s
         #: Base delay before retrying a failed point (doubles per attempt,
         #: plus a small per-task jitter so retries don't restart in
         #: lockstep after a machine-wide stall, e.g. OOM-killer sweeps).
@@ -229,10 +224,8 @@ class WorkerPool:
         #: respawn-thrash forever; past the cap, remaining tasks fail
         #: fast with a clear error instead.
         self.max_respawns = max_respawns
-        if mp_context is None:
-            methods = mp.get_all_start_methods()
-            mp_context = mp.get_context("fork" if "fork" in methods else "spawn")
-        self._ctx = mp_context
+        methods = mp.get_all_start_methods()
+        self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
         self._next_worker_id = 0
 
     def _spawn(self) -> _Worker:
@@ -256,8 +249,6 @@ class WorkerPool:
         """
         if not tasks:
             return {}
-        for task in tasks:
-            task.setdefault("heartbeat_s", self.heartbeat_s)
         pending = list(reversed(tasks))  # pop() serves original order
         attempts: dict[int, int] = {t["task_id"]: 0 for t in tasks}
         replies: dict[int, dict] = {}
@@ -276,7 +267,7 @@ class WorkerPool:
         def fail(task: dict, error: str) -> None:
             tid = task["task_id"]
             attempts[tid] += 1
-            if attempts[tid] < self.max_attempts:
+            if attempts[tid] < MAX_ATTEMPTS:
                 # Exponential backoff plus deterministic per-task jitter:
                 # retries of a transient machine-wide problem shouldn't
                 # all slam back in at the same instant.
@@ -320,7 +311,7 @@ class WorkerPool:
                     # Respawn budget exhausted: fail whatever is left
                     # rather than looping forever with nobody to run it.
                     for task in pending:
-                        attempts[task["task_id"]] = self.max_attempts
+                        attempts[task["task_id"]] = MAX_ATTEMPTS
                         finish(task, {
                             "task_id": task["task_id"], "ok": False,
                             "error": "worker respawn budget exhausted "

@@ -1,20 +1,17 @@
-"""NVMe host interface: commands, status codes, namespaces, queue pairs."""
+"""NVMe host interface: commands, status codes, namespaces."""
 
 from .commands import Command, Completion, Opcode, ZoneAction
 from .namespace import LBA_4K, LBA_512, LbaFormat, Namespace
-from .queuepair import DeviceTarget, QueuePair
 from .status import Status, StatusError
 
 __all__ = [
     "Command",
     "Completion",
-    "DeviceTarget",
     "LBA_4K",
     "LBA_512",
     "LbaFormat",
     "Namespace",
     "Opcode",
-    "QueuePair",
     "Status",
     "StatusError",
     "ZoneAction",

@@ -153,9 +153,9 @@ _MGMT_ACTIONS = {
 class ConformanceDriver:
     """Run the conformance table against one device model.
 
-    ``device_factory`` returns a fresh ``(sim, device)`` pair; the
-    device must expose the ``DeviceCore`` submit API. A ``zones``
-    attribute (the :class:`~repro.zns.statemachine.ZoneManager`) marks
+    ``device_factory`` returns a fresh ``(sim, device)`` pair whose
+    device is a :class:`~repro.device.core.DeviceCore`. A non-``None``
+    ``zones`` (the :class:`~repro.zns.statemachine.ZoneManager`) marks
     it as zoned; without one only namespace-level cases run.
     """
 
@@ -197,7 +197,7 @@ class ConformanceDriver:
     # ------------------------------------------------------------ plumbing
     def _execute(self, name, requires_zones, runner) -> CaseResult:
         sim, device = self.device_factory()
-        if requires_zones and getattr(device, "zones", None) is None:
+        if requires_zones and device.zones is None:
             return CaseResult(
                 name, "skip",
                 "zone arcs do not apply: device has no zone manager "
@@ -209,7 +209,7 @@ class ConformanceDriver:
         except _CaseFailure as failure:
             return CaseResult(name, "fail", str(failure),
                               requires_zones=requires_zones)
-        zones = getattr(device, "zones", None)
+        zones = device.zones
         if zones is not None:
             try:
                 zones.check_invariants()

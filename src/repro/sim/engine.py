@@ -455,7 +455,7 @@ class _ScheduledCall:
 class Simulator:
     """The discrete-event engine: a clock, a ready deque, and a heap."""
 
-    __slots__ = ("now", "_heap", "_ready", "_sequence", "_events", "_tick")
+    __slots__ = ("now", "_heap", "_ready", "_sequence", "_tick")
 
     def __init__(self):
         #: Current simulated time in nanoseconds. A plain attribute (not a
@@ -466,7 +466,6 @@ class Simulator:
         self._heap: list[tuple[int, int, Event]] = []
         self._ready: deque[Event] = deque()
         self._sequence = 0
-        self._events = 0
         self._tick: Optional[Callable[[int], None]] = None
 
     def add_tick_hook(self, hook: Callable[[int], None]) -> None:
@@ -490,11 +489,6 @@ class Simulator:
                 _first(now)
                 _second(now)
             self._tick = chained
-
-    @property
-    def events_processed(self) -> int:
-        """Events dispatched by this simulator so far."""
-        return self._events
 
     # -- factories -------------------------------------------------------
     def event(self) -> Event:
@@ -556,7 +550,6 @@ class Simulator:
             while heap and heap[0][0] == when:
                 ready.append(heappop(heap)[2])
         ready.popleft()._run_callbacks()
-        self._events += 1
         _EVENTS_TOTAL += 1
 
     def run(self, until: Optional[int | Event] = None) -> Any:
@@ -651,7 +644,6 @@ class Simulator:
                 while heap and heap[0][0] == when:
                     append(heappop(heap)[2])
         finally:
-            self._events += dispatched
             _EVENTS_TOTAL += dispatched
         if stop is not None:
             raise SimulationError(

@@ -16,12 +16,14 @@ part of the measured latency, exactly as in the paper's numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..hostif.commands import Command
-from ..hostif.queuepair import DeviceTarget
-from ..obs.tracer import NULL_TRACER
 from ..sim.engine import Event, Simulator
+
+if TYPE_CHECKING:  # import cycle: the device layer pulls in zns → stacks
+    from ..device.core import DeviceCore
 
 __all__ = ["StackStats", "StorageStack", "UnsupportedOperation"]
 
@@ -52,7 +54,7 @@ class StorageStack:
 
     name = "base"
 
-    def __init__(self, device: DeviceTarget, submit_overhead_ns: int,
+    def __init__(self, device: DeviceCore, submit_overhead_ns: int,
                  complete_overhead_ns: int):
         self.device = device
         self.sim: Simulator = device.sim
@@ -60,9 +62,8 @@ class StorageStack:
         self.complete_overhead_ns = complete_overhead_ns
         self.stats = StackStats()
         # Share the device's tracer so host-side spans land in the same
-        # timeline as the device's command spans (NULL_TRACER when the
-        # device model doesn't carry one).
-        self.tracer = getattr(device, "tracer", NULL_TRACER)
+        # timeline as the device's command spans.
+        self.tracer = device.tracer
 
     # -- protocol -----------------------------------------------------------
     def submit(self, command: Command) -> Event:
@@ -84,7 +85,7 @@ class StorageStack:
             # The device assigns the command's trace id in submit(); read
             # it back immediately (single-threaded, deterministic) so
             # host-side spans correlate with the device's spans.
-            cid = getattr(self.device, "last_cid", 0)
+            cid = self.device.last_cid
             self.tracer.span("host", f"{self.name}.submit", entered,
                              self.sim.now, track="host", cid=cid,
                              opcode=command.opcode.value)

@@ -12,13 +12,15 @@ zone-management commands — use SPDK for those (paper §III-A).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..hostif.commands import Command, Opcode
-from ..hostif.queuepair import DeviceTarget
 from ..sim.engine import Event
 from .base import StorageStack, UnsupportedOperation
 from .scheduler import MqDeadlineScheduler
+
+if TYPE_CHECKING:
+    from ..device.core import DeviceCore
 
 __all__ = ["IoUringStack"]
 
@@ -26,7 +28,7 @@ __all__ = ["IoUringStack"]
 class IoUringStack(StorageStack):
     name = "io_uring"
 
-    def __init__(self, device: DeviceTarget, scheduler: Optional[str] = "none",
+    def __init__(self, device: DeviceCore, scheduler: Optional[str] = "none",
                  max_merge_bytes: Optional[int] = None):
         super().__init__(device, submit_overhead_ns=1_230, complete_overhead_ns=600)
         if scheduler in (None, "none"):

@@ -17,13 +17,14 @@ Reads and zone-management commands pass straight through.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..hostif.commands import Command, Completion, Opcode
-from ..hostif.queuepair import DeviceTarget
-from ..obs.tracer import NULL_TRACER
 from ..sim.engine import Event, Simulator
 from .base import StackStats
+
+if TYPE_CHECKING:
+    from ..device.core import DeviceCore
 
 __all__ = ["MqDeadlineScheduler"]
 
@@ -39,7 +40,7 @@ class MqDeadlineScheduler:
     #: Added host latency per request (paper: "1.85 µs out of 14.47 µs").
     overhead_ns = 1_850
 
-    def __init__(self, device: DeviceTarget, stats: StackStats,
+    def __init__(self, device: DeviceCore, stats: StackStats,
                  max_merge_bytes: int = DEFAULT_MAX_MERGE_BYTES):
         if max_merge_bytes <= 0:
             raise ValueError("max_merge_bytes must be positive")
@@ -47,7 +48,7 @@ class MqDeadlineScheduler:
         self.sim: Simulator = device.sim
         self.stats = stats
         self.max_merge_bytes = max_merge_bytes
-        self.tracer = getattr(device, "tracer", NULL_TRACER)
+        self.tracer = device.tracer
         self._queues: dict[Optional[int], deque[tuple[Command, Event]]] = {}
         self._dispatching: set[Optional[int]] = set()
 
@@ -66,7 +67,7 @@ class MqDeadlineScheduler:
 
     # -- internals ----------------------------------------------------------
     def _zone_key(self, command: Command) -> Optional[int]:
-        zones = getattr(self.device, "zones", None)
+        zones = self.device.zones
         if zones is None:
             return None
         zone = zones.zone_containing(command.slba)

@@ -14,10 +14,14 @@ with SPDK".
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..hostif.commands import Command, Opcode
-from ..hostif.queuepair import DeviceTarget
 from ..sim.engine import Event
 from .base import StorageStack, UnsupportedOperation
+
+if TYPE_CHECKING:
+    from ..device.core import DeviceCore
 
 __all__ = ["SpdkStack"]
 
@@ -25,11 +29,11 @@ __all__ = ["SpdkStack"]
 class SpdkStack(StorageStack):
     name = "spdk"
 
-    def __init__(self, device: DeviceTarget, enforce_write_serialization: bool = True):
+    def __init__(self, device: DeviceCore, enforce_write_serialization: bool = True):
         super().__init__(device, submit_overhead_ns=360, complete_overhead_ns=200)
         self.enforce_write_serialization = enforce_write_serialization
         self._inflight_zone_writes: dict[int, int] = {}
-        self._zones = getattr(device, "zones", None)
+        self._zones = device.zones
 
     def _zone_index_for(self, command: Command):
         if command.opcode is not Opcode.WRITE or self._zones is None:

@@ -29,10 +29,14 @@ included) — unlike io_uring, which cannot issue appends.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..hostif.commands import Command
-from ..hostif.queuepair import DeviceTarget
 from ..sim.resources import Resource
 from .base import StorageStack
+
+if TYPE_CHECKING:
+    from ..device.core import DeviceCore
 
 __all__ = ["ThreadPoolStack"]
 
@@ -49,7 +53,7 @@ DEFAULT_THREADS = 4
 class ThreadPoolStack(StorageStack):
     name = "thrpool"
 
-    def __init__(self, device: DeviceTarget, num_threads: int = DEFAULT_THREADS):
+    def __init__(self, device: DeviceCore, num_threads: int = DEFAULT_THREADS):
         if num_threads <= 0:
             raise ValueError(f"num_threads must be positive, got {num_threads}")
         super().__init__(device, submit_overhead_ns=ENQUEUE_NS + DISPATCH_NS,
@@ -74,7 +78,7 @@ class ThreadPoolStack(StorageStack):
             target = self.device.submit(command)
             cid = 0
             if traced:
-                cid = getattr(self.device, "last_cid", 0)
+                cid = self.device.last_cid
                 self.tracer.span("host", f"{self.name}.submit", entered,
                                  self.sim.now, track="host", cid=cid,
                                  opcode=command.opcode.value)

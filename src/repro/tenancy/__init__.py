@@ -16,11 +16,11 @@ and latency SLO. This package owns that tier:
 * :class:`ResetStorm` — the fig7-style antagonist as a tenant workload
   (back-to-back resets of refilled zones inside the tenant's partition).
 
-Workloads run *within* a tenant context: :class:`~repro.workload.runner
-.JobRunner` accepts ``tenant=`` and the LSM serving workload
-(:mod:`repro.apps.lsm`) threads every command through the tenant's
-stack, so completions, errors, and SLO violations are attributed to the
-issuing tenant all the way down to telemetry columns.
+Workloads run *within* a tenant context: :class:`ResetStorm` and the
+LSM serving workload (:mod:`repro.apps.lsm`) thread every command
+through the tenant's stack, so completions, errors, and SLO violations
+are attributed to the issuing tenant all the way down to telemetry
+columns.
 """
 
 from .scheduler import ResetStorm, TenantResult, TenantScheduler, partition_zones

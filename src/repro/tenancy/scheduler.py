@@ -9,9 +9,9 @@ the *owning* tenant's name (so a report can say "tenant A's read failed
 in tenant B's zone").
 
 Workloads are anything with ``start() -> Event`` (the event fires when
-the workload is done): :class:`~repro.workload.runner.JobRunner` in a
-tenant context, :class:`~repro.apps.lsm.LsmWorkload`, or the
-:class:`ResetStorm` antagonist below.
+the workload is done) that account through their tenant:
+:class:`~repro.apps.lsm.LsmWorkload` or the :class:`ResetStorm`
+antagonist below.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ its accounting is plain arithmetic on simulated-time observations.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from ..hostif.status import Status
 from ..obs.metrics import DEFAULT_LATENCY_BUCKETS_NS
 from ..sim.engine import Event
 from ..workload.stats import LatencyStats
+
+if TYPE_CHECKING:
+    from ..device.core import DeviceCore
 
 __all__ = ["HostSession", "Tenant"]
 
@@ -41,7 +44,7 @@ class HostSession:
     paper's reference stack for interference runs).
     """
 
-    def __init__(self, device, stack=None):
+    def __init__(self, device: DeviceCore, stack=None):
         if stack is None:
             from ..stacks.spdk import SpdkStack
 
@@ -64,7 +67,7 @@ class Tenant(HostSession):
     tracing and failure reports can attribute work to it.
     """
 
-    def __init__(self, device, name: str, zones=None, stack=None,
+    def __init__(self, device: DeviceCore, name: str, zones=None, stack=None,
                  index: int = 0, seed: int = 0,
                  slo_p99_ns: Optional[int] = None):
         super().__init__(device, stack)
@@ -98,12 +101,8 @@ class Tenant(HostSession):
         # on — the same contract as the workload runner's job metrics,
         # so default runs pay nothing and telemetry runs get per-tenant
         # columns (``tenant.<name>.*``) for free.
-        metrics = (
-            getattr(device, "metrics", None)
-            if getattr(device, "observing", False)
-            else None
-        )
-        if metrics is not None:
+        if device.observing:
+            metrics = device.metrics
             prefix = f"tenant.{name}"
             self._ops_counter = metrics.counter(f"{prefix}.ops")
             self._bytes_counter = metrics.counter(f"{prefix}.bytes")
@@ -143,12 +142,7 @@ class Tenant(HostSession):
 
     # -- accounting ------------------------------------------------------
     def record(self, completion: Completion, nbytes: int = 0) -> None:
-        """Account one successful serving-path completion.
-
-        Callers must not rely on the completion being retained — the
-        tenant reads the latency and drops the reference, preserving the
-        runner's completion-recycling contract.
-        """
+        """Account one successful serving-path completion."""
         latency_ns = completion.latency_ns
         self.ops += 1
         self.bytes += nbytes
@@ -169,7 +163,7 @@ class Tenant(HostSession):
             self._error_counter.inc()
         if slba is None:
             return
-        zones = getattr(self.device, "zones", None)
+        zones = self.device.zones
         if zones is None:
             return
         zone = zones.zone_containing(slba)

@@ -10,7 +10,7 @@ from .patterns import (
     ZoneWriteCursor,
 )
 from .ratelimit import RatePacer
-from .runner import JobResult, JobRunner, ResetSweep
+from .runner import JobResult, JobRunner
 from .stats import LatencyStats, TimeSeries
 from .trace import Trace, TraceRecord, TraceReplayer, synthetic_trace
 
@@ -26,7 +26,6 @@ __all__ = [
     "RandomReadPattern",
     "RangePattern",
     "RatePacer",
-    "ResetSweep",
     "TimeSeries",
     "Trace",
     "TraceRecord",

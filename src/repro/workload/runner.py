@@ -15,7 +15,7 @@ latencies are recorded separately (used by Fig. 7).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator
+from typing import TYPE_CHECKING, Generator
 
 import numpy as np
 
@@ -34,7 +34,10 @@ from .patterns import (
 from .ratelimit import RatePacer
 from .stats import LatencyStats, TimeSeries
 
-__all__ = ["JobResult", "JobRunner", "ResetSweep"]
+if TYPE_CHECKING:  # import cycle: the device layer pulls in zns → workload
+    from ..device.core import DeviceCore
+
+__all__ = ["JobResult", "JobRunner"]
 
 #: Default bucketing of throughput-over-time series.
 DEFAULT_TS_INTERVAL_NS = 50_000_000  # 50 ms
@@ -76,30 +79,17 @@ class JobResult:
 
 
 class JobRunner:
-    """Runs one JobSpec within a host session.
+    """Runs one JobSpec against a device through one host stack.
 
-    The runner no longer assumes it owns the device: it executes inside
-    a session — either an explicit :class:`~repro.tenancy.Tenant`
-    (``tenant=``), whose stack, labels, and accounting it uses, or the
-    anonymous single-tenant session implied by a ``(device, stack)``
-    pair (the historical calling convention, byte-identical to the
-    pre-tenancy runner). Multiple runners in tenant contexts can share
-    one device concurrently; completions, errors, and SLO violations
-    are attributed to the issuing tenant.
+    Several runners may share one device concurrently (fig6's writer and
+    reader, the aging experiment's reclaim writer). Workloads that need
+    per-tenant attribution drive a :class:`~repro.tenancy.Tenant`
+    directly instead (:class:`~repro.tenancy.ResetStorm`,
+    :class:`~repro.apps.lsm.LsmWorkload`).
     """
 
-    def __init__(self, device=None, stack=None, job: JobSpec = None,
-                 ts_interval_ns: int = DEFAULT_TS_INTERVAL_NS,
-                 tenant=None):
-        if tenant is not None:
-            device = device if device is not None else tenant.device
-            stack = stack if stack is not None else tenant.stack
-        if device is None or stack is None or job is None:
-            raise ValueError(
-                "JobRunner needs a job plus either a tenant session or "
-                "an explicit device/stack pair"
-            )
-        self.tenant = tenant
+    def __init__(self, device: DeviceCore, stack, job: JobSpec,
+                 ts_interval_ns: int = DEFAULT_TS_INTERVAL_NS):
         self.device = device
         self.stack = stack
         self.job = job
@@ -116,16 +106,9 @@ class JobRunner:
         # ``--metrics`` / ``repro profile`` see workload-level aggregates
         # alongside the device-internal ones. Only when observability was
         # requested — default runs must not pay per-op histogram updates.
-        metrics = (
-            getattr(device, "metrics", None)
-            if getattr(device, "observing", False)
-            else None
-        )
+        metrics = device.metrics if device.observing else None
         if metrics is not None:
-            prefix = (
-                f"tenant.{tenant.name}.{job.name}" if tenant is not None
-                else f"workload.{job.name}"
-            )
+            prefix = f"workload.{job.name}"
             self._ops_counter = metrics.counter(f"{prefix}.ops")
             self._bytes_counter = metrics.counter(f"{prefix}.bytes")
             self._latency_hist = metrics.histogram(
@@ -141,27 +124,17 @@ class JobRunner:
         # runs would change their (pinned, pre-telemetry) table output.
         self._reset_counter = (
             metrics.counter(f"{prefix}.resets")
-            if metrics is not None and getattr(device, "telemetry", None) is not None
+            if metrics is not None and device.telemetry is not None
             else None
         )
         # Host-side resilience policy (DESIGN.md §12): armed only when the
         # device runs with fault injection, so fault-free runs keep the
         # exact event sequence (and RNG draws) of the plain submit loop.
-        injector = getattr(device, "faults", None)
+        injector = device.faults
         self._fault_plan = injector.plan if injector is not None else None
-        # The submission path is the session's: a tenant stamps its
-        # label and routes through its own stack instance; the anonymous
-        # session is the bare stack (the historical fast path).
-        self._submit = (
-            tenant.submit if tenant is not None else self.stack.submit
-        )
-        always_metrics = getattr(device, "metrics", None)
-        if self._fault_plan is not None and always_metrics is not None:
-            self._timeout_counter = always_metrics.counter("host.timeouts")
-            self._retry_counter = always_metrics.counter("host.retries")
-        else:
-            self._timeout_counter = None
-            self._retry_counter = None
+        if self._fault_plan is not None:
+            self._timeout_counter = device.metrics.counter("host.timeouts")
+            self._retry_counter = device.metrics.counter("host.retries")
 
     # -- orchestration ------------------------------------------------------
     def start(self) -> Event:
@@ -222,7 +195,7 @@ class JobRunner:
         sim = self.sim
         end_ns = self._end_ns
         next_target = pattern.next_target
-        submit = self._submit
+        submit = self.stack.submit
         is_append = isinstance(pattern, ZoneAppendCursor)
         while sim.now < end_ns:
             command, reset_zone = next_target()
@@ -269,7 +242,7 @@ class JobRunner:
         sim = self.sim
         attempts = 0
         while True:
-            target = self._submit(command)
+            target = self.stack.submit(command)
             if plan.command_timeout_ns is not None:
                 timer = sim.timeout(plan.command_timeout_ns)
                 yield sim.any_of([target, timer])
@@ -278,10 +251,7 @@ class JobRunner:
                     errors = self.result.errors
                     aborted = Status.COMMAND_ABORTED
                     errors[aborted] = errors.get(aborted, 0) + 1
-                    if self.tenant is not None:
-                        self.tenant.record_error(aborted, command.slba)
-                    if self._timeout_counter is not None:
-                        self._timeout_counter.inc()
+                    self._timeout_counter.inc()
                     # The device cannot revoke in-flight NAND work, so the
                     # abort drains the straggler before the slot moves on:
                     # reusing the zone/slot immediately would violate the
@@ -300,8 +270,7 @@ class JobRunner:
                 return completion
             attempts += 1
             self.result.retries += 1
-            if self._retry_counter is not None:
-                self._retry_counter.inc()
+            self._retry_counter.inc()
             yield sim.timeout(plan.retry_backoff_ns << (attempts - 1))
             command.submitted_at = -1
 
@@ -313,19 +282,14 @@ class JobRunner:
         self._resetting.add(zone_id)
         try:
             zslba = self.device.zones.zones[zone_id].zslba
-            command = Command(Opcode.ZONE_MGMT, slba=zslba, action=ZoneAction.RESET,
-                              tenant=self.tenant.name if self.tenant else None)
+            command = Command(Opcode.ZONE_MGMT, slba=zslba, action=ZoneAction.RESET)
             completion = yield self.device.submit(command)
             if completion.ok:
                 self.result.resets += 1
                 if self._reset_counter is not None:
                     self._reset_counter.inc()
-                measured = self.sim.now >= self._ramp_end_ns
-                if measured:
+                if self.sim.now >= self._ramp_end_ns:
                     self.result.reset_latency.record(completion.latency_ns)
-                if self.tenant is not None:
-                    self.tenant.record_reset(
-                        completion.latency_ns if measured else None)
                 # Only a *successful* reset rewinds the write pointer;
                 # clearing the cursor's reservations for a zone that was
                 # never reset would let appends overshoot its capacity.
@@ -334,8 +298,6 @@ class JobRunner:
             else:
                 errors = self.result.errors
                 errors[completion.status] = errors.get(completion.status, 0) + 1
-                if self.tenant is not None:
-                    self.tenant.record_error(completion.status, zslba)
         finally:
             self._resetting.discard(zone_id)
 
@@ -343,9 +305,6 @@ class JobRunner:
         if not completion.ok:
             errors = self.result.errors
             errors[completion.status] = errors.get(completion.status, 0) + 1
-            if self.tenant is not None:
-                self.tenant.record_error(completion.status,
-                                         completion.command.slba)
             return
         if self.sim.now < self._ramp_end_ns:
             return
@@ -353,56 +312,8 @@ class JobRunner:
         self.result.bytes += self.job.block_size
         self.result.latency.record(completion.latency_ns)
         self.result.timeseries.record(self.sim.now, self.job.block_size)
-        if self.tenant is not None:
-            self.tenant.record(completion, self.job.block_size)
         if self._ops_counter is not None:
             self._ops_counter.inc()
             self._bytes_counter.inc(self.job.block_size)
             self._latency_hist.observe(completion.latency_ns)
 
-
-class ResetSweep:
-    """A dedicated reset thread: resets pre-filled zones back to back.
-
-    Used by the §III-E occupancy sweeps and the §III-G interference
-    benchmark ("one thread solely for issuing reset operations").
-    """
-
-    def __init__(self, device, zone_ids):
-        self.device = device
-        self.sim: Simulator = device.sim
-        self.zone_ids = list(zone_ids)
-        self.latency = LatencyStats()
-        #: Failed resets, keyed by status. A reset can legitimately fail
-        #: under fault injection (e.g. the zone was retired to OFFLINE),
-        #: so failures are recorded rather than raised — the sweep keeps
-        #: going and the caller inspects ``errors`` afterwards.
-        self.errors: dict[Status, int] = {}
-        #: The same failures with zone attribution: zone id -> status ->
-        #: count. Multi-tenant SLO reports resolve the zone back to its
-        #: owning tenant, so a failed reset names the offending tenant
-        #: instead of disappearing into an aggregate.
-        self.errors_by_zone: dict[int, dict[Status, int]] = {}
-
-    def start(self) -> Event:
-        return self.sim.process(self._run())
-
-    def run(self) -> LatencyStats:
-        self.sim.run(until=self.start())
-        return self.latency
-
-    def _run(self) -> Generator:
-        for zone_id in self.zone_ids:
-            zslba = self.device.zones.zones[zone_id].zslba
-            command = Command(Opcode.ZONE_MGMT, slba=zslba, action=ZoneAction.RESET)
-            completion = yield self.device.submit(command)
-            if not completion.ok:
-                self.errors[completion.status] = (
-                    self.errors.get(completion.status, 0) + 1
-                )
-                per_zone = self.errors_by_zone.setdefault(zone_id, {})
-                per_zone[completion.status] = (
-                    per_zone.get(completion.status, 0) + 1
-                )
-                continue
-            self.latency.record(completion.latency_ns)

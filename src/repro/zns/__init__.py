@@ -1,7 +1,7 @@
 """The simulated ZNS SSD: zones, state machine, profiles, device model."""
 
 from .calibrate import PAPER_ANCHORS, Anchor, AnchorResult, measure_anchors
-from .device import PRIO_IO, PRIO_MGMT, DeviceCounters, ZnsDevice
+from .device import ZnsDevice
 from .ftl import ZoneStriping
 from .inference import InterferenceReport, infer_zone_groups
 from .profiles import DeviceProfile, sn640, zn540, zn540_small
@@ -20,11 +20,8 @@ __all__ = [
     "measure_anchors",
     "InterferenceReport",
     "infer_zone_groups",
-    "DeviceCounters",
     "DeviceProfile",
     "OPEN_STATES",
-    "PRIO_IO",
-    "PRIO_MGMT",
     "WRITABLE_STATES",
     "Zone",
     "ZoneManager",

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-# DeviceCounters/PRIO_* are re-exported from their historical home here.
-from ..device.core import PRIO_IO, PRIO_MGMT, DeviceCore, DeviceCounters, IoShape
+from ..device.core import PRIO_IO, PRIO_MGMT, DeviceCore, IoShape
 from ..flash.backend import FlashBackend
 from ..hostif.commands import Command, Opcode, ZoneAction
 from ..hostif.namespace import LBA_4K, LbaFormat
@@ -47,7 +46,7 @@ from .spec import ZoneState
 from .statemachine import ZoneManager
 from .zone import Zone
 
-__all__ = ["ZnsDevice", "DeviceCounters", "PRIO_IO", "PRIO_MGMT"]
+__all__ = ["ZnsDevice"]
 
 #: Telemetry column per zone state, in the census's (declaration) order.
 _CENSUS_KEYS = tuple(f"zones.{state.value}" for state in ZoneState)
@@ -385,23 +384,11 @@ class ZnsDevice(DeviceCore):
             return self._complete(command, status, cid=cid)
         self._inflight_writes[zone.index] = self._inflight_writes.get(zone.index, 0) + 1
         try:
-            traced = self.tracer.enabled
-            queued_at = self.sim.now if traced else 0
-            req = self.controller.request(PRIO_IO)
-            yield req
-            granted_at = self.sim.now if traced else 0
-            status, opened = self.zones.admit_write(zone, command.slba, command.nlb)
-            service = shape.service_ns
-            if status.ok and opened:
-                service += self.profile.implicit_open_write_ns
-            yield self.sim.timeout(self._io_jitter.jitter(service))
-            self.controller.release(req)
-            if traced:
-                if granted_at > queued_at:
-                    self.tracer.span("queue", "controller.wait", queued_at,
-                                     granted_at, track="controller", cid=cid)
-                self.tracer.span("controller", "controller.service", granted_at,
-                                 self.sim.now, track="controller", cid=cid)
+            status, _ = yield from self._controller_service(
+                shape.service_ns, cid,
+                lambda: self.zones.admit_write(zone, command.slba, command.nlb),
+                self.profile.implicit_open_write_ns,
+            )
             if not status.ok:
                 return self._complete(command, status, cid=cid)
             yield from self._admit(zone.index, shape, cid, "write.admit")
@@ -419,25 +406,11 @@ class ZnsDevice(DeviceCore):
         if not status.ok:
             yield from self._controller_service(shape.service_ns, cid)
             return self._complete(command, status, cid=cid)
-        traced = self.tracer.enabled
-        queued_at = self.sim.now if traced else 0
-        req = self.controller.request(PRIO_IO)
-        yield req
-        granted_at = self.sim.now if traced else 0
-        status, opened, assigned = self.zones.admit_append(
-            zone, command.slba, command.nlb
+        status, _, assigned = yield from self._controller_service(
+            shape.service_ns, cid,
+            lambda: self.zones.admit_append(zone, command.slba, command.nlb),
+            self.profile.implicit_open_append_ns,
         )
-        service = shape.service_ns
-        if status.ok and opened:
-            service += self.profile.implicit_open_append_ns
-        yield self.sim.timeout(self._io_jitter.jitter(service))
-        self.controller.release(req)
-        if traced:
-            if granted_at > queued_at:
-                self.tracer.span("queue", "controller.wait", queued_at,
-                                 granted_at, track="controller", cid=cid)
-            self.tracer.span("controller", "controller.service", granted_at,
-                             self.sim.now, track="controller", cid=cid)
         if not status.ok:
             return self._complete(command, status, cid=cid)
         yield from self._admit(zone.index, shape, cid, "append.admit")

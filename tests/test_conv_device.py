@@ -261,7 +261,7 @@ class TestGarbageCollectionBehaviour:
 
 class TestBuildConvDevice:
     def test_carries_every_config_hook(self):
-        from repro.conv.device import PRIO_IO
+        from repro.device import PRIO_IO
         from repro.core.experiments.common import (
             ExperimentConfig,
             build_conv_device,

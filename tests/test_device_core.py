@@ -9,16 +9,12 @@ representative experiments, and the §IV fidelity plan.
 import pathlib
 
 from repro.conv import ConvDevice
-from repro.conv.device import DeviceCounters as ConvCounters
 from repro.core import ExperimentConfig
 from repro.core.experiments.points import assemble, experiment_plans
-from repro.device import DeviceCore, DeviceCounters
-from repro.device.core import PRIO_IO as CORE_PRIO_IO
+from repro.device import DeviceCore
 from repro.hostif import Command, Opcode
 from repro.sim import ms
 from repro.zns import ZnsDevice
-from repro.zns.device import PRIO_IO as ZNS_PRIO_IO
-from repro.zns.device import DeviceCounters as ZnsCounters
 
 from .test_conv_device import make_conv
 from .util import make_device, run_cmd, run_experiment, write
@@ -35,11 +31,6 @@ def golden_config():
 
 
 class TestSharedCore:
-    def test_one_counters_definition_reexported(self):
-        assert ZnsCounters is DeviceCounters
-        assert ConvCounters is DeviceCounters
-        assert ZNS_PRIO_IO is CORE_PRIO_IO
-
     def test_models_are_core_specializations(self):
         assert issubclass(ZnsDevice, DeviceCore)
         assert issubclass(ConvDevice, DeviceCore)

@@ -325,6 +325,25 @@ class TestWorkerPool:
         assert sorted(replies) == list(range(5))
         assert all(r["ok"] and r["attempts"] == 1 for r in replies.values())
 
+    def test_every_task_reports_started_with_worker_pid(self, failure_plans):
+        pool = WorkerPool(jobs=2)
+        tasks = [
+            {"task_id": i, "experiment_id": "failing",
+             "params": {"mode": "ok"}, "config": config_fields(tiny_config()),
+             "collect_metrics": False}
+            for i in range(3)
+        ]
+        started = {}
+
+        def on_progress(task, message):
+            if message["progress"] == "started":
+                started[task["task_id"]] = message["pid"]
+
+        pool.run(tasks, on_progress=on_progress)
+        assert sorted(started) == [0, 1, 2]
+        assert all(isinstance(pid, int) and pid != os.getpid()
+                   for pid in started.values())
+
     def test_empty_task_list(self):
         assert WorkerPool(jobs=2).run([]) == {}
 

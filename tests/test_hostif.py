@@ -10,14 +10,10 @@ from repro.hostif import (
     LbaFormat,
     Namespace,
     Opcode,
-    QueuePair,
     Status,
     StatusError,
     ZoneAction,
 )
-from repro.sim import us
-
-from .util import make_device, write
 
 
 class TestLbaFormat:
@@ -105,61 +101,3 @@ class TestStatus:
         err = StatusError(Status.ZONE_IS_FULL, "zone 3")
         assert err.status is Status.ZONE_IS_FULL
         assert "zone 3" in str(err)
-
-
-class TestQueuePair:
-    def test_depth_validation(self):
-        _, dev = make_device()
-        with pytest.raises(ValueError):
-            QueuePair(dev, depth=0)
-
-    def test_qd1_serializes_submissions(self):
-        sim, dev = make_device()
-        qp = QueuePair(dev, depth=1)
-        done = []
-
-        def issuer(slba):
-            cpl = yield from qp.submit(write(slba, 1))
-            done.append((sim.now, cpl.command.slba))
-
-        sim.process(issuer(0))
-        sim.process(issuer(1))
-        sim.run()
-        assert len(done) == 2
-        # Second command waited for the first's completion slot.
-        assert done[1][0] > done[0][0]
-        assert qp.submitted == qp.completed == 2
-
-    def test_higher_depth_allows_overlap(self):
-        sim, dev = make_device()
-        zone = dev.zones.zones[0]
-        qp = QueuePair(dev, depth=4)
-        t_done = []
-
-        def issuer():
-            yield from qp.submit(
-                Command(Opcode.APPEND, slba=zone.zslba, nlb=1))
-            t_done.append(sim.now)
-
-        for _ in range(4):
-            sim.process(issuer())
-        sim.run()
-        # All four were in flight together: total elapsed is far below
-        # 4x the single-command latency through a QD1 pair.
-        assert max(t_done) < 4 * us(16)
-
-    def test_latency_measured_from_sq_entry(self):
-        sim, dev = make_device()
-        qp = QueuePair(dev, depth=1)
-        latencies = []
-
-        def issuer(slba):
-            cpl = yield from qp.submit(write(slba, 1))
-            latencies.append(cpl.latency_ns)
-
-        sim.process(issuer(0))
-        sim.process(issuer(1))
-        sim.run()
-        # The queued command's latency excludes its QD wait (§III-B
-        # measures submission-queue entry to completion).
-        assert latencies[1] < 1.5 * latencies[0]

@@ -20,8 +20,6 @@ from repro.tenancy import (
     TenantScheduler,
     partition_zones,
 )
-from repro.workload.job import JobSpec
-from repro.workload.runner import JobRunner
 from repro.zns import ZoneState
 
 from .util import make_device, quiet_profile, run_experiment
@@ -137,24 +135,11 @@ class TestTenantScheduler:
         # victim's command failed inside owner's zone 1.
         zone1 = dev.zones.zones[1]
         victim.record_error(Status.ZONE_IS_READ_ONLY, zone1.zslba)
-        job = JobSpec(op="append", block_size=4096, runtime_ns=us(30),
-                      zones=[0])
-        scheduler.add_workload(victim, JobRunner(tenant=victim, job=job))
+        scheduler.add_workload(victim, ResetStorm(victim, until_ns=us(30)))
         rows = scheduler.run()
         assert rows[0].tenant == "victim"
+        assert rows[0].resets > 0
         assert rows[0].errors_by_owner == {"owner": 1}
-
-    def test_job_runner_in_tenant_context(self):
-        sim, dev = make_device()
-        tenant = Tenant(dev, "t0", zones=[0, 1], slo_p99_ns=1)
-        job = JobSpec(op="append", block_size=4096, runtime_ns=us(100),
-                      zones=[0, 1])
-        runner = JobRunner(tenant=tenant, job=job)
-        result = runner.run()
-        # Completions feed both the job result and the tenant accounting.
-        assert result.ops > 0
-        assert tenant.ops == result.ops
-        assert tenant.slo_violations == tenant.ops  # 1 ns SLO
 
 
 class TestResetStorm:

@@ -14,7 +14,6 @@ from repro.workload import (
     LatencyStats,
     Pattern,
     RatePacer,
-    ResetSweep,
     TimeSeries,
     ZoneAppendCursor,
     ZoneWriteCursor,
@@ -265,37 +264,6 @@ class TestJobRunner:
         result = JobRunner(dev, stack, job).run()
         assert stack.stats.merge_fraction > 0.5
         assert result.kiops > 186  # above the unmerged per-command cap
-
-
-class TestResetSweep:
-    def test_sweep_resets_and_records(self):
-        sim, dev = make_device()
-        for z in range(4):
-            dev.force_fill(z, dev.zones.zones[z].cap_lbas // 2)
-        sweep = ResetSweep(dev, range(4))
-        latencies = sweep.run()
-        assert latencies.count == 4
-        assert all(
-            z.state.value == "empty" for z in dev.zones.zones[:4]
-        )
-
-    def test_sweep_records_failures(self):
-        # A reset that fails (e.g. the zone was retired OFFLINE by fault
-        # injection) is recorded in ``errors`` and the sweep continues —
-        # raising would abort a whole occupancy sweep over one dead zone.
-        sim, dev = make_device()
-        dev.force_fill(1, dev.zones.zones[1].cap_lbas // 2)
-        dev.zones.zones[0].state = __import__(
-            "repro.zns", fromlist=["ZoneState"]
-        ).ZoneState.OFFLINE
-        sweep = ResetSweep(dev, [0, 1])
-        latencies = sweep.run()
-        assert latencies.count == 1  # zone 1 still reset fine
-        assert sum(sweep.errors.values()) == 1
-        # Per-zone attribution: the failure names zone 0, and only it —
-        # a multi-tenant SLO report resolves the zone to its owner.
-        assert list(sweep.errors_by_zone) == [0]
-        assert sum(sweep.errors_by_zone[0].values()) == 1
 
 
 class TestRunnerResetFailure:

@@ -220,6 +220,7 @@ class TestZoneManagement:
             zone = dev.zones.zones[zone_index]
             dev.force_fill(zone_index, round(zone.cap_lbas * fraction))
             cpl = run_cmd(sim, dev, mgmt(zone.zslba, ZoneAction.RESET))
+            assert zone.state is ZoneState.EMPTY and zone.wp == zone.zslba
             latencies.append(cpl.latency_ns)
         assert latencies == sorted(latencies)
         assert latencies[-1] == pytest.approx(ms(16.19), rel=0.01)
