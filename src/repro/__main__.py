@@ -17,14 +17,14 @@ Commands
 ``observations`` run the experiments needed for the 13 observations and
                  report which reproduce (Table I); points fan out over
                  ``--jobs`` workers and replay from ``--cache``
-``fidelity``     run the §IV emulator-fidelity matrix (one point per
-                 latency model, through the same ``--jobs``/``--cache``
-                 engine)
 ``cache``        manage the point-result cache (``cache prune`` deletes
                  entries orphaned by code changes)
 ``faults``       inspect fault-injection profiles (``faults list`` shows
                  the built-in presets accepted by ``run --faults``)
-``list``         list available experiment ids
+``list``         list available experiment ids, including the auxiliary
+                 ``sec4`` (the §IV emulator-fidelity matrix, one point
+                 per latency model), which ``run`` executes only when
+                 named: ``repro run sec4``
 """
 
 from __future__ import annotations
@@ -169,17 +169,6 @@ def main(argv: list[str] | None = None) -> int:
     obs_parser.add_argument("--no-cache", action="store_true",
                             help="recompute every point; neither read nor "
                                  "write the cache")
-    fidelity_parser = sub.add_parser(
-        "fidelity", help="run the emulator-fidelity matrix (§IV)")
-    fidelity_parser.add_argument("--jobs", "-j", type=int, default=1,
-                                 help="worker processes (one point per "
-                                      "latency model; default 1)")
-    fidelity_parser.add_argument("--cache", metavar="DIR",
-                                 default=".repro_cache",
-                                 help="point-result cache directory "
-                                      "(default %(default)s)")
-    fidelity_parser.add_argument("--no-cache", action="store_true",
-                                 help="recompute every model probe")
     cache_parser = sub.add_parser(
         "cache", help="manage the point-result cache")
     cache_sub = cache_parser.add_subparsers(dest="cache_command",
@@ -208,8 +197,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "list":
         from .core.experiments.points import experiment_plans
 
-        for exp_id in experiment_plans():
-            print(exp_id)
+        default = experiment_plans()
+        for exp_id in experiment_plans(auxiliary=True):
+            print(exp_id if exp_id in default
+                  else f"{exp_id}  (auxiliary: run only when named)")
         return 0
 
     if args.command == "run":
@@ -368,18 +359,6 @@ def main(argv: list[str] | None = None) -> int:
         print()
         print(table1(checks))
         return 0 if all(c.passed for c in checks) else 1
-
-    if args.command == "fidelity":
-        from .exec import execute_experiments
-
-        config = _config_from_args(args)
-        results, _report = execute_experiments(
-            ["sec4"], config, jobs=args.jobs,
-            cache_dir=None if args.no_cache else args.cache,
-            progress=lambda message: print(message, file=sys.stderr),
-        )
-        print(results["sec4"].table())
-        return 0
 
     if args.command == "cache":
         from .exec.cache import ResultCache

@@ -103,8 +103,7 @@ class ZoneFs:
             # Every mount pays host-stack overhead, so latency measured
             # through the filesystem path includes submit/complete
             # costs. Anything with ``submit(Command) -> Event`` works — a
-            # StorageStack, a HostSession, or a Tenant (which also stamps
-            # its label).
+            # StorageStack or a Tenant (which also stamps its label).
             from ..stacks.spdk import SpdkStack
 
             stack = SpdkStack(device)

@@ -2,6 +2,6 @@
 
 from .device import ConvDevice
 from .ftl import Block, FtlFullError, PageMappedFtl
-from .gc import GcPolicy, GcStats
+from .gc import GcPolicy
 
-__all__ = ["Block", "ConvDevice", "FtlFullError", "GcPolicy", "GcStats", "PageMappedFtl"]
+__all__ = ["Block", "ConvDevice", "FtlFullError", "GcPolicy", "PageMappedFtl"]

@@ -31,7 +31,7 @@ from ..sim.engine import Simulator
 from ..sim.rng import StreamFactory
 from ..zns.profiles import DeviceProfile
 from .ftl import FtlFullError, PageMappedFtl
-from .gc import GcPolicy, GcStats
+from .gc import GcPolicy
 
 __all__ = ["ConvDevice", "PRIO_GC_URGENT"]
 
@@ -97,7 +97,6 @@ class ConvDevice(DeviceCore):
         self.gc_policy = GcPolicy(
             profile.gc_low_watermark, profile.gc_high_watermark
         )
-        self.gc_stats = GcStats()
         self._gc_wakeup = sim.event()
         self._space_freed = sim.event()
         self._gc_running = False
@@ -132,33 +131,10 @@ class ConvDevice(DeviceCore):
         levels["gc.inflight_blocks"] = len(self._gc_inflight_blocks)
         return levels
 
-    def age(self, epochs: int, churn_erases: int = 4) -> int:
-        """Fast-forward ``epochs`` "days" of GC/write churn as wear.
-
-        The conventional-FTL counterpart of :meth:`ZnsDevice.age`: every
-        erase block gains 1..2×``churn_erases`` cycles per epoch, drawn
-        deterministically from the ``"aging"`` stream, so wear-curve
-        failure rates (and eventually bad-block remaps) start from an
-        aged baseline. A no-op when no fault plan is armed. Returns 0
-        (conv blocks retire through GC erase failures, not thresholds).
-        """
-        if epochs <= 0 or self.faults is None:
-            return 0
-        injector = self.faults
-        rng = self._streams.stream("aging")
-        blocks = self.ftl.blocks
-        wears = [injector.wear.unit(block.block_id) for block in blocks]
-        for _ in range(epochs):
-            erases = rng.integers(
-                1, 2 * churn_erases + 1, size=len(blocks)
-            ).tolist()
-            for wear, count in zip(wears, erases):
-                wear.erase_count += count
-                wear.reads_since_erase = 0
-        high = max(wear.erase_count for wear in wears)
-        if high > injector.max_erase_count.value:
-            injector.max_erase_count.set(high)
-        return 0
+    def _wear_unit_ids(self) -> list[int]:
+        # Aged erase blocks start wear-curve failure rates (and eventually
+        # bad-block remaps) from an aged baseline.
+        return [block.block_id for block in self.ftl.blocks]
 
     def precondition(self, utilization: float = 1.0,
                      steady_state_churn: float = 0.0, seed: int = 99) -> None:
@@ -409,9 +385,8 @@ class ConvDevice(DeviceCore):
                 self._gc_wakeup = self.sim.event()
             self._gc_running = True
             run_started = self.sim.now
-            victims_before = self.gc_stats.victims_erased
-            copied_before = self.gc_stats.pages_copied
-            self.gc_stats.start_run(self.sim.now)
+            victims_before = self._gc_victim_counter.value
+            copied_before = self._gc_copy_counter.value
             active: list = []
             while True:
                 # Keep the victim pipeline full while below the stop mark.
@@ -428,12 +403,11 @@ class ConvDevice(DeviceCore):
                     break
                 yield self.sim.any_of(active)
                 active = [p for p in active if p.is_alive]
-            self.gc_stats.end_run(self.sim.now)
             if self.tracer.enabled:
                 self.tracer.span(
                     "gc", "gc.run", run_started, self.sim.now, track="gc",
-                    victims=self.gc_stats.victims_erased - victims_before,
-                    pages_copied=self.gc_stats.pages_copied - copied_before,
+                    victims=self._gc_victim_counter.value - victims_before,
+                    pages_copied=self._gc_copy_counter.value - copied_before,
                 )
             self._gc_running = False
 
@@ -453,7 +427,6 @@ class ConvDevice(DeviceCore):
                 )
             if copies:
                 yield self.sim.all_of(copies)
-                self.gc_stats.pages_copied += len(copies)
                 self._gc_copy_counter.inc(len(copies))
             wear = (self.backend.faults.wear.unit(victim.block_id)
                     if self.backend.faults is not None else None)
@@ -476,7 +449,6 @@ class ConvDevice(DeviceCore):
                     freed = False
             else:
                 self.ftl.erase(victim)
-                self.gc_stats.victims_erased += 1
                 self._gc_victim_counter.inc()
             if self.tracer.enabled:
                 self.tracer.span("gc", "gc.victim", started, self.sim.now,

@@ -1,4 +1,4 @@
-"""Garbage-collection policy and accounting for the conventional SSD.
+"""Garbage-collection policy for the conventional SSD.
 
 Greedy victim selection with watermark hysteresis: GC starts when the
 free-block fraction drops below the low watermark and runs until the high
@@ -9,9 +9,9 @@ device — the behaviour Fig. 6 contrasts with ZNS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["GcPolicy", "GcStats"]
+__all__ = ["GcPolicy"]
 
 
 @dataclass(frozen=True)
@@ -33,23 +33,3 @@ class GcPolicy:
 
     def should_stop(self, free_fraction: float) -> bool:
         return free_fraction >= self.high_watermark
-
-
-@dataclass
-class GcStats:
-    """Counters describing GC activity over a run."""
-
-    activations: int = 0
-    victims_erased: int = 0
-    pages_copied: int = 0
-    busy_ns: int = 0
-    _run_started_at: int = field(default=-1, repr=False)
-
-    def start_run(self, now: int) -> None:
-        self.activations += 1
-        self._run_started_at = now
-
-    def end_run(self, now: int) -> None:
-        if self._run_started_at >= 0:
-            self.busy_ns += now - self._run_started_at
-            self._run_started_at = -1

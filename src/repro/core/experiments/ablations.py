@@ -185,7 +185,7 @@ def _gc_priority_point(config: ExperimentConfig, params: dict) -> dict:
     return {"rows": [{
         "gc_priority": label,
         "write_mean_mibs": float(np.mean(values)) if len(values) else 0.0,
-        "gc_pages_copied": device.gc_stats.pages_copied,
+        "gc_pages_copied": device.metrics.counter("gc.pages_copied").value,
         "ftl_stalls": "yes" if stalled else "no",
     }]}
 

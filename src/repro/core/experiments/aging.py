@@ -8,7 +8,7 @@ climb with per-block erase counts until the firmware retires the unit.
 This experiment exercises the wear model end to end, in three parts:
 
 * **Age sweep** — a fresh device is fast-forwarded through multi-"day"
-  epochs of background churn (:meth:`Device.age`: deterministic wear
+  epochs of background churn (:meth:`DeviceCore.age`: deterministic wear
   replay on the dedicated ``aging`` RNG stream, no simulated time),
   then the same append+read workload is measured at each age. With a
   wear curve armed (``--faults wearout``), program/erase retries climb
@@ -212,8 +212,7 @@ def _interference_point(config: ExperimentConfig, params: dict) -> dict:
                            kind="serve")
     scheduler.add_workload(
         reclaim,
-        ResetStorm(reclaim, runtime, refill="write",
-                   append_chunk=64 * KIB, pace_ns=us(20)),
+        ResetStorm(reclaim, runtime, append_chunk=64 * KIB, pace_ns=us(20)),
         kind="reclaim",
     )
     rows = []

@@ -83,8 +83,7 @@ def _one_mode(config: ExperimentConfig, mode: str) -> list[dict]:
     if mode == "reset-storm":
         reclaim = Tenant(device, "reclaim", zones=parts[-1],
                          index=config.fleet_tenants, seed=config.seed)
-        storm = ResetStorm(reclaim, runtime, refill="write",
-                           pace_ns=us(200))
+        storm = ResetStorm(reclaim, runtime, pace_ns=us(200))
         scheduler.add_workload(reclaim, storm, kind="reclaim")
 
     rows = []

@@ -122,9 +122,9 @@ def experiment_plans(auxiliary: bool = False) -> dict[str, ExperimentPlan]:
     default ``repro run`` suite — today the §IV emulator-fidelity
     matrix (``sec4``), which sweeps latency *models* rather than device
     workloads. The execution engine resolves ids against the auxiliary
-    registry so ``repro fidelity`` shares the cache/worker machinery,
+    registry so ``repro run sec4`` shares the cache/worker machinery,
     while the default id list (and default ``repro run`` output) stays
-    the 19 paper experiments.
+    the paper experiments.
     """
     from .ablations import (
         ABLATION_APPEND_COST_PLAN,

@@ -48,6 +48,10 @@ PRIO_MGMT = 10
 #: Power-loss handling preempts everything else queued at the controller.
 PRIO_PANIC = -100
 
+#: One fast-forward aging epoch adds 1..2× this many erase cycles to
+#: every wear unit (:meth:`DeviceCore.age`).
+AGING_CHURN_ERASES = 4
+
 
 @lru_cache(maxsize=None)
 def _die_busy_keys(dies: int) -> tuple[str, ...]:
@@ -350,6 +354,55 @@ class DeviceCore:
             self.tracer.span("fault", "power_loss_recovery", start,
                              self.sim.now, track="controller")
         self.controller.release(req)
+
+    # ----------------------------------------------------------------- wear
+    def age(self, epochs: int) -> int:
+        """Fast-forward ``epochs`` "days" of wear without simulating them.
+
+        Each epoch replays one day of churn deterministically from the
+        dedicated ``"aging"`` RNG stream: every wear unit (a zone, or an
+        erase block on the conventional FTL) gains
+        1..2×``AGING_CHURN_ERASES`` erase cycles (uneven by design — real
+        fleets don't wear uniformly) and its read-disturb exposure
+        resets, as an erase would in-run. Only the *erase odometer*
+        carries over — scattered program failures during background
+        churn are transient (the firmware already handled them), so they
+        do not feed the in-run failure-retirement ladder. The model then
+        applies its erase-count retirement (:meth:`_retire_aged`). A
+        no-op (zero draws, zero state change) when no fault plan is
+        armed, so fault-free output stays byte-identical. Returns the
+        number of units retired by the call.
+
+        Draw counts are fixed per epoch (one vector draw) and
+        independent of unit state, so aging is bit-reproducible per
+        (seed, salt, epochs) at any ``--jobs`` (DESIGN.md §17).
+        """
+        if epochs <= 0 or self.faults is None:
+            return 0
+        injector = self.faults
+        rng = self._streams.stream("aging")
+        wears = [injector.wear.unit(key) for key in self._wear_unit_ids()]
+        for _ in range(epochs):
+            erases = rng.integers(
+                1, 2 * AGING_CHURN_ERASES + 1, size=len(wears)
+            ).tolist()
+            for wear, count in zip(wears, erases):
+                wear.erase_count += count
+                wear.reads_since_erase = 0
+        high = max(wear.erase_count for wear in wears)
+        if high > injector.max_erase_count.value:
+            injector.max_erase_count.set(high)
+        return self._retire_aged(wears)
+
+    def _wear_unit_ids(self) -> list[int]:
+        """Wear-ledger keys :meth:`age` advances, in draw order (model hook)."""
+        raise NotImplementedError
+
+    def _retire_aged(self, wears: list) -> int:
+        """Apply erase-count retirement after :meth:`age` (model hook);
+        returns the units retired. Conventional blocks retire through GC
+        erase failures instead, so the default retires none."""
+        return 0
 
     # ------------------------------------------------------------ telemetry
     def _telemetry_levels(self) -> dict:

@@ -293,7 +293,7 @@ def _fold(result: ExperimentResult, config, payloads: list) -> None:
 
 
 #: Registered as an *auxiliary* experiment ("sec4"): resolvable by the
-#: execution engine (``repro fidelity --jobs/--cache``) without joining
-#: the default ``repro run`` suite.
+#: execution engine (``repro run sec4``) without joining the default
+#: ``repro run`` suite.
 FIDELITY_PLAN = ExperimentPlan("sec4", _plan_points, _run_point, _describe,
                                fold=_fold)

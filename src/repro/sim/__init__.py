@@ -4,7 +4,6 @@ from .engine import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -21,7 +20,6 @@ __all__ = [
     "AnyOf",
     "Container",
     "Event",
-    "Interrupt",
     "LatencySampler",
     "Process",
     "Resource",

@@ -34,9 +34,16 @@ Waiter storage: an event's waiters live in a single ``_cb`` slot holding
 plain callable or a :class:`Process` stored *directly* — the dispatch
 loop recognizes the class and resumes the generator inline, so the
 overwhelmingly common wait shape (one process blocked on one timeout)
-costs no bound-method allocation and no intermediate Python call. Code
-that needs the historical list semantics uses :meth:`Event.add_callback`
-/ :meth:`Event.remove_callback` (DESIGN.md §15).
+costs no bound-method allocation and no intermediate Python call.
+Every other waiter is attached through :meth:`Event.add_callback`, which
+keeps that packed form (DESIGN.md §15).
+
+Dispatch: :meth:`Simulator.run` is the only code that dispatches an
+event, so it is also the one place that checks failures. A failed
+event hands its exception to its waiters; a failed :class:`Process`
+that nothing waits on (and that is not the ``run(until=...)`` target)
+makes ``run`` raise :class:`SimulationError`, chained to the original
+exception, instead of dropping it.
 
 Allocation discipline: every event is a fresh object that lives exactly
 as long as something references it; the engine keeps no freelists, so
@@ -60,7 +67,6 @@ __all__ = [
     "Process",
     "AnyOf",
     "AllOf",
-    "Interrupt",
     "SimulationError",
     "Simulator",
     "events_total",
@@ -98,18 +104,6 @@ def sec(value: float) -> int:
 
 class SimulationError(RuntimeError):
     """Raised for invalid uses of the simulation kernel."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    The ``cause`` attribute carries the value supplied to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -156,21 +150,6 @@ class Event:
         return self._value
 
     # -- waiters ---------------------------------------------------------
-    @property
-    def callbacks(self) -> list:
-        """The waiters attached to this event (a snapshot list).
-
-        Kept for introspection; mutate through :meth:`add_callback` /
-        :meth:`remove_callback`, which maintain the packed single-slot
-        representation the dispatch loop relies on.
-        """
-        cb = self._cb
-        if cb is None:
-            return []
-        if cb.__class__ is list:
-            return list(cb)
-        return [cb]
-
     def add_callback(self, callback: Any) -> None:
         """Attach a waiter: a callable taking the event, or a Process."""
         cb = self._cb
@@ -180,16 +159,6 @@ class Event:
             cb.append(callback)
         else:
             self._cb = [cb, callback]
-
-    def remove_callback(self, callback: Any) -> None:
-        """Detach a waiter; raises ValueError if it is not attached."""
-        cb = self._cb
-        if cb.__class__ is list:
-            cb.remove(callback)
-        elif cb is callback or (cb is not None and cb == callback):
-            self._cb = None
-        else:
-            raise ValueError(f"{callback!r} is not waiting on {self!r}")
 
     # -- triggering ------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
@@ -211,25 +180,6 @@ class Event:
         self._triggered = True
         self.sim._ready.append(self)
         return self
-
-    def _run_callbacks(self) -> None:
-        # Out-of-loop dispatch (step(), tests). Simulator.run inlines this.
-        self._processed = True
-        cb = self._cb
-        if cb is None:
-            return
-        self._cb = None
-        cls = cb.__class__
-        if cls is Process:
-            cb._resume(self)
-        elif cls is list:
-            for entry in cb:
-                if entry.__class__ is Process:
-                    entry._resume(self)
-                else:
-                    entry(self)
-        else:
-            cb(self)
 
 
 class Timeout(Event):
@@ -262,10 +212,11 @@ class Process(Event):
     A process is itself an event that fires when the generator returns
     (successfully, with the generator's return value) or raises (failed
     with the exception). ``yield``-ing a process therefore waits for its
-    completion.
+    completion; a process that fails with nothing waiting on it makes
+    :meth:`Simulator.run` raise.
     """
 
-    __slots__ = ("generator", "_waiting_on", "_name", "_send")
+    __slots__ = ("generator", "_name", "_send")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         # Event.__init__ inlined: one Process per command/flush makes this
@@ -278,7 +229,6 @@ class Process(Event):
         self._processed = False
         self.generator = generator
         self._name = name
-        self._waiting_on: Optional[Event] = None
         self._send = generator.send
         # Bootstrap: resume the generator at the current time.
         sim._wake(self)
@@ -293,48 +243,14 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a
-        process blocked on an event detaches it from that event first.
-        """
-        if self._triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        target = self._waiting_on
-        if target is not None:
-            try:
-                target.remove_callback(self)
-            except ValueError:
-                pass
-            self._waiting_on = None
-        self.sim._wake(lambda _: self._throw(Interrupt(cause)))
-
     # -- internal --------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        # One resume per yield. Simulator.run inlines this body for the
-        # single-waiter case; this method serves multi-waiter lists and
-        # step().
-        self._waiting_on = None
-        if event._exception is not None:
+        # Simulator.run inlines this for a lone Process waiter; this
+        # serves Processes in a multi-waiter list.
+        if event._exception is None:
+            self._advance(self._send, event._value)
+        else:
             self._advance(self.generator.throw, event._exception)
-            return
-        try:
-            target = self._send(event._value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as error:  # noqa: BLE001 - propagate into event
-            self.fail(error)
-            return
-        if target.__class__ is Timeout and not target._processed:
-            self._waiting_on = target
-            if target._cb is None:
-                target._cb = self
-            else:
-                target.add_callback(self)
-            return
-        self._block_on(target)
 
     def _block_on(self, target: Any) -> None:
         """Wait on a non-Timeout yield target (the run loop calls this)."""
@@ -343,15 +259,9 @@ class Process(Event):
             return
         if target._processed:
             # Already completed: resume immediately (same timestep).
-            self._waiting_on = self.sim._wake(
-                self, target._value, target._exception
-            )
+            self.sim._wake(self, target._value, target._exception)
         else:
             target.add_callback(self)
-            self._waiting_on = target
-
-    def _throw(self, exc: BaseException) -> None:
-        self._advance(self.generator.throw, exc)
 
     def _advance(self, step: Callable, arg: Any) -> None:
         try:
@@ -433,25 +343,6 @@ class AllOf(_Condition):
             self.succeed(self._collect())
 
 
-class _ScheduledCall:
-    """Deferred zero-argument call bound to a result event (see
-    :meth:`Simulator.schedule`)."""
-
-    __slots__ = ("handle", "callback")
-
-    def __init__(self, handle: Event, callback: Callable[[], Any]):
-        self.handle = handle
-        self.callback = callback
-
-    def __call__(self, _event: Event) -> None:
-        try:
-            value = self.callback()
-        except BaseException as error:  # noqa: BLE001 - delivered to waiters
-            self.handle.fail(error)
-        else:
-            self.handle.succeed(value)
-
-
 class Simulator:
     """The discrete-event engine: a clock, a ready deque, and a heap."""
 
@@ -460,8 +351,7 @@ class Simulator:
     def __init__(self):
         #: Current simulated time in nanoseconds. A plain attribute (not a
         #: property) because every model layer reads it on the hot path;
-        #: treat it as read-only — only :meth:`run` and :meth:`step`
-        #: advance it.
+        #: treat it as read-only — only :meth:`run` advances it.
         self.now = 0
         self._heap: list[tuple[int, int, Event]] = []
         self._ready: deque[Event] = deque()
@@ -510,57 +400,29 @@ class Simulator:
         return AllOf(self, events)
 
     # -- scheduling ------------------------------------------------------
-    def _wake(self, waiter: Any, value: Any = None,
-              exception: Optional[BaseException] = None) -> Event:
-        """An already-triggered event resuming ``waiter`` (a callable or a
-        Process) at the current time."""
+    def _wake(self, process: "Process", value: Any = None,
+              exception: Optional[BaseException] = None) -> None:
+        """Queue an already-triggered event resuming ``process`` at the
+        current time."""
         event = Event(self)
         event._value = value
         event._exception = exception
         event._triggered = True
-        event._cb = waiter
+        event._cb = process
         self._ready.append(event)
-        return event
-
-    def schedule(self, delay: int, callback: Callable[[], Any]) -> Event:
-        """Run ``callback`` after ``delay`` nanoseconds.
-
-        The returned event fires with the callback's return value, or —
-        if the callback raises — fails via :meth:`Event.fail`, so the
-        error reaches whoever waits on the handle instead of unwinding
-        the dispatch loop mid-step with half the timestep unprocessed.
-        """
-        handle = Event(self)
-        self.timeout(delay).add_callback(_ScheduledCall(handle, callback))
-        return handle
 
     # -- execution -------------------------------------------------------
-    def step(self) -> None:
-        """Process the single next event."""
-        global _EVENTS_TOTAL
-        heap = self._heap
-        ready = self._ready
-        if not ready:
-            if not heap:
-                raise SimulationError("no scheduled events")
-            # Advance the clock exactly as run() does.
-            when = self.now = heap[0][0]
-            if self._tick is not None:
-                self._tick(when)
-            while heap and heap[0][0] == when:
-                ready.append(heappop(heap)[2])
-        ready.popleft()._run_callbacks()
-        _EVENTS_TOTAL += 1
-
     def run(self, until: Optional[int | Event] = None) -> Any:
         """Run until the heap empties, a deadline passes, or an event fires.
 
         ``until`` may be an absolute time in nanoseconds or an
-        :class:`Event`; when an event is given its value is returned.
+        :class:`Event`; when an event is given its value is returned (or
+        its exception raised). A failed :class:`Process` that nothing
+        waits on raises :class:`SimulationError` from its exception.
         """
-        # This loop is the hottest code in the package (about half of all
-        # Python time), so it inlines event dispatch — Event._run_callbacks
-        # plus Process._resume — once. Dispatch semantics, in order:
+        # This is the only code that dispatches an event, and the hottest
+        # code in the package (about half of all Python time), so the
+        # dispatch is inlined here once. Semantics, in order:
         #
         # 1. mark processed, detach the waiter slot;
         # 2. a Process waiter resumes its generator inline — a yielded
@@ -569,7 +431,9 @@ class Simulator:
         #    process onto the ready deque (Event.succeed minus the
         #    already-triggered guard, which cannot fire for a
         #    just-returned generator);
-        # 3. a list fans out in append order; any other waiter is called.
+        # 3. a list fans out in append order; any other waiter is called;
+        # 4. with no waiter, a failed Process other than the ``until``
+        #    target stops the run: nothing else would ever see its error.
         global _EVENTS_TOTAL
         if isinstance(until, Event):
             stop = until
@@ -594,7 +458,6 @@ class Simulator:
                         event._cb = None
                         cls = cb.__class__
                         if cls is Process:
-                            cb._waiting_on = None
                             if event._exception is None:
                                 try:
                                     target = cb._send(event._value)
@@ -607,7 +470,6 @@ class Simulator:
                                 else:
                                     if target.__class__ is Timeout \
                                             and not target._processed:
-                                        cb._waiting_on = target
                                         if target._cb is None:
                                             target._cb = cb
                                         else:
@@ -624,6 +486,12 @@ class Simulator:
                                     entry(event)
                         else:
                             cb(event)
+                    elif event._exception is not None \
+                            and event.__class__ is Process and event is not stop:
+                        raise SimulationError(
+                            f"process {event.name!r} failed with nothing "
+                            f"waiting on it: {event._exception!r}"
+                        ) from event._exception
                     dispatched += 1
                     if event is stop:
                         return stop.value

@@ -75,25 +75,18 @@ class Resource:
         return event
 
     def release(self, request: Event) -> None:
-        """Return a granted slot, or cancel a request that is still queued."""
-        if request._value is self:
-            # Granted and not yet released: hand the slot on, if anyone
-            # waits, without it ever becoming free.
-            request._value = None
-            if self._waiting:
-                for queue in self._levels.values():
-                    if queue:
-                        self._waiting -= 1
-                        queue.popleft().succeed(self)
-                        return
-            self._in_use -= 1
-            return
-        for queue in self._levels.values():
-            if request in queue:
-                queue.remove(request)
-                self._waiting -= 1
-                return
-        raise SimulationError("release() of a request that holds no slot")
+        """Return a granted slot; a request still queued holds none."""
+        if request._value is not self:
+            raise SimulationError("release() of a request that holds no slot")
+        # Hand the slot on, if anyone waits, without it ever becoming free.
+        request._value = None
+        if self._waiting:
+            for queue in self._levels.values():
+                if queue:
+                    self._waiting -= 1
+                    queue.popleft().succeed(self)
+                    return
+        self._in_use -= 1
 
 
 class _ContainerOp(Event):
@@ -109,15 +102,13 @@ class Container:
 
     __slots__ = ("sim", "capacity", "name", "_level", "_puts", "_gets")
 
-    def __init__(self, sim: Simulator, capacity: int, init: int = 0, name: str = ""):
+    def __init__(self, sim: Simulator, capacity: int, name: str = ""):
         if capacity <= 0:
             raise SimulationError("container capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise SimulationError("container init level out of range")
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self._level = init
+        self._level = 0
         self._puts: deque[_ContainerOp] = deque()
         self._gets: deque[_ContainerOp] = deque()
 

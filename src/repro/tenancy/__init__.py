@@ -6,15 +6,14 @@ for is many independent hosts — tenants — sharing one ZNS device or a
 striped array, each with its own host stack, zone partition, workload,
 and latency SLO. This package owns that tier:
 
-* :class:`HostSession` / :class:`Tenant` — one host's view of a shared
-  device: its own stack instance, seeded RNG sub-stream, per-tenant
-  counters/latency stats, SLO-violation accounting, and per-zone error
-  attribution.
+* :class:`Tenant` — one host's view of a shared device: its own stack
+  instance, seeded RNG sub-stream, per-tenant counters/latency stats,
+  SLO-violation accounting, and per-zone error attribution.
 * :class:`TenantScheduler` — runs concurrent tenants against one
   device inside one simulation, maps zones back to their owning tenant,
   and folds each tenant's accounting into a :class:`TenantResult`.
-* :class:`ResetStorm` — the fig7-style antagonist as a tenant workload
-  (back-to-back resets of refilled zones inside the tenant's partition).
+* :class:`ResetStorm` — a reset antagonist as a tenant workload
+  (appends refill zones inside the tenant's partition; resets trail).
 
 Workloads run *within* a tenant context: :class:`ResetStorm` and the
 LSM serving workload (:mod:`repro.apps.lsm`) thread every command
@@ -24,10 +23,9 @@ columns.
 """
 
 from .scheduler import ResetStorm, TenantResult, TenantScheduler, partition_zones
-from .session import HostSession, Tenant
+from .session import Tenant
 
 __all__ = [
-    "HostSession",
     "ResetStorm",
     "Tenant",
     "TenantResult",

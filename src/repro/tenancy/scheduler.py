@@ -161,90 +161,49 @@ class TenantScheduler:
 
 
 class ResetStorm:
-    """The fig7 antagonist as a tenant workload: fill, reset, repeat.
+    """A reset antagonist as a tenant workload: fill, reset, repeat.
 
     Cycles through the tenant's zone partition until ``until_ns``,
-    refilling each zone and resetting it through the tenant's stack.
-    Two refill modes:
-
-    * ``refill="force"`` — metadata-only occupancy (the microbenchmark
-      shortcut fig7 uses: the paper pre-fills its 400 sweep zones out of
-      band). The storm is then *pure* resets, which the calibrated model
-      keeps off the I/O path (Obs #12: I/O latency is unaffected).
-    * ``refill="write"`` — the fleet-realistic mode: the tenant refills
-      with real appends through its own stack, like a WAL/ring-buffer
-      tenant that burns and reclaims zones. Those writes program the
-      shared die stripe, so co-located serving tenants' read tails
-      inflate (the Obs #11 die-backlog mechanism) while this tenant's
-      resets inflate under their I/O (Obs #12/#13) — both directions of
-      the paper's interference story, now attributed per tenant.
+    refilling each zone with real appends through the tenant's own
+    stack and resetting it once full, like a WAL/ring-buffer tenant
+    that burns and reclaims zones. Those writes program the shared die
+    stripe, so co-located serving tenants' read tails inflate (the
+    Obs #11 die-backlog mechanism) while this tenant's resets inflate
+    under their I/O (Obs #12/#13) — both directions of the paper's
+    interference story, attributed per tenant. (fig7's pure-reset
+    microbenchmark pre-fills its zones out of band instead.)
 
     Reset latencies and failures land in the tenant's accounting with
     per-zone attribution.
     """
 
     def __init__(self, tenant: Tenant, until_ns: int,
-                 zone_pool: Optional[list[int]] = None,
-                 refill: str = "force", append_chunk: int = 128 * 1024,
-                 pace_ns: int = 0):
-        if tenant.zones is None and zone_pool is None:
+                 append_chunk: int = 128 * 1024, pace_ns: int = 0):
+        if tenant.zones is None:
             raise ValueError("ResetStorm needs a zone partition")
-        if refill not in ("force", "write"):
-            raise ValueError(f"refill must be 'force' or 'write', got {refill!r}")
         self.tenant = tenant
         self.device = tenant.device
         self.sim = tenant.sim
         self.until_ns = until_ns
-        self.refill = refill
         self.append_chunk = append_chunk
-        #: Gap between refill appends (write mode): paces the tenant's
-        #: write bandwidth at ``append_chunk / pace_ns`` instead of
-        #: letting QD1 admission saturate the device outright.
+        #: Gap between refill appends: paces the tenant's write
+        #: bandwidth at ``append_chunk / pace_ns`` instead of letting
+        #: QD1 admission saturate the device outright.
         self.pace_ns = pace_ns
-        self.zone_pool = list(zone_pool if zone_pool is not None
-                              else tenant.zones)
+        self.zone_pool = list(tenant.zones)
         self._filled: list[int] = []
 
     def start(self) -> Event:
-        if self.refill == "write":
-            # Decoupled producer/consumer: resets serialize on the
-            # firmware engine and stall under co-tenant I/O (Obs #13),
-            # so a fill-then-await-reset loop would spend the whole run
-            # inside one reset and generate no write pressure at all.
-            # A real log tenant keeps writing while reclaim trails.
-            return self.sim.all_of([
-                self.sim.process(self._writer()),
-                self.sim.process(self._resetter()),
-            ])
-        return self.sim.process(self._run())
+        # Decoupled producer/consumer: resets serialize on the firmware
+        # engine and stall under co-tenant I/O (Obs #13), so a
+        # fill-then-await-reset loop would spend the whole run inside
+        # one reset and generate no write pressure at all. A real log
+        # tenant keeps writing while reclaim trails.
+        return self.sim.all_of([
+            self.sim.process(self._writer()),
+            self.sim.process(self._resetter()),
+        ])
 
-    # -- classic microbenchmark mode (fig7): fill is metadata-only --------
-    def _run(self) -> Generator:
-        device = self.device
-        tenant = self.tenant
-        index = 0
-        while self.sim.now < self.until_ns:
-            zone_id = self.zone_pool[index % len(self.zone_pool)]
-            index += 1
-            zone = device.zones.zones[zone_id]
-            status = device.force_fill(zone_id, zone.cap_lbas)
-            if not status.ok:
-                # A retired zone (fault injection) cannot be refilled;
-                # skip it but yield so a fully-retired pool still makes
-                # progress toward the deadline instead of spinning.
-                tenant.record_error(status, zone.zslba)
-                yield self.sim.timeout(us(10))
-                continue
-            completion = yield tenant.submit(
-                Command(Opcode.ZONE_MGMT, slba=zone.zslba,
-                        action=ZoneAction.RESET)
-            )
-            if completion.ok:
-                tenant.record_reset(completion.latency_ns)
-            else:
-                tenant.record_error(completion.status, zone.zslba)
-
-    # -- fleet mode: real writes, reclaim trailing ------------------------
     def _writer(self) -> Generator:
         device = self.device
         tenant = self.tenant

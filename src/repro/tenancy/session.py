@@ -1,13 +1,12 @@
-"""Host sessions and tenants: one host's independent view of a device.
+"""Tenants: one host's independent view of a shared device.
 
-A :class:`HostSession` binds a host stack instance to a (possibly
-shared) device — the thing the workload layer submits through. A
-:class:`Tenant` is a session with an identity: a name, a zone
-partition, a seeded RNG sub-stream, per-tenant counters and latency
-statistics, a latency SLO with live violation accounting, and per-zone
-error attribution. Everything a multi-tenant SLO report needs to say
-*which* tenant suffered and *which* zone (hence which co-tenant) was
-involved lives here.
+A :class:`Tenant` binds its own host stack instance to a (possibly
+shared) device — the thing the workload layer submits through — and
+carries an identity: a name, a zone partition, a seeded RNG sub-stream,
+per-tenant counters and latency statistics, a latency SLO with live
+violation accounting, and per-zone error attribution. Everything a
+multi-tenant SLO report needs to say *which* tenant suffered and
+*which* zone (hence which co-tenant) was involved lives here.
 
 Determinism: a tenant never draws from a shared RNG — its sub-streams
 are derived from ``tenant/<index>/<stream>`` under the root seed so
@@ -30,36 +29,19 @@ from ..workload.stats import LatencyStats
 if TYPE_CHECKING:
     from ..device.core import DeviceCore
 
-__all__ = ["HostSession", "Tenant"]
+__all__ = ["Tenant"]
 
 
-class HostSession:
-    """One host's submission path to a device: its own stack instance.
+class Tenant:
+    """One host's submission path to a device, with a name, a zone
+    partition, an RNG sub-stream, and an SLO.
 
-    The session owns no device state — many sessions share one device —
-    but every command a session issues pays that session's host-stack
-    overhead, exactly like independent hosts each running their own
-    driver stack against a shared namespace. ``stack=None`` builds a
-    private SPDK-like stack (the lowest-overhead configuration, and the
-    paper's reference stack for interference runs).
-    """
-
-    def __init__(self, device: DeviceCore, stack=None):
-        if stack is None:
-            from ..stacks.spdk import SpdkStack
-
-            stack = SpdkStack(device)
-        self.device = device
-        self.sim = device.sim
-        self.stack = stack
-
-    def submit(self, command: Command) -> Event:
-        """Issue a command through this session's stack."""
-        return self.stack.submit(command)
-
-
-class Tenant(HostSession):
-    """A named session with a zone partition, RNG sub-stream, and SLO.
+    The tenant owns no device state — many tenants share one device —
+    but every command it issues pays its own host-stack overhead,
+    exactly like independent hosts each running their own driver stack
+    against a shared namespace. ``stack=None`` builds a private
+    SPDK-like stack (the lowest-overhead configuration, and the paper's
+    reference stack for interference runs).
 
     Workloads running in a tenant context report completions through
     :meth:`record` / :meth:`record_error` / :meth:`record_reset`; the
@@ -70,9 +52,15 @@ class Tenant(HostSession):
     def __init__(self, device: DeviceCore, name: str, zones=None, stack=None,
                  index: int = 0, seed: int = 0,
                  slo_p99_ns: Optional[int] = None):
-        super().__init__(device, stack)
         if not name:
             raise ValueError("a tenant needs a non-empty name")
+        if stack is None:
+            from ..stacks.spdk import SpdkStack
+
+            stack = SpdkStack(device)
+        self.device = device
+        self.sim = device.sim
+        self.stack = stack
         self.name = name
         self.index = index
         self.seed = seed

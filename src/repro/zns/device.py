@@ -213,45 +213,14 @@ class ZnsDevice(DeviceCore):
                 "page flush; run the simulator to exhaustion first"
             )
 
-    def age(self, epochs: int, churn_erases: int = 4) -> int:
-        """Fast-forward ``epochs`` "days" of wear without simulating them.
+    def _wear_unit_ids(self) -> list[int]:
+        return [zone.index for zone in self.zones.zones]
 
-        Each epoch replays one day of reset/write churn deterministically
-        from the dedicated ``"aging"`` RNG stream: every zone gains
-        1..2×``churn_erases`` erase cycles (uneven by design — real fleets
-        don't wear uniformly) and its read-disturb exposure resets, as an
-        erase would in-run. Only the *erase odometer* carries over —
-        scattered program failures during background churn are transient
-        (the firmware already handled them), so they do not feed the
-        in-run failure-retirement ladder. Erase-count retirement
-        thresholds apply exactly as they would in-run, so a heavily aged
-        device boots with some zones already READ_ONLY/OFFLINE. A no-op
-        (zero draws, zero state change) when no fault plan is armed, so
-        fault-free output stays byte-identical. Returns the number of
-        zones retired by the call.
-
-        Draw counts are fixed per epoch (one vector draw) and
-        independent of zone state, so aging is bit-reproducible per
-        (seed, salt, epochs) at any ``--jobs`` (DESIGN.md §17).
-        """
-        if epochs <= 0 or self.faults is None:
-            return 0
-        injector = self.faults
-        rng = self._streams.stream("aging")
-        zones = self.zones.zones
-        wears = [injector.wear.unit(zone.index) for zone in zones]
+    def _retire_aged(self, wears: list) -> int:
+        # Erase-count thresholds apply exactly as in-run, so a heavily
+        # aged device boots with some zones already READ_ONLY/OFFLINE.
         retired = 0
-        for _ in range(epochs):
-            erases = rng.integers(
-                1, 2 * churn_erases + 1, size=len(zones)
-            ).tolist()
-            for wear, count in zip(wears, erases):
-                wear.erase_count += count
-                wear.reads_since_erase = 0
-        high = max(wear.erase_count for wear in wears)
-        if high > injector.max_erase_count.value:
-            injector.max_erase_count.set(high)
-        for zone, wear in zip(zones, wears):
+        for zone, wear in zip(self.zones.zones, wears):
             if self._apply_wear_retirement(zone, wear):
                 retired += 1
         return retired

@@ -17,6 +17,7 @@ class TestCli:
         assert main(["list"]) == 0
         out = capsys.readouterr().out.split()
         assert "fig2a" in out and "fig7" in out and "fig8" in out
+        assert "sec4" in out  # auxiliary: listed, run only when named
 
     def test_run_selected_experiment(self, capsys):
         assert main(["--fast", "run", "fig2a"]) == 0

@@ -8,6 +8,7 @@ from repro.sim import Simulator, ms, sec, us
 from repro.conv import ConvDevice
 from repro.conv import device as conv_device
 from repro.faults import resolve
+from repro.obs import Tracer
 
 from .util import quiet_profile, read, run_cmd, write
 
@@ -210,9 +211,8 @@ class TestGarbageCollectionBehaviour:
         sim, dev = make_conv()
         dev.precondition(1.0)
         self._flood(sim, dev, sec(0.4))
-        assert dev.gc_stats.activations >= 1
-        assert dev.gc_stats.victims_erased > 0
-        assert dev.gc_stats.pages_copied > 0
+        assert dev.metrics.counter("gc.victims_erased").value > 0
+        assert dev.metrics.counter("gc.pages_copied").value > 0
         assert dev.ftl.write_amplification() > 1.2
 
     def test_gc_keeps_free_blocks_above_exhaustion(self):
@@ -251,12 +251,16 @@ class TestGarbageCollectionBehaviour:
         assert max(latencies) > 5 * idle
 
     def test_no_gc_without_overwrites(self):
-        sim, dev = make_conv()
+        sim = Simulator()
+        tracer = Tracer()
+        dev = ConvDevice(sim, conv_profile(), tracer=tracer)
         page_lbas = dev.profile.geometry.page_size // dev.namespace.block_size
         for i in range(32):
             run_cmd(sim, dev, write(i * page_lbas, page_lbas))
         sim.run()
-        assert dev.gc_stats.activations == 0
+        assert not [e for e in tracer.events() if e.name == "gc.run"]
+        assert dev.metrics.counter("gc.victims_erased").value == 0
+        assert dev.metrics.counter("gc.pages_copied").value == 0
 
 
 class TestBuildConvDevice:

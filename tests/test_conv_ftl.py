@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.conv import FtlFullError, GcPolicy, GcStats, PageMappedFtl
+from repro.conv import FtlFullError, GcPolicy, PageMappedFtl
 from repro.flash import KIB, FlashGeometry
 
 
@@ -152,15 +152,6 @@ class TestGcPolicy:
             GcPolicy(low_watermark=0.2, high_watermark=0.1)
         with pytest.raises(ValueError):
             GcPolicy(low_watermark=0.0, high_watermark=0.1)
-
-    def test_stats_accumulate_busy_time(self):
-        stats = GcStats()
-        stats.start_run(100)
-        stats.end_run(500)
-        stats.start_run(900)
-        stats.end_run(1000)
-        assert stats.busy_ns == 500
-        assert stats.activations == 2
 
 
 @settings(max_examples=50, deadline=None)

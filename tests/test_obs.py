@@ -23,8 +23,7 @@ from repro.obs import (
     Tracer,
 )
 from repro.obs.profile import LayerBreakdown, _union_ns, run_self_profile
-from repro.sim import Simulator, ms
-from repro.sim.engine import SimulationError
+from repro.sim import ms
 from repro.workload.stats import LatencyStats, TimeSeries
 
 from .util import append, make_device, read, run_cmd, run_experiment, write
@@ -282,11 +281,6 @@ class TestProfile:
 
 
 class TestSatellites:
-    def test_step_on_empty_heap_raises_simulation_error(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError, match="no scheduled events"):
-            sim.step()
-
     def test_latency_cache_invalidated_on_write(self):
         stats = LatencyStats()
         stats.record(100)

@@ -25,7 +25,7 @@ def test_engine_fires_events_in_nondecreasing_time_order(delays):
     sim = Simulator()
     fired = []
     for delay in delays:
-        sim.schedule(delay, lambda: fired.append(sim.now))
+        sim.timeout(delay).add_callback(lambda _: fired.append(sim.now))
     sim.run()
     assert fired == sorted(fired)
     assert len(fired) == len(delays)
@@ -78,11 +78,7 @@ class _HeapResource:
         return self._grant()
 
     def release(self, rid):
-        if rid in self.users:
-            self.users.remove(rid)
-        else:
-            self.queue = [entry for entry in self.queue if entry[2] != rid]
-            heapq.heapify(self.queue)
+        self.users.remove(rid)
         return self._grant()
 
     def _grant(self):
@@ -102,7 +98,8 @@ _PRIORITIES = (PRIO_PANIC, PRIO_GC_URGENT, PRIO_IO, PRIO_MGMT)
     capacity=st.integers(1, 3),
     ops=st.lists(
         # Requests outnumber releases so that queues build up.
-        st.tuples(st.sampled_from(("request", "request", "release", "cancel")),
+        st.tuples(st.sampled_from(("request", "request", "release",
+                                   "release-queued")),
                   st.integers(0, 3), st.integers(0, 1_000)),
         max_size=60,
     ),
@@ -125,10 +122,11 @@ def test_resource_grants_in_priority_heap_order(capacity, ops):
             expected = model.release(rid)
             with pytest.raises(SimulationError):
                 res.release(events[rid])  # a released request holds no slot
-        elif op == "cancel" and waiting:
-            rid = waiting.pop(pick % len(waiting))
-            res.release(events[rid])
-            expected = model.release(rid)
+        elif op == "release-queued" and waiting:
+            rid = waiting[pick % len(waiting)]
+            with pytest.raises(SimulationError):
+                res.release(events[rid])  # a queued request holds no slot
+            expected = []
         else:
             continue
         newly = [rid for rid in waiting if events[rid].triggered]

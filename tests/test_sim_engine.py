@@ -6,7 +6,6 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     SimulationError,
     Simulator,
     ms,
@@ -92,9 +91,9 @@ class TestTimeouts:
     def test_timeouts_fire_in_time_order(self):
         sim = Simulator()
         fired = []
-        sim.schedule(us(3), lambda: fired.append("c"))
-        sim.schedule(us(1), lambda: fired.append("a"))
-        sim.schedule(us(2), lambda: fired.append("b"))
+        sim.timeout(us(3)).add_callback(lambda _: fired.append("c"))
+        sim.timeout(us(1)).add_callback(lambda _: fired.append("a"))
+        sim.timeout(us(2)).add_callback(lambda _: fired.append("b"))
         sim.run()
         assert fired == ["a", "b", "c"]
 
@@ -102,7 +101,7 @@ class TestTimeouts:
         sim = Simulator()
         fired = []
         for tag in range(5):
-            sim.schedule(us(1), lambda t=tag: fired.append(t))
+            sim.timeout(us(1)).add_callback(lambda _, t=tag: fired.append(t))
         sim.run()
         assert fired == [0, 1, 2, 3, 4]
 
@@ -177,6 +176,7 @@ class TestProcesses:
         assert sim.run(until=sim.process(parent())) == "handled"
 
     def test_unwaited_failure_is_stored_on_event(self):
+        # Stored on the event, and reported: run() does not drop it.
         sim = Simulator()
 
         def child():
@@ -184,7 +184,8 @@ class TestProcesses:
             yield  # pragma: no cover
 
         proc = sim.process(child())
-        sim.run()
+        with pytest.raises(SimulationError, match="child"):
+            sim.run()
         assert proc.triggered and not proc.ok
 
     def test_yielding_non_event_fails_process(self):
@@ -194,8 +195,26 @@ class TestProcesses:
             yield 3
 
         proc = sim.process(bad())
-        sim.run()
+        with pytest.raises(SimulationError, match="non-event"):
+            sim.run()
         assert proc.triggered and not proc.ok
+
+    def test_fire_and_forget_failure_stops_run(self):
+        sim = Simulator()
+        error = ValueError("worker died")
+
+        def worker():
+            yield sim.timeout(us(4))
+            raise error
+
+        sim.process(worker())
+        with pytest.raises(SimulationError, match="worker.*worker died") as info:
+            sim.run()
+        assert info.value.__cause__ is error
+        assert sim.now == us(4)
+        # The run(until=...) target still raises its own exception.
+        with pytest.raises(ValueError, match="worker died"):
+            sim.run(until=sim.process(worker()))
 
 
 class TestEvents:
@@ -278,38 +297,6 @@ class TestConditions:
             return sim.now
 
         assert sim.run(until=sim.process(proc())) == 0
-
-
-class TestInterrupts:
-    def test_interrupt_wakes_blocked_process(self):
-        sim = Simulator()
-
-        def sleeper():
-            try:
-                yield sim.timeout(sec(100))
-            except Interrupt as intr:
-                return ("interrupted", sim.now, intr.cause)
-
-        proc = sim.process(sleeper())
-
-        def interrupter():
-            yield sim.timeout(us(3))
-            proc.interrupt("wake up")
-
-        sim.process(interrupter())
-        assert sim.run(until=proc) == ("interrupted", us(3), "wake up")
-
-    def test_interrupting_finished_process_rejected(self):
-        sim = Simulator()
-
-        def quick():
-            return None
-            yield  # pragma: no cover
-
-        proc = sim.process(quick())
-        sim.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
 
 
 class TestDeterminism:

@@ -81,14 +81,16 @@ class TestResource:
         res.release(r2)
         assert res.in_use == 0
 
-    def test_release_of_queued_request_cancels_it(self):
+    def test_release_of_queued_request_rejected(self):
         sim = Simulator()
         res = Resource(sim, capacity=1)
         r1 = res.request()
         r2 = res.request()
-        res.release(r2)  # cancel while still queued
-        assert res.queue_length == 0
+        with pytest.raises(SimulationError, match="holds no slot"):
+            res.release(r2)  # still queued: holds no slot
+        assert res.queue_length == 1
         res.release(r1)
+        res.release(r2)
         assert res.in_use == 0
 
     def test_release_of_unknown_request_rejected(self):
@@ -101,10 +103,8 @@ class TestResource:
 
 
 class TestContainer:
-    def test_init_level_validation(self):
+    def test_capacity_must_be_positive(self):
         sim = Simulator()
-        with pytest.raises(SimulationError):
-            Container(sim, capacity=10, init=11)
         with pytest.raises(SimulationError):
             Container(sim, capacity=0)
 
@@ -141,7 +141,8 @@ class TestContainer:
 
     def test_put_blocks_when_full(self):
         sim = Simulator()
-        tank = Container(sim, capacity=10, init=8)
+        tank = Container(sim, capacity=10)
+        tank.put(8)
         put_at = []
 
         def producer():

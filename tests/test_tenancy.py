@@ -13,13 +13,7 @@ from repro.exec import execute_experiments
 from repro.hostif import Command, Opcode, Status, ZoneAction
 from repro.sim.engine import ms, us
 from repro.stacks.spdk import SpdkStack
-from repro.tenancy import (
-    HostSession,
-    ResetStorm,
-    Tenant,
-    TenantScheduler,
-    partition_zones,
-)
+from repro.tenancy import ResetStorm, Tenant, TenantScheduler, partition_zones
 from repro.zns import ZoneState
 
 from .util import make_device, quiet_profile, run_experiment
@@ -56,14 +50,14 @@ class TestTenant:
         assert command.tenant == "a"
 
     def test_session_pays_stack_overhead(self):
-        # The session's whole point: every submit goes through a host
-        # stack, so latency exceeds the bare-device submit path.
+        # Every tenant submit goes through the tenant's own host stack,
+        # so latency exceeds the bare-device submit path.
         sim, dev = make_device()
         bare = sim.run(until=dev.submit(Command(Opcode.APPEND, slba=0, nlb=1)))
         sim2, dev2 = make_device()
-        session = HostSession(dev2)
+        tenant = Tenant(dev2, "a")
         stacked = sim2.run(
-            until=session.submit(Command(Opcode.APPEND, slba=0, nlb=1))
+            until=tenant.submit(Command(Opcode.APPEND, slba=0, nlb=1))
         )
         assert stacked.latency_ns > bare.latency_ns
 
@@ -135,7 +129,7 @@ class TestTenantScheduler:
         # victim's command failed inside owner's zone 1.
         zone1 = dev.zones.zones[1]
         victim.record_error(Status.ZONE_IS_READ_ONLY, zone1.zslba)
-        scheduler.add_workload(victim, ResetStorm(victim, until_ns=us(30)))
+        scheduler.add_workload(victim, ResetStorm(victim, until_ns=ms(4)))
         rows = scheduler.run()
         assert rows[0].tenant == "victim"
         assert rows[0].resets > 0
@@ -143,23 +137,16 @@ class TestTenantScheduler:
 
 
 class TestResetStorm:
-    def test_force_mode_resets_and_records(self):
-        sim, dev = make_device()
-        tenant = Tenant(dev, "storm", zones=[0, 1])
-        storm = ResetStorm(tenant, until_ns=ms(2))
-        sim.run(until=storm.start())
-        assert tenant.resets > 0
-        assert tenant.reset_latency.count == tenant.resets
-
     def test_write_mode_issues_real_appends(self):
         sim, dev = make_device()
         tenant = Tenant(dev, "storm", zones=[0, 1, 2])
-        storm = ResetStorm(tenant, until_ns=ms(4), refill="write")
+        storm = ResetStorm(tenant, until_ns=ms(4))
         sim.run(until=storm.start())
         # Real refill traffic reaches the flash backend (force_fill
         # would leave the program counter untouched).
         assert dev.backend.counters.pages_programmed > 0
         assert tenant.resets > 0
+        assert tenant.reset_latency.count == tenant.resets
 
 
 class TestRetirementUnderTenancy:
@@ -179,7 +166,7 @@ class TestRetirementUnderTenancy:
         scheduler = TenantScheduler(dev)
         tenant = Tenant(dev, "log", zones=[0, 1], seed=7)
         scheduler.add_workload(
-            tenant, ResetStorm(tenant, until_ns=ms(8), refill="write"))
+            tenant, ResetStorm(tenant, until_ns=ms(8)))
         results = scheduler.run()
 
         retired = [z for z in dev.zones.zones[:2]
@@ -198,7 +185,7 @@ class TestRetirementUnderTenancy:
         scheduler = TenantScheduler(dev)
         tenant = Tenant(dev, "log", zones=[0, 1], seed=7)
         scheduler.add_workload(
-            tenant, ResetStorm(tenant, until_ns=ms(6), refill="write"))
+            tenant, ResetStorm(tenant, until_ns=ms(6)))
         results = scheduler.run()
         # The storm worked zone 0 but never touched the OFFLINE zone —
         # no appends, no resets, so no errors attributed to it.

@@ -368,9 +368,16 @@ class TestInterferenceMechanics:
         stop = []
 
         def writer():
-            zone = dev.zones.zones[5]
+            # Moves on to the next zone at capacity: the reset can outlast
+            # a whole zone of single-LBA writes.
+            index = 5
+            zone = dev.zones.zones[index]
             lba = zone.zslba
             while not stop:
+                if lba == zone.zslba + zone.cap_lbas:
+                    index += 1
+                    zone = dev.zones.zones[index]
+                    lba = zone.zslba
                 cpl = yield dev.submit(write(lba, 1))
                 assert cpl.ok
                 lba += 1
