@@ -16,7 +16,8 @@ Run: ``python examples/zone_parallelism.py`` (takes ~1 minute)
 """
 
 from repro.sim import Simulator
-from repro.zns import ZnsDevice, infer_zone_groups
+from repro.zns import ZnsDevice
+from repro.zns.inference import infer_zone_groups
 from repro.zns.profiles import zn540
 
 MIB = 1024 * 1024

@@ -1,17 +1,12 @@
 """Application substrates over the simulated ZNS device.
 
-The layers the paper's §II-C/§V survey as ZNS consumers, reproduced at
-their performance-relevant core: a zonefs-like per-zone file view, a
-RAID-0 striped zone array (RAIZN-lite), and an LSM-tree serving
-workload (flush + compaction + point reads) that runs inside a tenant
-context for multi-tenant interference experiments. The log-structured
-KV store lives in ``examples/zns_log_store.py`` as a runnable
-walkthrough.
+An LSM-tree serving workload (flush + compaction + point reads), the
+ZNS consumer the paper's §II-C/§V survey, reproduced at its
+performance-relevant core. It runs inside a tenant context for
+multi-tenant interference experiments. The log-structured KV store
+lives in ``examples/zns_log_store.py`` as a runnable walkthrough.
 """
 
 from .lsm import LsmConfig, LsmWorkload
-from .zonefs import ZoneFile, ZoneFs
-from .zraid import StripedZoneArray
 
-__all__ = ["LsmConfig", "LsmWorkload", "StripedZoneArray", "ZoneFile",
-           "ZoneFs"]
+__all__ = ["LsmConfig", "LsmWorkload"]

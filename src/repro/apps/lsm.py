@@ -4,7 +4,7 @@ The production scenario behind the paper's interference observations
 (#10-#13) is a log-structured KV store serving point reads while its
 own maintenance — memtable flushes and background compaction — writes
 sequentially and resets reclaimed zones. This module reproduces that
-shape at its performance-relevant core, composed from the zonefs seed:
+shape at its performance-relevant core, directly on zone commands:
 
 * a **flusher** appends fixed-size SSTs into the current open zone
   (sequential zone appends, chunked like a real write path), sealing

@@ -28,6 +28,7 @@ from collections import deque
 from typing import Optional
 
 from ..flash.geometry import FlashGeometry
+from ..sim.engine import SimulationError
 
 __all__ = ["Block", "PageMappedFtl", "FtlFullError"]
 
@@ -146,7 +147,9 @@ class PageMappedFtl:
         return len(self._spare[die])
 
     def check_invariants(self) -> None:
-        """Assert the mapping/pool/victim-heap invariants (used by property tests)."""
+        """Raise :class:`SimulationError` if a mapping/pool/victim-heap
+        invariant fails (used by property tests). Explicit raises, not
+        ``assert``, so ``python -O`` keeps the check."""
         pages_per_block = self.pages_per_block
         mapped = 0
         for logical, physical in enumerate(self._l2p):
@@ -154,33 +157,36 @@ class PageMappedFtl:
                 continue
             mapped += 1
             block = self.blocks[physical // pages_per_block]
-            assert block.slot_to_logical[physical % pages_per_block] == logical, \
-                "L2P and back-map disagree"
-        assert mapped == self._mapped, "mapped-page counter drift"
+            if block.slot_to_logical[physical % pages_per_block] != logical:
+                raise SimulationError("L2P and back-map disagree")
+        if mapped != self._mapped:
+            raise SimulationError("mapped-page counter drift")
         for block in self.blocks:
             live = [slot for slot, logical in enumerate(block.slot_to_logical)
                     if logical >= 0]
-            assert block.valid_count == len(live), "valid_count drift"
-            assert all(slot < block.write_slot for slot in live), \
-                "mapped slot beyond the write slot"
+            if block.valid_count != len(live):
+                raise SimulationError("valid_count drift")
+            if any(slot >= block.write_slot for slot in live):
+                raise SimulationError("mapped slot beyond the write slot")
             for slot in live:
                 logical = block.slot_to_logical[slot]
-                assert self._l2p[logical] == block.block_id * pages_per_block + slot, \
-                    "back-map entry missing from L2P"
+                if self._l2p[logical] != block.block_id * pages_per_block + slot:
+                    raise SimulationError("back-map entry missing from L2P")
         free = [b for pool in self._free for b in pool]
         spare = [b for pool in self._spare for b in pool]
         active = [block.block_id for block in self._user_active + self._gc_active
                   if block is not None]
         pooled = free + spare + active + sorted(self.bad_blocks)
-        assert len(pooled) == len(set(pooled)), \
-            "free, spare and active pools and bad blocks overlap"
-        assert self.free_block_count == len(free), "free-block count drift"
-        for block_id in free + spare:
-            assert self.blocks[block_id].write_slot == 0, "pooled block not erased"
-        assert set(self._collectable_entries()) <= set(self._victims), \
-            "collectable block without a live victim-heap entry"
-        assert len(self._victims) <= VICTIM_HEAP_SLACK * len(self.blocks), \
-            "victim heap past its bound"
+        if len(pooled) != len(set(pooled)):
+            raise SimulationError("free, spare and active pools and bad blocks overlap")
+        if self.free_block_count != len(free):
+            raise SimulationError("free-block count drift")
+        if any(self.blocks[block_id].write_slot != 0 for block_id in free + spare):
+            raise SimulationError("pooled block not erased")
+        if not set(self._collectable_entries()) <= set(self._victims):
+            raise SimulationError("collectable block without a live victim-heap entry")
+        if len(self._victims) > VICTIM_HEAP_SLACK * len(self.blocks):
+            raise SimulationError("victim heap past its bound")
 
     # -- writes --------------------------------------------------------------
     def commit_write(self, logical_page: int, reserve: int = 0) -> int:

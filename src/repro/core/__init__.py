@@ -1,6 +1,6 @@
 """The paper's characterization suite: experiments, observations, reports."""
 
-from . import analytic, figures
+from . import figures
 from .experiments.common import ExperimentConfig
 from .observations import OBSERVATION_SUMMARIES, ObservationCheck, check_all
 from .recommendations import RECOMMENDATIONS, Recommendation, validate
@@ -9,7 +9,6 @@ from .results import ExperimentResult, render_table
 
 __all__ = [
     "ExperimentConfig",
-    "analytic",
     "figures",
     "ExperimentResult",
     "OBSERVATION_SUMMARIES",

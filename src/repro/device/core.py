@@ -27,7 +27,7 @@ other. Host stacks, tenants and workloads are typed against
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Generator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Generator, NamedTuple, Optional
 
 from ..hostif.commands import Command, Completion, Opcode
 from ..hostif.namespace import LbaFormat, Namespace
@@ -37,7 +37,9 @@ from ..obs.tracer import Tracer, resolve_tracer
 from ..sim.engine import Event, Simulator
 from ..sim.resources import Container, Resource
 from ..sim.rng import LatencySampler, StreamFactory
-from ..zns.profiles import DeviceProfile
+
+if TYPE_CHECKING:
+    from ..zns.profiles import DeviceProfile
 
 __all__ = ["DeviceCore", "DeviceCounters", "IoShape", "PRIO_IO", "PRIO_MGMT",
            "PRIO_PANIC"]

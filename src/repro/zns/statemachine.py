@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..hostif.status import Status
+from ..sim.engine import SimulationError
 from .spec import ACTIVE_STATES, OPEN_STATES, ZoneState
 from .zone import Zone
 
@@ -141,21 +142,31 @@ class ZoneManager:
         return census
 
     def check_invariants(self) -> None:
-        """Assert the counter/limit invariants (used by property tests)."""
+        """Raise :class:`SimulationError` if a counter/limit invariant fails.
+
+        Property tests call it after every step; :meth:`restore_state`
+        calls it on every restore. Explicit raises, not ``assert``, so
+        ``python -O`` keeps the check.
+        """
         census = self._recount()
-        assert census == self._census, "census drift"
-        open_zones = sum(census[s] for s in OPEN_STATES)
-        active_zones = sum(census[s] for s in ACTIVE_STATES)
-        assert open_zones == self._open_count, "open-count drift"
-        assert active_zones == self._active_count, "active-count drift"
-        assert self._open_count <= self.max_open, "max_open violated"
-        assert self._active_count <= self.max_active, "max_active violated"
+        if census != self._census:
+            raise SimulationError("census drift")
+        if sum(census[s] for s in OPEN_STATES) != self._open_count:
+            raise SimulationError("open-count drift")
+        if sum(census[s] for s in ACTIVE_STATES) != self._active_count:
+            raise SimulationError("active-count drift")
+        if self._open_count > self.max_open:
+            raise SimulationError("max_open violated")
+        if self._active_count > self.max_active:
+            raise SimulationError("max_active violated")
         for zone in self.zones:
-            assert zone.zslba <= zone.wp <= zone.writable_end, "wp out of range"
-            if zone.state is ZoneState.EMPTY:
-                assert zone.wp == zone.zslba, "EMPTY zone with advanced wp"
-            if zone.state is ZoneState.FULL and zone.finished_pad_lbas == 0:
-                assert zone.wp == zone.writable_end, "unpadded FULL zone not at cap"
+            if not zone.zslba <= zone.wp <= zone.writable_end:
+                raise SimulationError("wp out of range")
+            if zone.state is ZoneState.EMPTY and zone.wp != zone.zslba:
+                raise SimulationError("EMPTY zone with advanced wp")
+            if (zone.state is ZoneState.FULL and zone.finished_pad_lbas == 0
+                    and zone.wp != zone.writable_end):
+                raise SimulationError("unpadded FULL zone not at cap")
 
     # -- state bookkeeping ---------------------------------------------------
     def _enter(self, zone: Zone, new_state: ZoneState) -> None:

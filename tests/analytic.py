@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 
-from ..hostif.commands import Opcode
-from ..zns.profiles import DeviceProfile
+from repro.hostif.commands import Opcode
+from repro.zns.profiles import DeviceProfile
 
 __all__ = [
     "iops_cap",

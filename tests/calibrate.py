@@ -14,17 +14,16 @@ benchmark harness; see EXPERIMENTS.md for the complete ledger.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from ..hostif.commands import Command, Opcode, ZoneAction
-from ..hostif.namespace import LBA_4K
-from ..sim.engine import Simulator
-from ..sim.rng import StreamFactory
-from ..stacks.iouring import IoUringStack
-from ..stacks.spdk import SpdkStack
-from ..workload.stats import LatencyStats
-from .device import ZnsDevice
-from .profiles import zn540
+from repro.hostif.commands import Command, Opcode, ZoneAction
+from repro.hostif.namespace import LBA_4K
+from repro.sim.engine import Simulator
+from repro.sim.rng import StreamFactory
+from repro.stacks.iouring import IoUringStack
+from repro.stacks.spdk import SpdkStack
+from repro.workload.stats import LatencyStats
+from repro.zns.device import ZnsDevice
+from repro.zns.profiles import zn540
 
 __all__ = ["Anchor", "AnchorResult", "PAPER_ANCHORS", "measure_anchors"]
 

@@ -34,8 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .commands import Command, Opcode, ZoneAction
-from .status import Status
+from repro.hostif.commands import Command, Opcode, ZoneAction
+from repro.hostif.status import Status
+from repro.sim import SimulationError
+from repro.zns.spec import ZoneState
 
 __all__ = ["CaseResult", "ConformanceReport", "ConformanceDriver"]
 
@@ -80,14 +82,6 @@ class _CaseFailure(Exception):
     """Internal: aborts a case with a failure detail."""
 
 
-# Late import guard: repro.zns imports repro.hostif, so the state enum
-# is resolved lazily to keep this module importable from either side.
-def _zone_states():
-    from ..zns.spec import ZoneState
-
-    return ZoneState
-
-
 def _state_matrix():
     """Expected (status, post-state) for command × source-state arcs.
 
@@ -103,7 +97,7 @@ def _state_matrix():
       ZONE_IS_FULL / ZONE_IS_READ_ONLY / ZONE_IS_OFFLINE elsewhere.
     * Reads succeed in every state except OFFLINE (no valid data).
     """
-    Z = _zone_states()
+    Z = ZoneState
     S = Status
     invalid = S.INVALID_ZONE_STATE_TRANSITION
     matrix = {}
@@ -213,7 +207,7 @@ class ConformanceDriver:
         if zones is not None:
             try:
                 zones.check_invariants()
-            except AssertionError as drift:
+            except SimulationError as drift:
                 return CaseResult(
                     name, "fail", f"invariant violated after case: {drift}",
                     requires_zones=requires_zones,
@@ -242,7 +236,7 @@ class ConformanceDriver:
 
     def _setup(self, sim, device, zone, state) -> None:
         """Place ``zone`` into a source state via regular commands."""
-        Z = _zone_states()
+        Z = ZoneState
         if state is Z.EMPTY:
             return
         if state is Z.EXPLICIT_OPEN:
@@ -293,7 +287,7 @@ class ConformanceDriver:
         return runner
 
     def _scenario_cases(self):
-        Z = _zone_states()
+        Z = ZoneState
 
         def zoned(name, body):
             return name, body

@@ -4,13 +4,13 @@ import math
 
 import pytest
 
-from repro.core import analytic
 from repro.hostif import Opcode
 from repro.sim import ms
 from repro.stacks import SpdkStack
 from repro.workload import IoKind, JobRunner, JobSpec
 from repro.zns.profiles import zn540
 
+from . import analytic
 from .util import make_device, quiet_profile
 
 KIB = 1024

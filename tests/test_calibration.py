@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.zns.calibrate import PAPER_ANCHORS, Anchor, AnchorResult, measure_anchors
+from .calibrate import PAPER_ANCHORS, Anchor, AnchorResult, measure_anchors
 
 
 @pytest.fixture(scope="module")

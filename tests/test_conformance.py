@@ -1,6 +1,6 @@
 """NVMe ZNS spec-conformance gate (tentpole suite, DESIGN.md §14).
 
-Runs the :mod:`repro.hostif.conformance` table against both device
+Runs the :mod:`tests.conformance` table against both device
 models. Every (command × zone-state) arc — including READ_ONLY/OFFLINE
 — plus boundary and resource-limit cases is parametrized individually
 so a regression names the exact violated arc. The conventional device
@@ -11,10 +11,10 @@ dropped) and the namespace-addressing cases enforced.
 import pytest
 
 from repro.conv import ConvDevice
-from repro.hostif.conformance import ConformanceDriver
 from repro.sim import Simulator
 from repro.zns import ZnsDevice
 
+from .conformance import ConformanceDriver
 from .test_conv_device import conv_profile
 from .util import quiet_profile
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.conv import FtlFullError, GcPolicy, PageMappedFtl
 from repro.flash import KIB, FlashGeometry
+from repro.sim import SimulationError
 
 
 def tiny_geometry(**overrides) -> FlashGeometry:
@@ -282,3 +283,11 @@ def test_victim_heap_rebuild_keeps_the_scan_order():
     assert rebuilds > 0
     ftl.check_invariants()
     assert ftl.pick_victim() is reference_victim(ftl)
+
+
+def test_check_invariants_catches_free_block_count_drift():
+    ftl = PageMappedFtl(tiny_geometry(), overprovision=0.25)
+    ftl.check_invariants()
+    ftl.free_block_count -= 1  # bypasses the pools
+    with pytest.raises(SimulationError, match="free-block count drift"):
+        ftl.check_invariants()

@@ -10,7 +10,6 @@ from repro.emulators.fidelity import (
     probe_model,
 )
 from repro.hostif import Command, Opcode, ZoneAction
-from repro.sim import us
 
 KIB = 1024
 
@@ -64,28 +63,30 @@ class TestModelDefinitions:
             assert not bad.ok, model.name
 
 
+@pytest.fixture(scope="module")
+def ref():
+    """The reference model's probe, shared: each call simulates ~2 s."""
+    return probe_model(THIS_WORK)
+
+
 class TestVerdictLogic:
-    def test_reference_passes_against_itself(self):
-        ref = probe_model(THIS_WORK)
+    def test_reference_passes_against_itself(self, ref):
         verdicts = _verdicts(ref, ref)
         failed = [obs for obs, ok in verdicts.items() if not ok]
         assert not failed, f"reference failed its own observations: {failed}"
 
-    def test_femu_fails_everything(self):
-        ref = probe_model(THIS_WORK)
+    def test_femu_fails_everything(self, ref):
         verdicts = _verdicts(probe_model(FEMU), ref)
         assert not any(verdicts.values())
 
-    def test_nvmevirt_misses_append_and_transitions(self):
-        ref = probe_model(THIS_WORK)
+    def test_nvmevirt_misses_append_and_transitions(self, ref):
         verdicts = _verdicts(probe_model(NVMEVIRT), ref)
         for obs in (4, 6, 9, 10, 12, 13):
             assert not verdicts[obs], f"obs {obs} should fail on NVMeVirt"
         for obs in (3, 7, 8):
             assert verdicts[obs], f"obs {obs} should pass on NVMeVirt (read/write accurate)"
 
-    def test_confzns_reproduces_read_write_scaling(self):
-        ref = probe_model(THIS_WORK)
+    def test_confzns_reproduces_read_write_scaling(self, ref):
         verdicts = _verdicts(probe_model(CONFZNS), ref)
         assert verdicts[3] and verdicts[5] and verdicts[7] and verdicts[8]
         assert not verdicts[4] and not verdicts[9]

@@ -6,13 +6,12 @@ import json
 
 import pytest
 
-from repro.apps import LsmConfig, LsmWorkload, ZoneFs
+from repro.apps import LsmConfig, LsmWorkload
 from repro.core.experiments.common import ExperimentConfig
 from repro.core.experiments.points import serialize_result
 from repro.exec import execute_experiments
 from repro.hostif import Command, Opcode, Status, ZoneAction
 from repro.sim.engine import ms, us
-from repro.stacks.spdk import SpdkStack
 from repro.tenancy import ResetStorm, Tenant, TenantScheduler, partition_zones
 from repro.zns import ZoneState
 
@@ -263,56 +262,3 @@ class TestFig7Fleet:
         serial, _ = execute_experiments(["fig7_fleet"], config, jobs=1)
         parallel, _ = execute_experiments(["fig7_fleet"], config, jobs=2)
         assert blob(serial["fig7_fleet"]) == blob(parallel["fig7_fleet"])
-
-
-class TestAppsStackRouting:
-    def test_zonefs_default_pays_stack_overhead(self):
-        # stack=None used to submit straight to the device, skipping
-        # host-stack overhead; now it builds a private SPDK-like stack.
-        sim, dev = make_device()
-        fs = ZoneFs(dev)
-        stacked = fs.file(0).append(4096)
-        sim2, dev2 = make_device()
-        bare = sim2.run(
-            until=dev2.submit(Command(Opcode.APPEND, slba=0, nlb=1))
-        )
-        assert stacked.latency_ns > bare.latency_ns
-
-    def test_zonefs_routes_through_tenant_session(self):
-        sim, dev = make_device()
-        tenant = Tenant(dev, "fs-tenant", zones=[0])
-        fs = ZoneFs(dev, stack=tenant)
-        event = fs.file(0).append_async(4096)
-        completion = sim.run(until=event)
-        assert completion.ok
-        assert completion.command.tenant == "fs-tenant"
-
-    def test_zraid_default_pays_stack_overhead(self):
-        from repro.apps import StripedZoneArray
-
-        sim, dev = make_device()
-        array = StripedZoneArray(dev, [0, 1], stripe_unit=4096)
-        _, completions = array.append(8192)
-        sim2, dev2 = make_device()
-        explicit = StripedZoneArray(dev2, [0, 1], stripe_unit=4096,
-                                    stack=SpdkStack(dev2))
-        _, explicit_completions = explicit.append(8192)
-        assert ([c.latency_ns for c in completions]
-                == [c.latency_ns for c in explicit_completions])
-
-    def test_zonefs_async_variants_inside_running_sim(self):
-        # append/pread/truncate events usable from a workload process.
-        sim, dev = make_device()
-        fs = ZoneFs(dev)
-        log = []
-
-        def proc():
-            completion = yield fs.file(0).append_async(8192)
-            log.append(("append", completion.ok))
-            completion = yield fs.file(0).pread_async(0, 4096)
-            log.append(("pread", completion.ok))
-            completion = yield fs.file(0).truncate_async(0)
-            log.append(("truncate", completion.ok))
-
-        sim.run(until=sim.process(proc()))
-        assert log == [("append", True), ("pread", True), ("truncate", True)]

@@ -1,10 +1,14 @@
 """Unit + property tests for the ZNS zone state machine."""
 
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hostif import Status
+from repro.sim import SimulationError
 from repro.zns import ZoneManager, ZoneState
 
 
@@ -463,8 +467,22 @@ def test_census_matches_a_recount(ops):
 def test_check_invariants_catches_census_drift():
     mgr = manager()
     mgr.zones[0].state = ZoneState.OFFLINE  # bypasses the manager
-    with pytest.raises(AssertionError, match="census drift"):
+    with pytest.raises(SimulationError, match="census drift"):
         mgr.check_invariants()
+
+
+def test_restore_state_rejects_a_drifted_snapshot_under_python_O():
+    """restore_state checks every restore in production runs, so the
+    check must survive ``python -O`` stripping asserts."""
+    script = (
+        "from repro.zns import ZoneManager\n"
+        "ZoneManager(2, 100, 80, 1, 2).restore_state("
+        "[('empty', 5, 0), ('empty', 100, 0)])\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert "SimulationError: EMPTY zone with advanced wp" in proc.stderr
 
 
 @settings(max_examples=100, deadline=None)
