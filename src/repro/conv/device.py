@@ -196,8 +196,7 @@ class ConvDevice(DeviceCore):
             victim = self.ftl.pick_victim()
             if victim is None:
                 break
-            for slot in range(self.ftl.pages_per_block):
-                self.ftl.relocate(victim, slot)
+            self.ftl.relocate_block(victim)
             self.ftl.erase(victim)
 
     # ----------------------------------------------------------------- paths
@@ -415,16 +414,12 @@ class ConvDevice(DeviceCore):
         """Relocate one victim's valid pages, then erase and recycle it."""
         started = self.sim.now
         try:
-            copies = []
-            for slot in range(self.ftl.pages_per_block):
-                new_physical = self.ftl.relocate(victim, slot)
-                if new_physical is None:
-                    continue
-                copies.append(
-                    self.sim.process(
-                        self._gc_copy(victim.die, self.ftl.die_of_physical(new_physical))
-                    )
+            copies = [
+                self.sim.process(
+                    self._gc_copy(victim.die, self.ftl.die_of_physical(new_physical))
                 )
+                for new_physical in self.ftl.relocate_block(victim)
+            ]
             if copies:
                 yield self.sim.all_of(copies)
                 self._gc_copy_counter.inc(len(copies))

@@ -13,9 +13,10 @@ Structure:
 * writes allocate the next slot of the user active block on a
   round-robin die cursor, remap the logical page, and invalidate the old
   physical page,
-* GC picks greedy victims (fewest valid pages), relocates the survivors,
-  and erases. Victims come from a lazy ``(valid_count, block_id)``
-  min-heap rather than a scan over every block (DESIGN.md §18).
+* GC picks greedy victims (fewest valid pages), relocates the survivors
+  in one call per victim, and erases. Victims come from a lazy
+  ``(valid_count, block_id)`` min-heap rather than a scan over every
+  block (DESIGN.md §18).
 
 The FTL is pure bookkeeping (no simulated time); the device model drives
 the matching NAND operations through the shared flash backend.
@@ -66,6 +67,10 @@ class PageMappedFtl:
         if not 0 <= overprovision < 1:
             raise ValueError(f"overprovision must be in [0, 1), got {overprovision}")
         self.geometry = geometry
+        #: Geometry totals read on every allocation and every watermark
+        #: check, stored once instead of recomputed through properties.
+        self._dies = geometry.total_dies
+        self._total_blocks = geometry.total_blocks
         self.overprovision = overprovision
         self.pages_per_block = geometry.pages_per_block
         self.logical_pages = int(geometry.total_pages * (1 - overprovision))
@@ -114,7 +119,7 @@ class PageMappedFtl:
     # -- introspection -----------------------------------------------------
     @property
     def free_fraction(self) -> float:
-        return self.free_block_count / self.geometry.total_blocks
+        return self.free_block_count / self._total_blocks
 
     def mapped_pages(self) -> int:
         return self._mapped
@@ -258,24 +263,41 @@ class PageMappedFtl:
             heapq.heappush(heap, entry)
         return best
 
-    def relocate(self, victim: Block, slot: int) -> Optional[int]:
-        """Move one valid page out of a victim; returns the new physical page.
+    def relocate_block(self, victim: Block) -> list[int]:
+        """Move every valid page out of a victim; returns the new physical
+        pages in slot order.
 
-        Returns None when the slot holds no valid page. The caller
-        simulates the read (victim die) + program (returned page's die).
+        The caller simulates one read (victim die) + program (new page's
+        die) per returned page, then erases the victim. Every set slot is
+        live: an overwrite or trim clears the back-map slot, so a slot
+        still set always matches the L2P and none can be stale.
+
+        The victim's own pages skip :meth:`_invalidate_physical`: its
+        count falls as pages leave, and one heap entry is pushed for it
+        at the end. If an allocation raises :class:`FtlFullError`
+        partway, the pages already moved stay moved and counted in
+        ``total_gc_pages_copied``, the rest stay mapped in the victim,
+        and the victim's heap entry carries its remaining count.
         """
-        logical = victim.slot_to_logical[slot]
-        if logical < 0:
-            return None
-        physical = victim.block_id * self.pages_per_block + slot
-        if self._l2p[logical] != physical:
-            return None  # stale: overwritten since GC scanned
-        # Allocate first: a FtlFullError leaves the mapping untouched.
-        new_physical = self._allocate(self._gc_active, logical)
-        self._invalidate_physical(physical)
-        self._l2p[logical] = new_physical
-        self.total_gc_pages_copied += 1
-        return new_physical
+        slots = victim.slot_to_logical
+        l2p = self._l2p
+        gc_active = self._gc_active
+        allocate = self._allocate
+        moved: list[int] = []
+        try:
+            for slot, logical in enumerate(slots):
+                if logical < 0:
+                    continue
+                new_physical = allocate(gc_active, logical)
+                slots[slot] = -1
+                victim.valid_count -= 1
+                l2p[logical] = new_physical
+                moved.append(new_physical)
+        finally:
+            if moved:
+                self.total_gc_pages_copied += len(moved)
+                self._push_victim(victim)
+        return moved
 
     def erase(self, victim: Block) -> None:
         """Recycle a victim block (caller simulates the NAND erase)."""
@@ -345,7 +367,7 @@ class PageMappedFtl:
 
     def _allocate(self, active_set: list[Optional[Block]], logical: int,
                   reserve: int = 0) -> int:
-        dies = self.geometry.total_dies
+        dies = self._dies
         full = self.pages_per_block
         for _ in range(dies):
             die = self._die_cursor

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.conv import FtlFullError, GcPolicy, PageMappedFtl
+from repro.conv.ftl import Block
 from repro.flash import KIB, FlashGeometry
 from repro.sim import SimulationError
+
+from .test_conv_device import ftl_state
 
 
 def tiny_geometry(**overrides) -> FlashGeometry:
@@ -29,8 +32,7 @@ def run_gc_until(ftl: PageMappedFtl, target_free: float) -> None:
     while ftl.free_fraction < target_free:
         victim = ftl.pick_victim()
         assert victim is not None, "no victim available"
-        for slot in range(ftl.pages_per_block):
-            ftl.relocate(victim, slot)
+        ftl.relocate_block(victim)
         assert victim.valid_count == 0
         ftl.erase(victim)
 
@@ -201,8 +203,9 @@ def reference_victim(ftl: PageMappedFtl, exclude=frozenset()):
 ))
 def test_victim_heap_matches_scan_under_random_ops(ops):
     """Writes, overwrites, trims and a pipelined GC (several victims in
-    flight, picked with ``exclude=``, relocated a page at a time, then
-    erased or retired) never make the heap disagree with the scan."""
+    flight, picked with ``exclude=``, relocated while other victims wait
+    in flight, then erased or retired) never make the heap disagree with
+    the scan."""
     ftl = PageMappedFtl(tiny_geometry(), overprovision=0.25,
                         spare_blocks_per_die=1)
     reserve = ftl.geometry.total_dies
@@ -225,13 +228,10 @@ def test_victim_heap_matches_scan_under_random_ops(ops):
                 inflight.append(victim)
         elif op == "relocate" and inflight:
             victim = inflight[arg % len(inflight)]
-            slot = next((s for s, logical in enumerate(victim.slot_to_logical)
-                         if logical >= 0), None)
-            if slot is not None:
-                try:
-                    assert ftl.relocate(victim, slot) is not None
-                except FtlFullError:
-                    pass
+            try:
+                ftl.relocate_block(victim)
+            except FtlFullError:
+                pass
         elif op == "collect":
             done = [v for v in inflight if v.valid_count == 0]
             if done:
@@ -272,8 +272,7 @@ def test_victim_heap_rebuild_keeps_the_scan_order():
     for step in range(2000):
         while ftl.free_fraction < 0.2:
             victim = reference_victim(ftl)
-            for slot in range(ftl.pages_per_block):
-                ftl.relocate(victim, slot)
+            ftl.relocate_block(victim)
             ftl.erase(victim)
         before = len(ftl._victims)
         ftl.commit_write(rng.randrange(ftl.logical_pages))
@@ -291,3 +290,137 @@ def test_check_invariants_catches_free_block_count_drift():
     ftl.free_block_count -= 1  # bypasses the pools
     with pytest.raises(SimulationError, match="free-block count drift"):
         ftl.check_invariants()
+
+
+def relocate_page_by_page(ftl: PageMappedFtl, victim: Block) -> list[int]:
+    """The per-page relocation ``relocate_block`` replaced: the oracle.
+
+    Each page allocates a GC slot, then leaves the victim through
+    ``_invalidate_physical``, which pushes one victim-heap entry per page.
+    """
+    moved = []
+    for slot in range(ftl.pages_per_block):
+        logical = victim.slot_to_logical[slot]
+        if logical < 0:
+            continue
+        new_physical = ftl._allocate(ftl._gc_active, logical)
+        ftl._invalidate_physical(victim.block_id * ftl.pages_per_block + slot)
+        ftl._l2p[logical] = new_physical
+        ftl.total_gc_pages_copied += 1
+        moved.append(new_physical)
+    return moved
+
+
+def mapping_state(ftl: PageMappedFtl) -> dict:
+    """Everything the relocation path may change, except the heap's layout
+    (the oracle pushes one entry per moved page)."""
+    state = ftl_state(ftl)
+    del state["victims"]
+    return state
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    channels=st.integers(1, 3),
+    dies_per_channel=st.integers(1, 2),
+    blocks_per_plane=st.integers(4, 12),
+    pages_per_block=st.integers(2, 8),
+    overprovision=st.floats(0.1, 0.4),
+    utilization=st.floats(0.3, 1.0),
+    churn=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**16),
+)
+def test_relocate_block_matches_page_by_page_oracle(
+        channels, dies_per_channel, blocks_per_plane, pages_per_block,
+        overprovision, utilization, churn, seed):
+    """A precondition-style fill plus random churn with watermark GC,
+    driven once through ``relocate_block`` and once through the per-page
+    oracle, picks the same victims and leaves the same FTL after each."""
+    geometry = tiny_geometry(channels=channels, dies_per_channel=dies_per_channel,
+                             blocks_per_plane=blocks_per_plane,
+                             pages_per_block=pages_per_block)
+    policy = GcPolicy(low_watermark=0.1, high_watermark=0.2)
+    fast = PageMappedFtl(geometry, overprovision=overprovision)
+    slow = PageMappedFtl(geometry, overprovision=overprovision)
+    mapped = int(fast.logical_pages * utilization)
+    rng = random.Random(seed)
+    writes = list(range(mapped))
+    writes += [rng.randrange(mapped) for _ in range(round(mapped * churn))]
+    for n, logical in enumerate(writes):
+        if n >= mapped and policy.should_start(fast.free_fraction):
+            while fast.free_fraction < policy.high_watermark:
+                victim = fast.pick_victim()
+                oracle_victim = slow.pick_victim()
+                if victim is None or oracle_victim is None:
+                    assert victim is oracle_victim
+                    break
+                assert victim.block_id == oracle_victim.block_id
+                outcomes = []
+                for ftl, relocate, block in ((fast, PageMappedFtl.relocate_block, victim),
+                                             (slow, relocate_page_by_page, oracle_victim)):
+                    try:
+                        outcomes.append(relocate(ftl, block))
+                        ftl.erase(block)
+                    except FtlFullError:
+                        outcomes.append(None)
+                    ftl.check_invariants()
+                assert outcomes[0] == outcomes[1]
+                assert mapping_state(fast) == mapping_state(slow)
+                if outcomes[0] is None:
+                    return  # both ran out of space at the same page
+        for ftl in (fast, slow):
+            ftl.commit_write(logical)
+    assert mapping_state(fast) == mapping_state(slow)
+
+
+def test_relocate_block_partial_failure_keeps_moved_pages():
+    """An allocation failure partway through a victim leaves the pages
+    already moved in their new slots (and counted), the rest mapped in
+    the victim, and every invariant intact."""
+    ftl = PageMappedFtl(tiny_geometry(channels=1, blocks_per_plane=5),
+                        overprovision=0.4)
+    assert ftl.logical_pages == 12
+    for logical in range(12):
+        ftl.commit_write(logical)  # blocks 0-2 full
+    for logical in (0, 1):
+        ftl.commit_write(logical)  # block 0 keeps two valid pages
+    first = ftl.pick_victim()
+    assert first.block_id == 0
+    ftl.relocate_block(first)  # into GC block 4, which keeps two free slots
+    ftl.erase(first)
+    for logical in (4, 8, 0):
+        ftl.commit_write(logical)  # the last write takes the only free block
+    assert ftl.free_block_count == 0
+    victim = ftl.pick_victim()
+    assert (victim.block_id, victim.valid_count) == (1, 3)
+    copied = ftl.total_gc_pages_copied
+    with pytest.raises(FtlFullError):
+        ftl.relocate_block(victim)
+    assert ftl.total_gc_pages_copied == copied + 2
+    assert [ftl.block_of_physical(ftl.lookup(l)) for l in (5, 6, 7)] == [4, 4, 1]
+    assert victim.slot_to_logical == [-1, -1, -1, 7]
+    assert victim.valid_count == 1
+    ftl.check_invariants()
+    assert ftl.pick_victim() is reference_victim(ftl)
+
+
+def test_relocated_victim_awaiting_erase_keeps_the_invariants():
+    """Between ``relocate_block`` and the erase (the simulated copy and
+    erase take time), the victim is an empty collectable block and a
+    pipelined pick that excludes it agrees with the scan."""
+    ftl = PageMappedFtl(tiny_geometry(), overprovision=0.5)
+    for logical in range(ftl.logical_pages):
+        ftl.commit_write(logical)
+    for logical in range(0, ftl.logical_pages, 3):
+        ftl.commit_write(logical)
+    victim = ftl.pick_victim()
+    assert 0 < victim.valid_count < ftl.pages_per_block
+    moved = ftl.relocate_block(victim)
+    assert len(moved) == ftl.total_gc_pages_copied
+    assert victim.valid_count == 0
+    ftl.check_invariants()
+    assert ftl.pick_victim() is victim
+    exclude = {victim.block_id}
+    assert ftl.pick_victim(exclude=exclude) is reference_victim(ftl, exclude)
+    ftl.erase(victim)
+    ftl.check_invariants()
