@@ -147,24 +147,16 @@ class ConvDevice(DeviceCore):
         drives the per-block validity distribution to the greedy-GC
         steady state, so the measured run starts with realistic write
         amplification instead of spending hundreds of simulated seconds
-        converging.
+        converging. :meth:`PageMappedFtl.precondition` builds the state.
 
-        The FTL must be pristine. The result depends only on the FTL's
+        The FTL must be pristine, and the arguments are checked by the
+        builder. The result depends only on the FTL's
         shape, the GC watermarks and the arguments, so it is memoized per
         process and a repeat call restores a copy: ``self.ftl`` is
         replaced by an FTL equal to the one a fresh fill would build.
         """
-        if not 0 <= utilization <= 1:
-            raise ValueError(f"utilization must be in [0, 1], got {utilization}")
-        if steady_state_churn < 0:
-            raise ValueError("steady_state_churn must be >= 0")
         ftl = self.ftl
-        if (ftl.mapped_pages() or ftl.total_user_pages_written
-                or ftl.total_gc_pages_copied or ftl.bad_blocks):
-            raise ValueError(
-                "precondition requires a pristine FTL: no mapped pages, "
-                "no counted user or GC writes, no bad blocks"
-            )
+        ftl.check_pristine()  # before the memo: a hit replaces the FTL
         key = (ftl.geometry, ftl.overprovision, ftl.spare_blocks_per_die,
                self.gc_policy, utilization, steady_state_churn, seed)
         blob = _preconditioned.get(key)
@@ -172,32 +164,10 @@ class ConvDevice(DeviceCore):
             _preconditioned.move_to_end(key)
             self.ftl = pickle.loads(blob)
             return
-        mapped = int(ftl.logical_pages * utilization)
-        for logical in range(mapped):
-            ftl.commit_write(logical)
-        if steady_state_churn > 0 and mapped > 0:
-            import numpy as np
-
-            rng = np.random.default_rng(seed)
-            for logical in rng.integers(0, mapped, round(mapped * steady_state_churn)):
-                if self.gc_policy.should_start(ftl.free_fraction):
-                    self._metadata_gc(self.gc_policy.high_watermark)
-                ftl.commit_write(int(logical))
-        # The fill is preconditioning, not measured traffic.
-        ftl.total_user_pages_written = 0
-        ftl.total_gc_pages_copied = 0
+        ftl.precondition(utilization, steady_state_churn, seed, self.gc_policy)
         _preconditioned[key] = pickle.dumps(ftl, pickle.HIGHEST_PROTOCOL)
         if len(_preconditioned) > PRECONDITION_MEMO_ENTRIES:
             _preconditioned.popitem(last=False)
-
-    def _metadata_gc(self, target_free_fraction: float) -> None:
-        """Instantaneous GC used only during preconditioning."""
-        while self.ftl.free_fraction < target_free_fraction:
-            victim = self.ftl.pick_victim()
-            if victim is None:
-                break
-            self.ftl.relocate_block(victim)
-            self.ftl.erase(victim)
 
     # ----------------------------------------------------------------- paths
     def _page_span(self, slba: int, nbytes: int) -> tuple[int, int]:

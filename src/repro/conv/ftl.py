@@ -17,6 +17,9 @@ Structure:
   in one call per victim, and erases. Victims come from a lazy
   ``(valid_count, block_id)`` min-heap rather than a scan over every
   block (DESIGN.md §18).
+* the untimed greedy-GC steady state a measurement starts from is built
+  in bulk on numpy arrays (:meth:`PageMappedFtl.precondition`), exact to
+  the per-page path above (DESIGN.md §18.6).
 
 The FTL is pure bookkeeping (no simulated time); the device model drives
 the matching NAND operations through the shared flash backend.
@@ -26,10 +29,15 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
+
+import numpy as np
 
 from ..flash.geometry import FlashGeometry
 from ..sim.engine import SimulationError
+
+if TYPE_CHECKING:
+    from .gc import GcPolicy
 
 __all__ = ["Block", "PageMappedFtl", "FtlFullError"]
 
@@ -154,29 +162,31 @@ class PageMappedFtl:
     def check_invariants(self) -> None:
         """Raise :class:`SimulationError` if a mapping/pool/victim-heap
         invariant fails (used by property tests). Explicit raises, not
-        ``assert``, so ``python -O`` keeps the check."""
-        pages_per_block = self.pages_per_block
-        mapped = 0
-        for logical, physical in enumerate(self._l2p):
-            if physical is None:
-                continue
-            mapped += 1
-            block = self.blocks[physical // pages_per_block]
-            if block.slot_to_logical[physical % pages_per_block] != logical:
-                raise SimulationError("L2P and back-map disagree")
+        ``assert``, so ``python -O`` keeps the check.
+
+        One pass over the back-maps, as one array, checks every set slot
+        against the L2P. Distinct slots are distinct physical pages, so the
+        slots that pass map distinct logical pages; the L2P direction then
+        holds iff the L2P maps exactly as many pages as the back-maps hold."""
+        blocks = self.blocks
+        # Row i is blocks[i], so flat index i * pages_per_block + slot is
+        # the slot's physical page.
+        back = np.array([block.slot_to_logical for block in blocks])
+        live = back >= 0
+        if (live.sum(axis=1) != [block.valid_count for block in blocks]).any():
+            raise SimulationError("valid_count drift")
+        write_slots = np.array([block.write_slot for block in blocks])
+        if (live & (np.arange(self.pages_per_block) >= write_slots[:, None])).any():
+            raise SimulationError("mapped slot beyond the write slot")
+        physical = np.flatnonzero(live)
+        l2p = np.array([-1 if p is None else p for p in self._l2p])
+        if (l2p[back.ravel()[physical]] != physical).any():
+            raise SimulationError("back-map entry missing from L2P")
+        mapped = int(np.count_nonzero(l2p >= 0))
+        if mapped != len(physical):
+            raise SimulationError("L2P and back-map disagree")
         if mapped != self._mapped:
             raise SimulationError("mapped-page counter drift")
-        for block in self.blocks:
-            live = [slot for slot, logical in enumerate(block.slot_to_logical)
-                    if logical >= 0]
-            if block.valid_count != len(live):
-                raise SimulationError("valid_count drift")
-            if any(slot >= block.write_slot for slot in live):
-                raise SimulationError("mapped slot beyond the write slot")
-            for slot in live:
-                logical = block.slot_to_logical[slot]
-                if self._l2p[logical] != block.block_id * pages_per_block + slot:
-                    raise SimulationError("back-map entry missing from L2P")
         free = [b for pool in self._free for b in pool]
         spare = [b for pool in self._spare for b in pool]
         active = [block.block_id for block in self._user_active + self._gc_active
@@ -192,6 +202,49 @@ class PageMappedFtl:
             raise SimulationError("collectable block without a live victim-heap entry")
         if len(self._victims) > VICTIM_HEAP_SLACK * len(self.blocks):
             raise SimulationError("victim heap past its bound")
+
+    def check_pristine(self) -> None:
+        """Raise ``ValueError`` unless nothing was ever written: no mapped
+        page, no counted user or GC write, no bad block."""
+        if (self._mapped or self.total_user_pages_written
+                or self.total_gc_pages_copied or self.bad_blocks):
+            raise ValueError(
+                "precondition requires a pristine FTL: no mapped pages, "
+                "no counted user or GC writes, no bad blocks"
+            )
+
+    # -- preconditioning -------------------------------------------------------
+    def precondition(self, utilization: float, churn: float, seed: int,
+                     policy: GcPolicy) -> None:
+        """Build the greedy-GC steady state a measurement starts from.
+
+        The result equals that of writing logical pages ``0 .. mapped-1``
+        in order through :meth:`commit_write`, where ``mapped =
+        int(logical_pages * utilization)``, then ``round(mapped * churn)``
+        overwrites drawn by ``numpy.random.default_rng(seed).integers(0,
+        mapped, …)``. Before any overwrite that finds
+        ``policy.should_start``, GC collects greedy victims
+        (:meth:`pick_victim`, :meth:`relocate_block`, :meth:`erase`) until
+        ``policy.should_stop`` or no victim is left. The write counters
+        stay 0: preconditioning is not measured traffic.
+
+        The FTL must be pristine. The state is computed in bulk on numpy
+        arrays and written into the FTL once (DESIGN.md §18.6); when an
+        allocation raises :class:`FtlFullError` the FTL is left pristine.
+        """
+        if not 0 <= utilization <= 1:
+            raise ValueError(f"utilization must be in [0, 1], got {utilization}")
+        if churn < 0:
+            raise ValueError("steady_state_churn must be >= 0")
+        self.check_pristine()
+        mapped = int(self.logical_pages * utilization)
+        build = _SteadyStateBuild(self)
+        if mapped:
+            build.fill(mapped)
+            if churn > 0:
+                rng = np.random.default_rng(seed)
+                build.churn(rng.integers(0, mapped, round(mapped * churn)), policy)
+        build.write_to(self, mapped)
 
     # -- writes --------------------------------------------------------------
     def commit_write(self, logical_page: int, reserve: int = 0) -> int:
@@ -414,3 +467,223 @@ class PageMappedFtl:
         block_id = self._free[die].popleft()
         self.free_block_count -= 1
         return self.blocks[block_id]
+
+
+#: Stream rows of :class:`_SteadyStateBuild`'s per-die active-block table.
+_USER, _GC = 0, 1
+
+
+class _SteadyStateBuild:
+    """A pristine :class:`PageMappedFtl` mirrored on numpy arrays, where the
+    precondition's fill, overwrites and GC run as array operations.
+
+    It holds the L2P (``-1`` unmapped), a flat back-map indexed by
+    physical page, per-block valid counts, a full-block mask, each die's
+    free pool as a ring buffer (``pool`` row, ``head``, ``count``), and per
+    stream and die the active block (``-1`` none) with its write slot
+    (``pages_per_block`` when there is none, so a missing and a full
+    active block both mean: take a pooled block before the next page).
+    """
+
+    def __init__(self, ftl: PageMappedFtl):
+        pages_per_block = self.pages_per_block = ftl.pages_per_block
+        dies = self.n_dies = ftl._dies
+        n_blocks = ftl._total_blocks
+        self.blocks_per_die = n_blocks // dies
+        index = np.int32 if n_blocks * pages_per_block <= np.iinfo(np.int32).max else np.int64
+        self.l2p = np.full(ftl.logical_pages, -1, index)
+        self.back = np.full(n_blocks * pages_per_block, -1, index)
+        self.valid = np.zeros(n_blocks, np.int64)
+        self.full = np.zeros(n_blocks, bool)
+        self.pool = np.zeros((dies, self.blocks_per_die), index)
+        for die, pool in enumerate(ftl._free):
+            self.pool[die, :len(pool)] = list(pool)
+        self.head = np.zeros(dies, np.int64)
+        self.count = np.array([len(pool) for pool in ftl._free], np.int64)
+        self.active = np.full((2, dies), -1, np.int64)
+        self.slot = np.full((2, dies), pages_per_block, np.int64)
+        self.cursor = ftl._die_cursor
+        self.free = ftl.free_block_count
+        self.die_ids = np.arange(dies)
+        #: Row ``c``: every die in round-robin order from cursor ``c``.
+        self.rotations = (self.die_ids + self.die_ids[:, None]) % dies
+        self.block_ids = np.arange(n_blocks)
+
+    def deal(self, stream: int, n: int, stop_at_take: int = 0) -> np.ndarray:
+        """The physical pages of ``n`` (> 0) calls of ``_allocate`` with
+        reserve 0 on one stream, in call order.
+
+        Pages go round-robin from the die cursor over the dies with room:
+        the free slots of the active block plus ``pages_per_block`` per
+        pooled block. A die takes its next pooled block only when it has a
+        page to place, so an exactly full active block stays active. The
+        pages are dealt in segments of whole rounds over a fixed set of
+        dies; a segment ends where the die with the least room runs out,
+        which drops out before the next round. A die's queue position ``u``
+        (its write slot, then one more per page) names block ``u //
+        pages_per_block`` of its queue (0 the active block, then the pool
+        in order) and slot ``u % pages_per_block``. With ``stop_at_take=k``
+        the deal stops after the page whose allocation takes the ``k``-th
+        pooled block, so it may return fewer than ``n`` pages.
+        """
+        pages_per_block, per_die = self.pages_per_block, self.blocks_per_die
+        active, slot = self.active[stream], self.slot[stream]
+        pool, head, count = self.pool, self.head, self.count
+        placed = []
+        left = n
+        while left:
+            room = pages_per_block - slot + pages_per_block * count
+            order = self.rotations[self.cursor]
+            dies = order[room[order] > 0]
+            k = len(dies)
+            if not k:
+                raise FtlFullError("no allocatable block outside the GC reserve")
+            seg = min(int(room[dies].min()) * k, left)
+            start = slot[dies]
+            # Every active slot is >= 1 (blocks are taken for a page), so a
+            # die dealt no page takes (start - 1) // pages_per_block == 0.
+            got = seg // k + (self.die_ids[:k] < seg % k)
+            takes = (start + got - 1) // pages_per_block
+            if stop_at_take:
+                taken = int(takes.sum())
+                if taken < stop_at_take:
+                    stop_at_take -= taken
+                else:
+                    # Segment positions of the takes: die rank r takes its
+                    # t-th block at queue position t * pages_per_block.
+                    rank = np.repeat(self.die_ids[:k], takes)
+                    nth = np.arange(taken) - np.repeat(np.cumsum(takes) - takes, takes) + 1
+                    at = (nth * pages_per_block - start[rank]) * k + rank
+                    left = seg = int(np.partition(at, stop_at_take - 1)[stop_at_take - 1]) + 1
+                    got = seg // k + (self.die_ids[:k] < seg % k)
+                    takes = (start + got - 1) // pages_per_block
+            position = np.arange(seg)
+            rank = position % k
+            die = dies[rank]
+            block_index, block_slot = np.divmod(start[rank] + position // k, pages_per_block)
+            block = np.where(block_index == 0, active[die],
+                             pool[die, (head[die] + block_index - 1) % per_die])
+            placed.append(block * pages_per_block + block_slot)
+            self.full[block[block_slot == pages_per_block - 1]] = True
+            last = start + got - 1
+            active[dies] = np.where(
+                takes > 0, pool[dies, (head[dies] + takes - 1) % per_die], active[dies])
+            slot[dies] = last - takes * pages_per_block + 1
+            head[dies] = (head[dies] + takes) % per_die
+            count[dies] -= takes
+            self.free -= int(takes.sum())
+            self.cursor = (int(dies[(seg - 1) % k]) + 1) % self.n_dies
+            left -= seg
+        return placed[0] if len(placed) == 1 else np.concatenate(placed)
+
+    def fill(self, mapped: int) -> None:
+        """``commit_write`` of logical pages ``0 .. mapped-1``, in order."""
+        physical = self.deal(_USER, mapped)
+        self.l2p[:mapped] = physical
+        self.back[physical] = np.arange(mapped)
+        self.valid += np.bincount(physical // self.pages_per_block, minlength=len(self.valid))
+
+    def churn(self, writes: np.ndarray, policy: GcPolicy) -> None:
+        """``commit_write`` of each logical page in ``writes``, with
+        watermark GC before every write that finds ``policy.should_start``.
+
+        The writes run in batches, one per gap between GC triggers: free
+        blocks fall only as user writes take them, so a batch ends at the
+        write whose block take makes ``should_start`` true.
+        """
+        n_blocks = len(self.valid)
+        trigger = 0  # the most free blocks at which GC starts
+        while policy.should_start((trigger + 1) / n_blocks):
+            trigger += 1
+        done = 0
+        while done < len(writes):
+            if self.free <= trigger:
+                self.collect(policy)
+            if self.free > trigger:
+                physical = self.deal(_USER, len(writes) - done, self.free - trigger)
+            else:
+                physical = self.deal(_USER, 1)  # GC could not lift it: it runs again
+            self.overwrite(writes[done:done + len(physical)], physical)
+            done += len(physical)
+
+    def overwrite(self, logicals: np.ndarray, physical: np.ndarray) -> None:
+        """Remap a batch of mapped logical pages to freshly dealt pages.
+
+        A write's old page is the one the same logical page's previous
+        write in the batch got, else its L2P entry before the batch; the
+        last write of each logical page is the one the L2P keeps.
+        """
+        order = np.argsort(logicals, kind="stable")
+        logicals, physical = logicals[order], physical[order]
+        first = np.empty(len(logicals), bool)
+        first[0] = True
+        np.not_equal(logicals[1:], logicals[:-1], out=first[1:])
+        old = np.where(first, self.l2p[logicals], np.roll(physical, 1))
+        last = np.append(first[1:], True)
+        self.back[physical] = logicals
+        self.back[old] = -1
+        n_blocks = len(self.valid)
+        self.valid += (np.bincount(physical // self.pages_per_block, minlength=n_blocks)
+                       - np.bincount(old // self.pages_per_block, minlength=n_blocks))
+        self.l2p[logicals[last]] = physical[last]
+
+    def collect(self, policy: GcPolicy) -> None:
+        """Greedy GC until ``policy.should_stop`` or no victim is left."""
+        n_blocks = len(self.valid)
+        pages_per_block = self.pages_per_block
+        no_victim = n_blocks * (pages_per_block + 1)
+        while not policy.should_stop(self.free / n_blocks):
+            # The victim heap's (valid_count, block_id) order, as one key.
+            key = self.valid * n_blocks + self.block_ids
+            key[~self.full | (self.valid == pages_per_block)] = no_victim
+            victim = int(key.argmin())
+            if key[victim] == no_victim:
+                break
+            self.relocate_and_erase(victim)
+
+    def relocate_and_erase(self, victim: int) -> None:
+        """``relocate_block`` then ``erase`` of a full victim block."""
+        pages_per_block = self.pages_per_block
+        back = self.back[victim * pages_per_block:(victim + 1) * pages_per_block]
+        logicals = back[back >= 0]
+        if len(logicals):
+            physical = self.deal(_GC, len(logicals))
+            self.back[physical] = logicals
+            self.l2p[logicals] = physical
+            np.add.at(self.valid, physical // pages_per_block, 1)
+        back[:] = -1
+        self.valid[victim] = 0
+        self.full[victim] = False
+        die = victim // self.blocks_per_die
+        detach = self.active[:, die] == victim
+        self.active[detach, die] = -1
+        self.slot[detach, die] = pages_per_block
+        self.pool[die, (self.head[die] + self.count[die]) % self.blocks_per_die] = victim
+        self.count[die] += 1
+        self.free += 1
+
+    def write_to(self, ftl: PageMappedFtl, mapped: int) -> None:
+        """Store the built state in ``ftl``, whose logical pages
+        ``0 .. mapped-1`` are the mapped ones."""
+        pages_per_block = self.pages_per_block
+        ftl._l2p = self.l2p[:mapped].tolist() + [None] * (ftl.logical_pages - mapped)
+        ftl._mapped = mapped
+        rows = self.back.reshape(-1, pages_per_block).tolist()
+        for block, row, valid, full in zip(ftl.blocks, rows, self.valid.tolist(),
+                                           self.full.tolist()):
+            block.slot_to_logical = row
+            block.valid_count = valid
+            block.write_slot = pages_per_block if full else 0
+        for actives, block_ids, slots in zip((ftl._user_active, ftl._gc_active),
+                                             self.active.tolist(), self.slot.tolist()):
+            for die, (block_id, slot) in enumerate(zip(block_ids, slots)):
+                actives[die] = ftl.blocks[block_id] if block_id >= 0 else None
+                if block_id >= 0:
+                    actives[die].write_slot = slot
+        for die in range(self.n_dies):
+            ring = (self.head[die] + np.arange(self.count[die])) % self.blocks_per_die
+            ftl._free[die] = deque(self.pool[die, ring].tolist())
+        ftl._die_cursor = self.cursor
+        ftl.free_block_count = self.free
+        ftl._victims = ftl._collectable_entries()
+        heapq.heapify(ftl._victims)

@@ -1,15 +1,20 @@
 """Unit + property tests for the page-mapped FTL and GC policy."""
 
+import hashlib
+import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.conv import FtlFullError, GcPolicy, PageMappedFtl
-from repro.conv.ftl import Block
+from repro.conv import ConvDevice, FtlFullError, GcPolicy, PageMappedFtl
+from repro.conv import device as conv_device
+from repro.conv.ftl import _GC, _USER, Block, _SteadyStateBuild
+from repro.core.experiments.io_interference import conv_experiment_profile
 from repro.flash import KIB, FlashGeometry
-from repro.sim import SimulationError
+from repro.sim import SimulationError, Simulator
 
 from .test_conv_device import ftl_state
 
@@ -424,3 +429,267 @@ def test_relocated_victim_awaiting_erase_keeps_the_invariants():
     assert ftl.pick_victim(exclude=exclude) is reference_victim(ftl, exclude)
     ftl.erase(victim)
     ftl.check_invariants()
+
+
+def test_check_invariants_catches_mapping_drift():
+    """Each mapping check of the one-pass walk still fires on its own."""
+    def fresh():
+        ftl = PageMappedFtl(tiny_geometry(), overprovision=0.25)
+        for logical in range(6):
+            ftl.commit_write(logical)
+        ftl.commit_write(0)
+        ftl.check_invariants()
+        return ftl
+
+    def drop_valid(ftl):
+        ftl.blocks[ftl.lookup(1) // ftl.pages_per_block].valid_count -= 1
+
+    def rewind_write_slot(ftl):
+        ftl.blocks[ftl.lookup(1) // ftl.pages_per_block].write_slot = 0
+
+    def remap_logical(ftl):
+        ftl._l2p[1] = ftl.lookup(2)
+
+    def map_without_back_map(ftl):
+        ftl._l2p[ftl.logical_pages - 1] = 0
+        ftl._mapped += 1
+
+    def count_drift(ftl):
+        ftl._mapped += 1
+
+    for mutate, message in ((drop_valid, "valid_count drift"),
+                            (rewind_write_slot, "mapped slot beyond the write slot"),
+                            (remap_logical, "back-map entry missing from L2P"),
+                            (map_without_back_map, "L2P and back-map disagree"),
+                            (count_drift, "mapped-page counter drift")):
+        ftl = fresh()
+        mutate(ftl)
+        with pytest.raises(SimulationError, match=message):
+            ftl.check_invariants()
+
+
+# -- the bulk precondition ---------------------------------------------------
+
+def churn_page_by_page(ftl: PageMappedFtl, writes, policy: GcPolicy) -> None:
+    """``commit_write`` of each logical page, with synchronous watermark
+    GC before every write that finds ``policy.should_start``."""
+    for logical in writes:
+        if policy.should_start(ftl.free_fraction):
+            while ftl.free_fraction < policy.high_watermark:
+                victim = ftl.pick_victim()
+                if victim is None:
+                    break
+                ftl.relocate_block(victim)
+                ftl.erase(victim)
+        ftl.commit_write(int(logical))
+
+
+def precondition_page_by_page(ftl: PageMappedFtl, utilization: float, churn: float,
+                              seed: int, policy: GcPolicy) -> None:
+    """The per-page precondition ``PageMappedFtl.precondition`` replaced:
+    the oracle. A sequential fill, then random overwrites with
+    synchronous watermark GC; the write counters end at 0."""
+    mapped = int(ftl.logical_pages * utilization)
+    for logical in range(mapped):
+        ftl.commit_write(logical)
+    if churn > 0 and mapped > 0:
+        rng = np.random.default_rng(seed)
+        churn_page_by_page(ftl, rng.integers(0, mapped, round(mapped * churn)), policy)
+    ftl.total_user_pages_written = 0
+    ftl.total_gc_pages_copied = 0
+
+
+def end_state(ftl: PageMappedFtl) -> dict:
+    """Everything a preconditioned FTL carries into a measured run, with
+    the victim heap as its collectable set (the two builds push different
+    heap entries, and only the set decides a pick)."""
+    state = ftl_state(ftl)
+    del state["victims"]
+    state["collectable"] = sorted(ftl._collectable_entries())
+    return state
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    channels=st.integers(1, 3),
+    dies_per_channel=st.integers(1, 2),
+    blocks_per_plane=st.integers(2, 10),
+    pages_per_block=st.sampled_from([1, 2, 3, 4, 8]),
+    overprovision=st.floats(0.05, 0.5),
+    spares=st.integers(0, 1),
+    low=st.floats(0.02, 0.4),
+    gap=st.floats(0.01, 0.3),
+    utilization=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    churn=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    seed=st.integers(0, 2**16),
+)
+def test_precondition_matches_page_by_page_oracle(
+        channels, dies_per_channel, blocks_per_plane, pages_per_block, overprovision,
+        spares, low, gap, utilization, churn, seed):
+    """The bulk build leaves the FTL the per-page precondition leaves, and
+    raises ``FtlFullError`` in exactly the same cases (leaving its FTL
+    pristine)."""
+    geometry = tiny_geometry(channels=channels, dies_per_channel=dies_per_channel,
+                             blocks_per_plane=blocks_per_plane,
+                             pages_per_block=pages_per_block)
+    policy = GcPolicy(low_watermark=low, high_watermark=low + gap)
+    bulk, oracle = (PageMappedFtl(geometry, overprovision, spare_blocks_per_die=spares)
+                    for _ in range(2))
+    pristine = end_state(bulk)
+    outcomes = []
+    for run in (lambda: bulk.precondition(utilization, churn, seed, policy),
+                lambda: precondition_page_by_page(oracle, utilization, churn, seed, policy)):
+        try:
+            run()
+            outcomes.append("built")
+        except FtlFullError:
+            outcomes.append("full")
+    assert outcomes[0] == outcomes[1]
+    if outcomes[0] == "full":
+        assert end_state(bulk) == pristine
+        return
+    bulk.check_invariants()
+    assert end_state(bulk) == end_state(oracle)
+
+
+def dealer_state(ftl: PageMappedFtl) -> dict:
+    """What an allocation moves: streams, pools, cursor, write slots."""
+    state = end_state(ftl)
+    for key in ("l2p", "mapped", "back_maps", "collectable", "counters"):
+        del state[key]
+    state["write_slots"] = [block.write_slot for block in ftl.blocks]
+    return state
+
+
+def deal_both(geometry: FlashGeometry, n: int, prepare=None, stream=_USER):
+    """Deal ``n`` pages in bulk and by ``n`` calls of ``_allocate`` on two
+    equal FTLs (``prepare`` shapes both first); returns both FTLs and both
+    page lists, with the bulk state written back."""
+    bulk, oracle = (PageMappedFtl(geometry, overprovision=0.25) for _ in range(2))
+    if prepare is not None:
+        prepare(bulk)
+        prepare(oracle)
+    build = _SteadyStateBuild(bulk)
+    dealt = build.deal(stream, n).tolist()
+    build.write_to(bulk, 0)
+    actives = oracle._user_active if stream == _USER else oracle._gc_active
+    allocated = [oracle._allocate(actives, logical) for logical in range(n)]
+    return bulk, oracle, dealt, allocated
+
+
+def shrink_pools(*sizes):
+    """A ``prepare`` that leaves die ``d`` ``sizes[d]`` free blocks."""
+    def prepare(ftl):
+        for pool, size in zip(ftl._free, sizes):
+            while len(pool) > size:
+                pool.pop()
+                ftl.free_block_count -= 1
+    return prepare
+
+
+def test_deal_drops_an_exhausted_die_before_the_partial_round():
+    """Die 0 runs out exactly at the end of the first segment (two whole
+    rounds); the seventh page must skip it, not take from its empty pool."""
+    geometry = tiny_geometry(channels=3, pages_per_block=2)
+    bulk, oracle, dealt, allocated = deal_both(geometry, 7, shrink_pools(1, 2, 2))
+    assert [bulk.die_of_physical(p) for p in dealt] == [0, 1, 2, 0, 1, 2, 1]
+    assert dealt == allocated
+    assert dealer_state(bulk) == dealer_state(oracle)
+    assert bulk._die_cursor == 2
+
+
+def test_deal_raises_when_every_die_runs_dry():
+    geometry = tiny_geometry(channels=3, pages_per_block=2)
+    prepare = shrink_pools(1, 2, 1)
+    deal_both(geometry, 8, prepare)  # exactly the room there is
+    with pytest.raises(FtlFullError):
+        deal_both(geometry, 9, prepare)
+    oracle = PageMappedFtl(geometry, overprovision=0.25)
+    prepare(oracle)
+    for logical in range(8):
+        oracle._allocate(oracle._user_active, logical)
+    with pytest.raises(FtlFullError):
+        oracle._allocate(oracle._user_active, 8)
+
+
+@pytest.mark.parametrize("stream", [_USER, _GC])
+def test_deal_keeps_an_exactly_full_active_block(stream):
+    """A block is taken only for a page: after two blocks' worth of pages
+    on two dies each die's active block is full and still active."""
+    geometry = tiny_geometry()
+    bulk, oracle, dealt, allocated = deal_both(geometry, 2 * 4, stream=stream)
+    assert dealt == allocated
+    actives = bulk._user_active if stream == _USER else bulk._gc_active
+    assert all(block is not None and block.is_full for block in actives)
+    assert bulk.free_block_count == geometry.total_blocks - 2
+    assert dealer_state(bulk) == dealer_state(oracle)
+
+
+def churn_both(bulk: PageMappedFtl, oracle: PageMappedFtl, mapped: int, writes,
+               policy: GcPolicy) -> None:
+    """Fill ``0 .. mapped-1`` then overwrite ``writes`` with watermark GC,
+    in bulk on ``bulk`` and page by page on ``oracle``."""
+    build = _SteadyStateBuild(bulk)
+    build.fill(mapped)
+    build.churn(np.array(writes), policy)
+    build.write_to(bulk, mapped)
+    for logical in range(mapped):
+        oracle.commit_write(logical)
+    churn_page_by_page(oracle, writes, policy)
+    oracle.total_user_pages_written = oracle.total_gc_pages_copied = 0
+    bulk.check_invariants()
+
+
+def test_churn_batch_overwrites_a_logical_twice():
+    """The second write of logical 3 in one batch invalidates the page the
+    first one got, not the fill's page twice."""
+    geometry = tiny_geometry(blocks_per_plane=16)
+    policy = GcPolicy(low_watermark=0.01, high_watermark=0.02)  # never triggers
+    bulk, oracle = (PageMappedFtl(geometry, overprovision=0.25) for _ in range(2))
+    churn_both(bulk, oracle, 8, [3, 5, 3, 3, 0], policy)
+    assert end_state(bulk) == end_state(oracle)
+    assert sum(block.valid_count for block in bulk.blocks) == 8
+
+
+@pytest.mark.parametrize("channels, mapped, writes, stream", [
+    (1, 4, [1, 1, 2], "_user_active"),
+    (2, 9, [1, 5, 7, 5], "_gc_active"),
+])
+def test_gc_erases_a_victim_that_is_still_an_active_block(channels, mapped, writes, stream):
+    """GC erases a full block that is still its stream's active block (a
+    GC block keeps that role only if relocation took no new block on its
+    die); both builds detach it."""
+    geometry = tiny_geometry(channels=channels, blocks_per_plane=4, pages_per_block=2)
+    policy = GcPolicy(low_watermark=0.3, high_watermark=0.5)
+    bulk, oracle = (PageMappedFtl(geometry, overprovision=0.25) for _ in range(2))
+    erased_active = []
+    erase = oracle.erase
+
+    def erase_and_record(victim):
+        erased_active.append(victim is getattr(oracle, stream)[victim.die])
+        erase(victim)
+
+    oracle.erase = erase_and_record
+    churn_both(bulk, oracle, mapped, writes, policy)
+    assert any(erased_active)
+    assert end_state(bulk) == end_state(oracle)
+
+
+#: sha256 of ``end_state`` (as JSON) after ``precondition(0.92, 1.0, 0x5EED)``
+#: on ``conv_experiment_profile()``, recorded from the per-page
+#: precondition (``precondition_page_by_page``) before the bulk build.
+EXPERIMENT_STEADY_STATE_SHA256 = (
+    "d51ff6bb528ef1bbf23528e1ae8c90947dd990f6d72b093057891f854bb193db")
+
+
+def test_experiment_steady_state_digest():
+    """Cross-commit oracle for the FTL state itself: the experiment
+    geometry's steady state hashes to the per-page build's digest."""
+    conv_device._preconditioned.clear()
+    try:
+        device = ConvDevice(Simulator(), conv_experiment_profile())
+        device.precondition(0.92, steady_state_churn=1.0, seed=0x5EED)
+    finally:
+        conv_device._preconditioned.clear()
+    digest = hashlib.sha256(json.dumps(end_state(device.ftl)).encode()).hexdigest()
+    assert digest == EXPERIMENT_STEADY_STATE_SHA256
