@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pickle
 from collections import OrderedDict
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional
 
 from ..device.core import PRIO_IO, DeviceCore
 from ..flash.backend import FlashBackend
@@ -27,7 +27,7 @@ from ..hostif.namespace import LBA_4K, LbaFormat
 from ..hostif.status import Status
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
-from ..sim.engine import Simulator
+from ..sim.engine import Event, Process, Simulator
 from ..sim.rng import StreamFactory
 from ..zns.profiles import DeviceProfile
 from .ftl import FtlFullError, PageMappedFtl
@@ -51,6 +51,25 @@ GC_WINDOW = 16
 #: least recently used evicted first. One entry is a pickle of a few MiB.
 PRECONDITION_MEMO_ENTRIES = 4
 _preconditioned: OrderedDict[tuple, bytes] = OrderedDict()
+
+
+class _BlockFreed(Event):
+    """Fires when GC frees the next block.
+
+    The flushes the FTL refused wait on it, in stall order, in ``stalled``
+    rather than in the kernel's waiter slot, whose one callback
+    (``retry``) decides which of them resume (DESIGN.md §18.7).
+    """
+
+    __slots__ = ("stalled",)
+
+    def __init__(self, sim: Simulator, retry: Callable[["_BlockFreed"], None]):
+        super().__init__(sim)
+        self.stalled: list[Process] = []
+        super().add_callback(retry)
+
+    def add_callback(self, waiter: Process) -> None:
+        self.stalled.append(waiter)
 
 
 class ConvDevice(DeviceCore):
@@ -98,7 +117,7 @@ class ConvDevice(DeviceCore):
             profile.gc_low_watermark, profile.gc_high_watermark
         )
         self._gc_wakeup = sim.event()
-        self._space_freed = sim.event()
+        self._space_freed = _BlockFreed(sim, self._retry_stalled)
         self._gc_running = False
         #: Free blocks only GC may allocate from — guarantees relocation
         #: destinations so GC can always make forward progress.
@@ -257,12 +276,13 @@ class ConvDevice(DeviceCore):
         return self._complete(command, Status.SUCCESS, nbytes=nbytes, cid=cid)
 
     def _flush_page(self, logical: int, token: list | None = None) -> Generator:
-        if token is not None and token[0]:
-            # Power cut dropped this page before the flush began; the
-            # mapping keeps the old data and the bytes were drained.
-            self._pending_flushes.remove(token)
-            return
         while True:
+            if token is not None and token[0]:
+                # A power cut dropped this page before it reached the FTL
+                # (before the flush began or while it stalled): the
+                # mapping keeps the old data and the bytes were drained.
+                self._pending_flushes.remove(token)
+                return
             try:
                 physical = self.ftl.commit_write(logical, reserve=self._gc_reserve)
                 break
@@ -420,10 +440,33 @@ class ConvDevice(DeviceCore):
                                  track="gc", die=victim.die,
                                  pages_copied=len(copies))
             if freed:
-                self._space_freed.succeed()
-                self._space_freed = self.sim.event()
+                self._signal_space_freed()
         finally:
             self._gc_inflight_blocks.discard(victim.block_id)
+
+    def _signal_space_freed(self) -> None:
+        """Fire the freed-block event; later stalls wait for the next one."""
+        self._space_freed.succeed()
+        self._space_freed = _BlockFreed(self.sim, self._retry_stalled)
+
+    def _retry_stalled(self, freed: _BlockFreed) -> None:
+        """Retry the flushes parked on ``freed``, in stall order, up to and
+        including the first one the FTL refuses again; the rest move
+        unresumed, in order, behind the flushes parked on the next freed
+        block.
+
+        Exact (DESIGN.md §18.7): a refused ``commit_write`` changes
+        nothing, and only an erase or a retirement makes room, which no
+        resumed flush does before it yields, so every flush after a
+        refusal would be refused too.
+        """
+        stalled = freed.stalled
+        for index, waiter in enumerate(stalled):
+            waiter.resume(freed)
+            parked = self._space_freed.stalled
+            if parked and parked[-1] is waiter:  # refused again
+                parked.extend(stalled[index + 1:])
+                return
 
     def _gc_copy(self, src_die: int, dst_die: int) -> Generator:
         yield from self.backend.read_page(src_die, priority=self.gc_priority,

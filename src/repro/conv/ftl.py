@@ -507,7 +507,6 @@ class _SteadyStateBuild:
         self.die_ids = np.arange(dies)
         #: Row ``c``: every die in round-robin order from cursor ``c``.
         self.rotations = (self.die_ids + self.die_ids[:, None]) % dies
-        self.block_ids = np.arange(n_blocks)
 
     def deal(self, stream: int, n: int, stop_at_take: int = 0) -> np.ndarray:
         """The physical pages of ``n`` (> 0) calls of ``_allocate`` with
@@ -628,18 +627,32 @@ class _SteadyStateBuild:
         self.l2p[logicals[last]] = physical[last]
 
     def collect(self, policy: GcPolicy) -> None:
-        """Greedy GC until ``policy.should_stop`` or no victim is left."""
+        """Greedy GC until ``policy.should_stop`` or no victim is left.
+
+        Victims come in the victim heap's ``(valid_count, block_id)``
+        order, from one heap of ``valid × total_blocks + id`` keys per
+        call. It starts as every full block with garbage in it: within a
+        call no page is overwritten, so the only counts that change are a
+        victim's, which leaves the heap, and those of the GC-stream blocks
+        being written. A block the GC stream takes from a pool fills with
+        valid pages only; one it was already writing joins the heap when
+        it fills with garbage in it (DESIGN.md §18.7).
+        """
         n_blocks = len(self.valid)
         pages_per_block = self.pages_per_block
-        no_victim = n_blocks * (pages_per_block + 1)
-        while not policy.should_stop(self.free / n_blocks):
-            # The victim heap's (valid_count, block_id) order, as one key.
-            key = self.valid * n_blocks + self.block_ids
-            key[~self.full | (self.valid == pages_per_block)] = no_victim
-            victim = int(key.argmin())
-            if key[victim] == no_victim:
-                break
-            self.relocate_and_erase(victim)
+        collectable = np.flatnonzero(self.full & (self.valid < pages_per_block))
+        heap = (self.valid[collectable] * n_blocks + collectable).tolist()
+        heapq.heapify(heap)
+        writing = [block for block in self.active[_GC].tolist()
+                   if block >= 0 and not self.full[block]]
+        while heap and not policy.should_stop(self.free / n_blocks):
+            self.relocate_and_erase(heapq.heappop(heap) % n_blocks)
+            if writing and self.full[writing].any():
+                for block in writing:
+                    valid = int(self.valid[block])
+                    if self.full[block] and valid < pages_per_block:
+                        heapq.heappush(heap, valid * n_blocks + block)
+                writing = [block for block in writing if not self.full[block]]
 
     def relocate_and_erase(self, victim: int) -> None:
         """``relocate_block`` then ``erase`` of a full victim block."""

@@ -243,15 +243,20 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self._triggered
 
-    # -- internal --------------------------------------------------------
-    def _resume(self, event: Event) -> None:
-        # Simulator.run inlines this for a lone Process waiter; this
-        # serves Processes in a multi-waiter list.
+    def resume(self, event: Event) -> None:
+        """Resume the generator with ``event``'s outcome, as the dispatch
+        of an event this process waits on does.
+
+        :meth:`Simulator.run` inlines this for a lone Process waiter and
+        calls it for each Process in a multi-waiter list; an event whose
+        own callback decides which of its waiters resume calls it too.
+        """
         if event._exception is None:
             self._advance(self._send, event._value)
         else:
             self._advance(self.generator.throw, event._exception)
 
+    # -- internal --------------------------------------------------------
     def _block_on(self, target: Any) -> None:
         """Wait on a non-Timeout yield target (the run loop calls this)."""
         if not isinstance(target, Event):
@@ -481,7 +486,7 @@ class Simulator:
                         elif cls is list:
                             for entry in cb:
                                 if entry.__class__ is Process:
-                                    entry._resume(event)
+                                    entry.resume(event)
                                 else:
                                     entry(event)
                         else:

@@ -1,12 +1,17 @@
 """Integration tests for the conventional SSD device model."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+from repro.device import PRIO_IO
 from repro.flash import KIB, MIB, FlashGeometry
 from repro.hostif import Command, Opcode, Status
 from repro.sim import Simulator, ms, sec, us
-from repro.conv import ConvDevice
+from repro.conv import ConvDevice, FtlFullError
 from repro.conv import device as conv_device
+from repro.conv.device import PRIO_GC_URGENT
 from repro.faults import resolve
 from repro.obs import Tracer
 
@@ -288,3 +293,156 @@ class TestBuildConvDevice:
         assert device.telemetry is not None
         assert telemetry.drain() == [device.telemetry.segment()]
         assert device.gc_priority == PRIO_IO
+
+
+# -- stalled flushes -----------------------------------------------------------
+
+class BroadcastConvDevice(ConvDevice):
+    """The oracle: the wake-up ``ConvDevice`` had before stalled flushes
+    retried once per freed block. Every freed block resumes every parked
+    flush, in stall order, as the kernel's fan-out over an event's waiter
+    list does."""
+
+    def _retry_stalled(self, freed):
+        for waiter in freed.stalled:
+            waiter.resume(freed)
+
+
+def stalled_flood(device_class, gc_priority, faults, seed):
+    """Random full-page overwrites at QD8 for 150 ms on a 95%-full device,
+    where the FTL keeps refusing flushes at its GC reserve.
+
+    Returns each command's ``(completion time, status)`` by writer and
+    sequence number, the metrics snapshot (GC and fault counters), the FTL
+    state, and the ``commit_write`` refusals met by each freed block's
+    retry of the parked flushes.
+    """
+    refusals = [0]
+    per_retry = []
+
+    class Counting(device_class):
+        def _retry_stalled(self, freed):
+            before = refusals[0]
+            super()._retry_stalled(freed)
+            per_retry.append(refusals[0] - before)
+
+    sim = Simulator()
+    dev = Counting(sim, conv_profile(), gc_priority=gc_priority, faults=faults)
+    dev.precondition(0.95, steady_state_churn=1.0, seed=3)
+    commit = dev.ftl.commit_write
+
+    def counted_commit(logical, reserve=0):
+        try:
+            return commit(logical, reserve)
+        except FtlFullError:
+            refusals[0] += 1
+            raise
+
+    dev.ftl.commit_write = counted_commit
+    rng = np.random.default_rng(seed)
+    page_lbas = dev.profile.geometry.page_size // dev.namespace.block_size
+    pages = dev.namespace.capacity_lbas // page_lbas
+    completions = {}
+
+    def writer(index):
+        sequence = 0
+        while sim.now < ms(150):
+            slba = int(rng.integers(0, pages)) * page_lbas
+            cpl = yield dev.submit(write(slba, page_lbas))
+            completions[index, sequence] = (cpl.completed_at, cpl.status)
+            sequence += 1
+
+    writers = [sim.process(writer(index)) for index in range(8)]
+    sim.run(until=sim.all_of(writers))
+    return {
+        "completions": completions,
+        "metrics": dev.metrics.snapshot(),
+        "ftl": ftl_state(dev.ftl),
+    }, per_retry
+
+
+class TestStalledFlushRetry:
+    @pytest.fixture(autouse=True, scope="class")
+    def empty_memo(self):
+        conv_device._preconditioned.clear()
+        yield
+        conv_device._preconditioned.clear()
+
+    @pytest.mark.parametrize("gc_priority", [PRIO_GC_URGENT, PRIO_IO])
+    @pytest.mark.parametrize("faults", [None, "power-cut"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_retry_once_per_freed_block_matches_broadcast(self, gc_priority,
+                                                          faults, seed):
+        """Resuming parked flushes only up to the first refusal, and moving
+        the rest behind the flushes that stalled meanwhile, changes no
+        completion, counter or FTL state; each freed block's retry meets
+        at most one refusal, where the broadcast met many."""
+        plan = resolve(faults)
+        run, per_retry = stalled_flood(ConvDevice, gc_priority, plan, seed)
+        oracle, oracle_per_retry = stalled_flood(BroadcastConvDevice, gc_priority,
+                                                 plan, seed)
+        assert run == oracle
+        assert len(per_retry) == len(oracle_per_retry) > 0
+        assert max(oracle_per_retry) > 1  # the flood really kept flushes parked
+        assert max(per_retry) <= 1
+
+    @pytest.mark.parametrize("device_class", [ConvDevice, BroadcastConvDevice])
+    def test_retry_keeps_stall_order_behind_newer_stalls(self, device_class):
+        """Flushes 1 and 2 park. A block is freed without room for a user
+        page, and flush 3 parks before the retry runs. The retry refuses
+        flush 1 again and must move flush 2 behind flush 3 and flush 1, as
+        the broadcast retry of every flush leaves them: the next pages go
+        to flush 3, then 1 and 2."""
+        sim = Simulator()
+        dev = device_class(sim, conv_profile())
+        commit = dev.ftl.commit_write
+        room, committed = [0], []
+
+        def commit_while_room(logical, reserve=0):
+            if not room[0]:
+                raise FtlFullError("no allocatable block outside the GC reserve")
+            room[0] -= 1
+            committed.append(logical)
+            return commit(logical, reserve)
+
+        dev.ftl.commit_write = commit_while_room
+        sim.process(dev._flush_page(1))
+        sim.process(dev._flush_page(2))
+        sim.run()
+        sim.process(dev._flush_page(3))  # runs after the freed block fires, before its retry
+        dev._signal_space_freed()
+        sim.run()
+        assert committed == []
+        for pages in (1, 2):
+            room[0] = pages
+            dev._signal_space_freed()
+            sim.run()
+        assert committed == [3, 1, 2]
+
+    def test_flush_cancelled_while_stalled_does_not_commit(self):
+        """A power cut that drops a page whose flush is parked on a full
+        FTL keeps the old mapping: the flush leaves when it resumes, with
+        nothing committed."""
+        plan = dataclasses.replace(resolve("power-cut"), power_cut_at_ns=ms(1),
+                                   plp_budget_bytes=0)
+        sim = Simulator()
+        dev = ConvDevice(sim, conv_profile(), faults=plan)
+        commit = dev.ftl.commit_write
+
+        def refuse_until_the_cut(logical, reserve=0):
+            if sim.now < ms(1):
+                raise FtlFullError("no allocatable block outside the GC reserve")
+            return commit(logical, reserve)
+
+        dev.ftl.commit_write = refuse_until_the_cut
+        page_lbas = dev.profile.geometry.page_size // dev.namespace.block_size
+        assert run_cmd(sim, dev, write(0, page_lbas)).ok
+        assert len(dev._space_freed.stalled) == 1
+        sim.run(until=ms(1) + 1)
+        assert dev.faults.bytes_lost.value == dev.profile.geometry.page_size
+        dev._signal_space_freed()
+        sim.run()
+        assert dev.ftl.lookup(0) is None
+        assert dev.ftl.total_user_pages_written == 0
+        assert dev._pending_flushes == []
+        assert dev.backend.counters.pages_programmed == 0

@@ -675,6 +675,30 @@ def test_gc_erases_a_victim_that_is_still_an_active_block(channels, mapped, writ
     assert end_state(bulk) == end_state(oracle)
 
 
+def test_gc_block_filled_with_garbage_joins_the_episode():
+    """One die of five 2-page blocks. The first GC episode relocates one
+    page into a fresh GC-stream block, and the next overwrite makes that
+    page garbage. The second episode's first relocation fills the block,
+    which now holds one valid page, so it is that episode's next victim:
+    the bulk build must add it to the episode's victim order."""
+    geometry = tiny_geometry(channels=1, blocks_per_plane=5, pages_per_block=2)
+    policy = GcPolicy(low_watermark=0.3, high_watermark=0.5)
+    bulk, oracle = (PageMappedFtl(geometry, overprovision=0.25) for _ in range(2))
+    erased = []
+    erase = oracle.erase
+
+    def erase_and_record(victim):
+        erased.append((victim.block_id, oracle._gc_active[victim.die].block_id))
+        erase(victim)
+
+    oracle.erase = erase_and_record
+    churn_both(bulk, oracle, 7, [5, 4, 2, 0], policy)
+    # (victim, GC-stream block at its erase): block 4 takes block 2's page,
+    # then block 1's, then is collected itself.
+    assert erased == [(2, 4), (1, 4), (4, 1)]
+    assert end_state(bulk) == end_state(oracle)
+
+
 #: sha256 of ``end_state`` (as JSON) after ``precondition(0.92, 1.0, 0x5EED)``
 #: on ``conv_experiment_profile()``, recorded from the per-page
 #: precondition (``precondition_page_by_page``) before the bulk build.
