@@ -262,16 +262,16 @@ class ConvDevice(DeviceCore):
         if self.tracer.enabled:
             self.tracer.span("buffer", "write.admit", admit_started,
                              self.sim.now, track="buffer", cid=cid, nbytes=nbytes)
-        start_process = self.sim.process
+        spawn = self.sim.spawn
         flush = self._flush_page
         if self.faults is None:
             for logical in range(start_page, start_page + n_pages):
-                start_process(flush(logical))
+                spawn(flush(logical))
         else:
             for logical in range(start_page, start_page + n_pages):
                 token = [False, False]  # [cancelled, program started]
                 self._pending_flushes.append(token)
-                start_process(flush(logical, token))
+                spawn(flush(logical, token))
         self._maybe_wake_gc()
         return self._complete(command, Status.SUCCESS, nbytes=nbytes, cid=cid)
 

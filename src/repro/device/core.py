@@ -11,7 +11,8 @@ pipeline. :class:`DeviceCore` owns everything the two models share:
   feeds :class:`DeviceCounters`, the latency histograms, and the
   command trace span,
 * the capacitor-backed **write buffer** and the per-die flush tail
-  (:meth:`_flush_page_to_die`: program the page, drain the buffer),
+  (:meth:`_flush_page_to_die`: program the page, take its bytes out of
+  the buffer),
 * the per-request costs (:meth:`_io_shape`): a pure function of opcode,
   LBA count and the namespace LBA format (Observation #1), computed once
   per shape and fixed for the device's lifetime.
@@ -313,9 +314,17 @@ class DeviceCore:
             die, priority=PRIO_IO, label="flush", cancel=cancel, wear=wear)
         if failures < 0:
             return failures
-        yield self.buffer.get(self._page_size)
-        if self.observing:
-            self._wbuf_gauge.set(self.buffer.level)
+        if failures or self.observing:
+            # Resume where a get of the page, always granted at once,
+            # would have: the gauge read and the callers' wear accounting
+            # keep their place in the event order (DESIGN.md §15.5).
+            resume = self.sim.timeout(0)
+            self.buffer.take(self._page_size)
+            yield resume
+            if self.observing:
+                self._wbuf_gauge.set(self.buffer.level)
+        else:
+            self.buffer.take(self._page_size)
         return failures
 
     # ------------------------------------------------------------ power loss

@@ -16,8 +16,10 @@ order, so a run with the same seed and inputs always produces the same
 trace. Two structures maintain that order (DESIGN.md §10):
 
 * **Immediate events** (``succeed``/``fail`` triggers, zero-delay
-  timeouts, process bootstraps) go to a FIFO *ready deque* — no heap
-  entry, no sequence number. The deque position *is* the tie-break.
+  timeouts, resource grants) go to a FIFO *ready deque* — no heap
+  entry, no sequence number. The deque position *is* the tie-break. A
+  new :class:`Process` queues *itself* there, untriggered, and the run
+  loop takes its first step when it pops it.
 * **Delayed events** go to a heap of ``(when, seq, event)`` entries; the
   monotonically increasing ``seq`` breaks same-timestamp ties.
 
@@ -33,17 +35,19 @@ Waiter storage: an event's waiters live in a single ``_cb`` slot holding
 ``None``, one waiter, or (rarely) a list of waiters. A waiter is either a
 plain callable or a :class:`Process` stored *directly* — the dispatch
 loop recognizes the class and resumes the generator inline, so the
-overwhelmingly common wait shape (one process blocked on one timeout)
-costs no bound-method allocation and no intermediate Python call.
-Every other waiter is attached through :meth:`Event.add_callback`, which
-keeps that packed form (DESIGN.md §15).
+overwhelmingly common wait shape (one process blocked on one pending
+event) costs no bound-method allocation and no intermediate Python
+call. Every other waiter is attached through :meth:`Event.add_callback`,
+which keeps that packed form (DESIGN.md §15).
 
 Dispatch: :meth:`Simulator.run` is the only code that dispatches an
 event, so it is also the one place that checks failures. A failed
 event hands its exception to its waiters; a failed :class:`Process`
 that nothing waits on (and that is not the ``run(until=...)`` target)
 makes ``run`` raise :class:`SimulationError`, chained to the original
-exception, instead of dropping it.
+exception, instead of dropping it. A process started with
+:meth:`Simulator.spawn` cannot be waited on, so its successful
+completion is not dispatched at all; its failure is, and raises.
 
 Allocation discipline: every event is a fresh object that lives exactly
 as long as something references it; the engine keeps no freelists, so
@@ -216,7 +220,7 @@ class Process(Event):
     :meth:`Simulator.run` raise.
     """
 
-    __slots__ = ("generator", "_name", "_send")
+    __slots__ = ("generator", "_name", "_send", "_spawned")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         # Event.__init__ inlined: one Process per command/flush makes this
@@ -230,8 +234,12 @@ class Process(Event):
         self.generator = generator
         self._name = name
         self._send = generator.send
-        # Bootstrap: resume the generator at the current time.
-        sim._wake(self)
+        #: Started by :meth:`Simulator.spawn`: nothing can wait on it, so
+        #: its successful completion is not queued.
+        self._spawned = False
+        # Bootstrap: the run loop takes the first step when it pops the
+        # untriggered process off the ready deque.
+        sim._ready.append(self)
 
     @property
     def name(self) -> str:
@@ -258,7 +266,9 @@ class Process(Event):
 
     # -- internal --------------------------------------------------------
     def _block_on(self, target: Any) -> None:
-        """Wait on a non-Timeout yield target (the run loop calls this)."""
+        """Wait on a yield target the run loop does not attach inline: a
+        processed event, an event with its own ``add_callback``, or a
+        non-event (which fails the process)."""
         if not isinstance(target, Event):
             self.fail(SimulationError(f"process {self.name!r} yielded non-event {target!r}"))
             return
@@ -272,7 +282,10 @@ class Process(Event):
         try:
             target = step(arg)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            self._value = stop.value
+            self._triggered = True
+            if not self._spawned:
+                self.sim._ready.append(self)
             return
         except BaseException as error:  # noqa: BLE001 - propagate into event
             self.fail(error)
@@ -348,6 +361,12 @@ class AllOf(_Condition):
             self.succeed(self._collect())
 
 
+#: Event classes whose waiters the run loop attaches in place, as
+#: :meth:`Event.add_callback` would. A subclass that overrides
+#: ``add_callback`` must stay out of this set.
+_INLINE_WAIT = frozenset({Event, Timeout, Process, AnyOf, AllOf})
+
+
 class Simulator:
     """The discrete-event engine: a clock, a ready deque, and a heap."""
 
@@ -398,6 +417,16 @@ class Simulator:
         """Start a generator as a process; returns its completion event."""
         return Process(self, generator, name=name)
 
+    def spawn(self, generator: Generator) -> None:
+        """Start a fire-and-forget process.
+
+        It starts exactly as :meth:`process` would, but returns nothing,
+        so nothing can wait on it, and its successful completion is not
+        dispatched. A failure still is: ``run`` raises
+        :class:`SimulationError` naming the process.
+        """
+        Process(self, generator)._spawned = True
+
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
@@ -408,7 +437,7 @@ class Simulator:
     def _wake(self, process: "Process", value: Any = None,
               exception: Optional[BaseException] = None) -> None:
         """Queue an already-triggered event resuming ``process`` at the
-        current time."""
+        current time (a process yielding on a processed event)."""
         event = Event(self)
         event._value = value
         event._exception = exception
@@ -429,15 +458,17 @@ class Simulator:
         # code in the package (about half of all Python time), so the
         # dispatch is inlined here once. Semantics, in order:
         #
-        # 1. mark processed, detach the waiter slot;
-        # 2. a Process waiter resumes its generator inline — a yielded
-        #    pending Timeout re-attaches in place, anything else goes
-        #    through Process._block_on; StopIteration completes the
-        #    process onto the ready deque (Event.succeed minus the
-        #    already-triggered guard, which cannot fire for a
-        #    just-returned generator);
-        # 3. a list fans out in append order; any other waiter is called;
-        # 4. with no waiter, a failed Process other than the ``until``
+        # 1. an untriggered Process is a bootstrap: take its first step;
+        # 2. otherwise mark processed and detach the waiter slot;
+        # 3. a Process waiter resumes its generator inline — a yielded
+        #    pending event of a class in ``_INLINE_WAIT`` takes it as its
+        #    waiter in place, anything else goes through
+        #    Process._block_on; StopIteration completes the process onto
+        #    the ready deque (Event.succeed minus the already-triggered
+        #    guard, which cannot fire for a just-returned generator),
+        #    unless it was spawned;
+        # 4. a list fans out in append order; any other waiter is called;
+        # 5. with no waiter, a failed Process other than the ``until``
         #    target stops the run: nothing else would ever see its error.
         global _EVENTS_TOTAL
         if isinstance(until, Event):
@@ -452,53 +483,66 @@ class Simulator:
         ready = self._ready
         popleft = ready.popleft
         append = ready.append
+        inline_wait = _INLINE_WAIT
         dispatched = 0
         try:
             while True:
                 while ready:
                     event = popleft()
-                    event._processed = True
-                    cb = event._cb
-                    if cb is not None:
-                        event._cb = None
-                        cls = cb.__class__
-                        if cls is Process:
-                            if event._exception is None:
-                                try:
-                                    target = cb._send(event._value)
-                                except StopIteration as stop_iter:
-                                    cb._value = stop_iter.value
-                                    cb._triggered = True
-                                    append(cb)
-                                except BaseException as error:  # noqa: BLE001
-                                    cb.fail(error)
-                                else:
-                                    if target.__class__ is Timeout \
-                                            and not target._processed:
-                                        if target._cb is None:
-                                            target._cb = cb
-                                        else:
-                                            target.add_callback(cb)
-                                    else:
-                                        cb._block_on(target)
-                            else:
-                                cb._advance(cb.generator.throw, event._exception)
-                        elif cls is list:
-                            for entry in cb:
-                                if entry.__class__ is Process:
-                                    entry.resume(event)
-                                else:
-                                    entry(event)
-                        else:
-                            cb(event)
-                    elif event._exception is not None \
-                            and event.__class__ is Process and event is not stop:
-                        raise SimulationError(
-                            f"process {event.name!r} failed with nothing "
-                            f"waiting on it: {event._exception!r}"
-                        ) from event._exception
                     dispatched += 1
-                    if event is stop:
+                    if event._triggered:
+                        event._processed = True
+                        proc = event._cb
+                        if proc is None:
+                            if event is stop:
+                                return stop.value
+                            if event._exception is not None \
+                                    and event.__class__ is Process:
+                                raise SimulationError(
+                                    f"process {event.name!r} failed with nothing "
+                                    f"waiting on it: {event._exception!r}"
+                                ) from event._exception
+                            continue
+                        event._cb = None
+                        cls = proc.__class__
+                        if cls is not Process or event._exception is not None:
+                            if cls is Process:
+                                proc._advance(proc.generator.throw,
+                                              event._exception)
+                            elif cls is list:
+                                for entry in proc:
+                                    if entry.__class__ is Process:
+                                        entry.resume(event)
+                                    else:
+                                        entry(event)
+                            else:
+                                proc(event)
+                            if event is stop:
+                                return stop.value
+                            continue
+                        value = event._value
+                    else:
+                        proc = event
+                        value = None
+                    try:
+                        target = proc._send(value)
+                    except StopIteration as stop_iter:
+                        proc._value = stop_iter.value
+                        proc._triggered = True
+                        if not proc._spawned:
+                            append(proc)
+                    except BaseException as error:  # noqa: BLE001
+                        proc.fail(error)
+                    else:
+                        if target.__class__ in inline_wait \
+                                and not target._processed:
+                            if target._cb is None:
+                                target._cb = proc
+                            else:
+                                target.add_callback(proc)
+                        else:
+                            proc._block_on(target)
+                    if event is stop and event._processed:
                         return stop.value
                 if not heap:
                     break

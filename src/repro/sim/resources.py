@@ -6,7 +6,8 @@ Two primitives cover every contention point in the device models:
   acquire requests per priority level. Models controller slots, NAND
   dies, channel buses, and the firmware management unit.
 * :class:`Container` — a reservoir of continuous "stuff" (bytes) with
-  blocking put/get. Models the device write buffer.
+  blocking put/get and a non-blocking take. Models the device write
+  buffer.
 
 Priority semantics on :class:`Resource`: lower numeric priority is served
 first; ties are FIFO. This is how the ZNS firmware unit prioritizes I/O
@@ -26,7 +27,9 @@ class Resource:
     """A capacity-limited server with one FIFO queue per priority level.
 
     A request is a plain :class:`Event` that fires, with the resource as
-    its value, once a slot is granted. A freed slot goes to the oldest
+    its value, once a slot is granted. A grant sets the event's fields
+    and queues it on the ready deque directly, as :meth:`Event.succeed`
+    would on an untriggered event. A freed slot goes to the oldest
     request at the lowest waiting priority level — the order of a
     ``(priority, arrival)`` heap. The models use a handful of levels
     (power-loss panic, urgent GC, I/O, management), so scanning the
@@ -61,10 +64,13 @@ class Resource:
     # -- protocol ----------------------------------------------------------
     def request(self, priority: int = 0) -> Event:
         """Ask for a slot; yield the returned event to block until granted."""
-        event = Event(self.sim)
+        sim = self.sim
+        event = Event(sim)
         if self._in_use < self.capacity and not self._waiting:
             self._in_use += 1
-            event.succeed(self)
+            event._value = self
+            event._triggered = True
+            sim._ready.append(event)
             return event
         queue = self._levels.get(priority)
         if queue is None:
@@ -84,21 +90,20 @@ class Resource:
             for queue in self._levels.values():
                 if queue:
                     self._waiting -= 1
-                    queue.popleft().succeed(self)
+                    granted = queue.popleft()
+                    granted._value = self
+                    granted._triggered = True
+                    self.sim._ready.append(granted)
                     return
         self._in_use -= 1
 
 
-class _ContainerOp(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, sim: Simulator, amount: int):
-        super().__init__(sim)
-        self.amount = amount
-
-
 class Container:
-    """A byte reservoir with blocking put (when full) and get (when empty)."""
+    """A byte reservoir with blocking put (when full) and get (when empty).
+
+    A put or get is a plain :class:`Event` holding its amount in ``_value``
+    from the start: the amount is also the value it fires with.
+    """
 
     __slots__ = ("sim", "capacity", "name", "_level", "_puts", "_gets")
 
@@ -109,8 +114,8 @@ class Container:
         self.capacity = capacity
         self.name = name
         self._level = 0
-        self._puts: deque[_ContainerOp] = deque()
-        self._gets: deque[_ContainerOp] = deque()
+        self._puts: deque[Event] = deque()
+        self._gets: deque[Event] = deque()
 
     @property
     def level(self) -> int:
@@ -124,7 +129,8 @@ class Container:
             raise SimulationError(
                 f"put of {amount} can never fit capacity {self.capacity}"
             )
-        op = _ContainerOp(self.sim, amount)
+        op = Event(self.sim)
+        op._value = amount
         self._puts.append(op)
         self._settle()
         return op
@@ -133,10 +139,31 @@ class Container:
         """Remove ``amount``; blocks until that much is available."""
         if amount < 0:
             raise SimulationError("container get amount must be >= 0")
-        op = _ContainerOp(self.sim, amount)
+        op = Event(self.sim)
+        op._value = amount
         self._gets.append(op)
         self._settle()
         return op
+
+    def take(self, amount: int) -> None:
+        """Remove ``amount`` now; never blocks.
+
+        For a caller that knows the bytes are buffered: it raises
+        :class:`SimulationError` if they are not, or if a get is waiting
+        (which a take would overtake). Blocked putters the freed space
+        admits are woken through :meth:`_settle`, in the order a
+        :meth:`get` satisfied at once would wake them.
+        """
+        if amount < 0:
+            raise SimulationError("container take amount must be >= 0")
+        if self._gets:
+            raise SimulationError("take while a get is waiting")
+        if amount > self._level:
+            raise SimulationError(
+                f"take of {amount} exceeds the level {self._level}"
+            )
+        self._level -= amount
+        self._settle()
 
     def force_level(self, level: int) -> None:
         """Fixture: set the level directly, bypassing put/get semantics.
@@ -171,16 +198,19 @@ class Container:
         return taken
 
     def _settle(self) -> None:
+        ready = self.sim._ready
         progressed = True
         while progressed:
             progressed = False
-            if self._puts and self._level + self._puts[0].amount <= self.capacity:
+            if self._puts and self._level + self._puts[0]._value <= self.capacity:
                 op = self._puts.popleft()
-                self._level += op.amount
-                op.succeed(op.amount)
+                self._level += op._value
+                op._triggered = True
+                ready.append(op)
                 progressed = True
-            if self._gets and self._level >= self._gets[0].amount:
+            if self._gets and self._level >= self._gets[0]._value:
                 op = self._gets.popleft()
-                self._level -= op.amount
-                op.succeed(op.amount)
+                self._level -= op._value
+                op._triggered = True
+                ready.append(op)
                 progressed = True

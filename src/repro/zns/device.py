@@ -412,12 +412,12 @@ class ZnsDevice(DeviceCore):
             table = self.striping.zone_table(zone_index)
             width = len(table)
             cursor = self._zone_page_cursor.get(zone_index, 0)
-            start_process = self.sim.process
+            spawn = self.sim.spawn
             if self.faults is None:
                 flush = self._flush_page_to_die
                 while total >= page:
                     total -= page
-                    start_process(flush(table[cursor % width]))
+                    spawn(flush(table[cursor % width]))
                     cursor += 1
             else:
                 # Fault-aware flushes carry a power-loss cancellation
@@ -428,7 +428,7 @@ class ZnsDevice(DeviceCore):
                     total -= page
                     token = [False, False]  # [cancelled, program started]
                     pending.append(token)
-                    start_process(flush(zone_index, table[cursor % width], token))
+                    spawn(flush(zone_index, table[cursor % width], token))
                     cursor += 1
             self._zone_page_cursor[zone_index] = cursor
         self._zone_residual[zone_index] = total
@@ -535,7 +535,7 @@ class ZnsDevice(DeviceCore):
         """Discard a partial buffered page (zone reset path)."""
         residual = self._zone_residual.pop(zone_index, 0)
         if residual:
-            self.buffer.get(residual)
+            self.buffer.take(residual)
             if self.observing:
                 self._wbuf_gauge.set(self.buffer.level)
         self._zone_page_cursor.pop(zone_index, None)

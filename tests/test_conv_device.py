@@ -406,10 +406,17 @@ class TestStalledFlushRetry:
             return commit(logical, reserve)
 
         dev.ftl.commit_write = commit_while_room
-        sim.process(dev._flush_page(1))
-        sim.process(dev._flush_page(2))
+        page = dev.profile.geometry.page_size
+
+        def flush(logical):
+            # Buffer the page's bytes first, as _exec_write does.
+            dev.buffer.put(page)
+            sim.process(dev._flush_page(logical))
+
+        flush(1)
+        flush(2)
         sim.run()
-        sim.process(dev._flush_page(3))  # runs after the freed block fires, before its retry
+        flush(3)  # runs after the freed block fires, before its retry
         dev._signal_space_freed()
         sim.run()
         assert committed == []

@@ -1,0 +1,46 @@
+"""Events-per-command guard on the ZNS write path.
+
+One short fig3-style point: 16 KiB SPDK writes at QD1 on a device whose
+write buffer is prefilled, so page flushes run behind every command.
+The command count is pinned (the events removed on the flush path must
+not change what the simulation does), and the dispatched events per
+completed command must stay at or below the bound measured when those
+events went (DESIGN.md §15.5). A change that adds an event per page or
+per command back moves the ratio by about 1 and fails here.
+"""
+
+from repro.core.experiments.common import (
+    KIB,
+    ExperimentConfig,
+    build_device,
+    measure_job,
+)
+from repro.sim.engine import events_total, ms
+from repro.workload.job import IoKind, JobSpec
+
+#: Commands the point completes; equal before and after the event diet.
+COMMANDS = 691
+#: Page programs the point completes.
+PAGE_PROGRAMS = 704
+#: Dispatched events per completed command: 37.37 before the event diet,
+#: 35.33 after it.
+EVENTS_PER_COMMAND_BOUND = 35.34
+
+
+def test_zns_write_point_events_per_command():
+    config = ExperimentConfig()
+    sim, device = build_device(config)
+    device.debug_prefill_buffer(zone_index=3)
+    job = JobSpec(op=IoKind.WRITE, block_size=16 * KIB, runtime_ns=ms(10),
+                  ramp_ns=ms(1), zones=[0, 1, 2, 3], seed=config.seed)
+    before = events_total()
+    measure_job(device, "spdk", job)
+    events = events_total() - before
+    commands = (sum(device.counters.completed.values())
+                + sum(device.counters.errors.values()))
+    assert commands == COMMANDS
+    assert device.backend.counters.pages_programmed == PAGE_PROGRAMS
+    assert events / commands <= EVENTS_PER_COMMAND_BOUND, (
+        f"{events} events for {commands} commands "
+        f"({events / commands:.2f} per command)"
+    )

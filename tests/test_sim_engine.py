@@ -5,6 +5,7 @@ import pytest
 from repro.sim import (
     AllOf,
     AnyOf,
+    Container,
     Event,
     SimulationError,
     Simulator,
@@ -12,6 +13,7 @@ from repro.sim import (
     sec,
     us,
 )
+from repro.sim.engine import events_total
 
 
 class TestTimeHelpers:
@@ -215,6 +217,151 @@ class TestProcesses:
         # The run(until=...) target still raises its own exception.
         with pytest.raises(ValueError, match="worker died"):
             sim.run(until=sim.process(worker()))
+
+
+class TestSpawn:
+    def test_spawn_returns_none(self):
+        sim = Simulator()
+
+        def worker():
+            yield sim.timeout(1)
+
+        assert sim.spawn(worker()) is None
+        sim.run()
+        assert sim.now == 1
+
+    def test_successful_spawn_dispatches_no_completion(self):
+        def dispatches(start):
+            sim = Simulator()
+
+            def worker():
+                yield sim.timeout(us(1))
+                return "ignored"
+
+            start(sim, worker())
+            before = events_total()
+            sim.run()
+            return events_total() - before
+
+        # A bootstrap and a timeout; a waitable process adds its completion.
+        assert dispatches(Simulator.spawn) == 2
+        assert dispatches(Simulator.process) == 3
+
+    def test_failing_spawn_raises_from_the_original_exception(self):
+        sim = Simulator()
+        error = KeyError("page")
+
+        def flusher():
+            yield sim.timeout(us(2))
+            raise error
+
+        sim.spawn(flusher())
+        with pytest.raises(SimulationError, match="flusher.*page") as info:
+            sim.run()
+        assert info.value.__cause__ is error
+        assert sim.now == us(2)
+
+
+class TestBootstrap:
+    def test_processes_queue_themselves_and_start_in_creation_order(self):
+        sim = Simulator()
+        started = []
+
+        def worker(index):
+            started.append(index)
+            yield sim.timeout(1)
+
+        procs = [sim.process(worker(index)) for index in range(3)]
+        # No wake event: the untriggered processes are the queue entries.
+        assert list(sim._ready) == procs
+        before = events_total()
+        sim.run(until=0)
+        assert started == [0, 1, 2]
+        assert events_total() - before == 3
+        assert not any(proc.triggered for proc in procs)
+
+    def test_process_waited_on_before_its_first_step_delivers_its_value(self):
+        sim = Simulator()
+
+        def child():
+            return "payload"
+            yield  # pragma: no cover
+
+        def parent():
+            proc = sim.process(child())
+            assert not proc.triggered  # its first step has not run yet
+            value = yield proc
+            return (sim.now, value)
+
+        assert sim.run(until=sim.process(parent())) == (0, "payload")
+
+    def test_until_target_is_not_done_when_its_bootstrap_pops(self):
+        sim = Simulator()
+
+        def worker():
+            yield sim.timeout(us(3))
+            return 7
+
+        assert sim.run(until=sim.process(worker())) == 7
+        assert sim.now == us(3)
+
+
+class TestInlineAttach:
+    """A process yielding a pending event of a kernel class becomes its
+    waiter in place, as add_callback would store it."""
+
+    @staticmethod
+    def wait_on(sim, target):
+        def waiter():
+            return (yield target)
+
+        proc = sim.process(waiter())
+        sim.run()  # the bootstrap: the waiter yields the pending target
+        assert target._cb is proc
+        return proc
+
+    def test_plain_event(self):
+        sim = Simulator()
+        event = sim.event()
+        proc = self.wait_on(sim, event)
+        event.succeed("v")
+        assert sim.run(until=proc) == "v"
+
+    def test_container_op(self):
+        sim = Simulator()
+        tank = Container(sim, capacity=10)
+        tank.put(10)
+        blocked = tank.put(4)
+        proc = self.wait_on(sim, blocked)
+        tank.take(4)
+        assert sim.run(until=proc) == 4
+        assert tank.level == 10
+
+    def test_all_of(self):
+        sim = Simulator()
+        first, second = sim.event(), sim.event()
+        both = sim.all_of([first, second])
+        proc = self.wait_on(sim, both)
+        first.succeed(1)
+        second.succeed(2)
+        assert sim.run(until=proc) == {first: 1, second: 2}
+
+    def test_subclass_with_its_own_add_callback_is_not_attached_in_place(self):
+        sim = Simulator()
+        parked = []
+
+        class Parking(Event):
+            __slots__ = ()
+
+            def add_callback(self, waiter):
+                parked.append(waiter)
+
+        def waiter():
+            yield Parking(sim)
+
+        proc = sim.process(waiter())
+        sim.run()
+        assert parked == [proc]
 
 
 class TestEvents:

@@ -172,6 +172,81 @@ class TestContainer:
             tank.put(-1)
         with pytest.raises(SimulationError):
             tank.get(-1)
+        with pytest.raises(SimulationError):
+            tank.take(-1)
+
+
+class TestContainerTake:
+    def test_take_removes_buffered_bytes_at_once(self):
+        sim = Simulator()
+        tank = Container(sim, capacity=10)
+        tank.put(6)
+        tank.take(4)
+        assert tank.level == 2
+
+    def test_take_of_missing_bytes_raises(self):
+        sim = Simulator()
+        tank = Container(sim, capacity=10)
+        tank.put(3)
+        with pytest.raises(SimulationError, match="exceeds the level"):
+            tank.take(4)
+        assert tank.level == 3
+
+    def test_take_while_a_get_is_queued_raises(self):
+        sim = Simulator()
+        tank = Container(sim, capacity=10)
+        tank.put(3)
+        tank.get(5)  # blocks: only 3 buffered
+        with pytest.raises(SimulationError, match="get is waiting"):
+            tank.take(1)
+        assert tank.level == 3
+
+    @staticmethod
+    def drain_order(drain):
+        """Two putters block on a full tank; a drainer frees room for both.
+        Returns the order in which the three continue."""
+        sim = Simulator()
+        tank = Container(sim, capacity=10)
+        tank.put(10)
+        order = []
+
+        def putter(name):
+            yield tank.put(4)
+            order.append(name)
+
+        def drainer():
+            yield sim.timeout(us(1))
+            yield from drain(tank)
+            order.append("drainer")
+
+        sim.process(putter("a"))
+        sim.process(putter("b"))
+        sim.process(drainer())
+        sim.run()
+        assert tank.level == 10
+        return order
+
+    def test_take_wakes_blocked_putters_in_the_order_get_does(self):
+        def by_get(tank):
+            yield tank.get(8)
+
+        def by_take(tank):
+            tank.take(8)
+            return
+            yield  # pragma: no cover
+
+        assert self.drain_order(by_take) == self.drain_order(by_get) \
+            == ["drainer", "a", "b"]
+
+    def test_take_queues_the_admitted_puts_on_the_ready_deque(self):
+        sim = Simulator()
+        tank = Container(sim, capacity=10)
+        tank.put(10)
+        first, second = tank.put(4), tank.put(4)
+        sim.run()
+        tank.take(8)
+        assert list(sim._ready) == [first, second]
+        assert first.triggered and second.triggered
 
 
 class TestStreamFactory:
