@@ -594,10 +594,13 @@ class _SteadyStateBuild:
         trigger = 0  # the most free blocks at which GC starts
         while policy.should_start((trigger + 1) / n_blocks):
             trigger += 1
+        stop = 0  # the fewest free blocks at which GC stops
+        while not policy.should_stop(stop / n_blocks):
+            stop += 1
         done = 0
         while done < len(writes):
             if self.free <= trigger:
-                self.collect(policy)
+                self.collect(stop)
             if self.free > trigger:
                 physical = self.deal(_USER, len(writes) - done, self.free - trigger)
             else:
@@ -626,54 +629,115 @@ class _SteadyStateBuild:
                        - np.bincount(old // self.pages_per_block, minlength=n_blocks))
         self.l2p[logicals[last]] = physical[last]
 
-    def collect(self, policy: GcPolicy) -> None:
-        """Greedy GC until ``policy.should_stop`` or no victim is left.
+    def collect(self, stop: int) -> None:
+        """Greedy GC until ``stop`` blocks are free or no victim is left.
 
         Victims come in the victim heap's ``(valid_count, block_id)``
-        order, from one heap of ``valid × total_blocks + id`` keys per
-        call. It starts as every full block with garbage in it: within a
-        call no page is overwritten, so the only counts that change are a
-        victim's, which leaves the heap, and those of the GC-stream blocks
-        being written. A block the GC stream takes from a pool fills with
-        valid pages only; one it was already writing joins the heap when
-        it fills with garbage in it (DESIGN.md §18.7).
+        order, as one sorted array of ``valid × total_blocks + id`` keys
+        per call. It starts as every full block with garbage in it: within
+        a call no page is overwritten, so the only counts that change are
+        a victim's, which leaves the order, and those of the GC-stream
+        blocks being written. A block the GC stream takes from a pool
+        fills with valid pages only; one it was already writing, with
+        garbage in it, joins the order when it fills (DESIGN.md §18.7).
+
+        The victims are relocated in runs, each with one deal, as long as
+        :meth:`run_length` finds a run equal to relocating them one by one
+        (DESIGN.md §18.8).
         """
         n_blocks = len(self.valid)
         pages_per_block = self.pages_per_block
         collectable = np.flatnonzero(self.full & (self.valid < pages_per_block))
-        heap = (self.valid[collectable] * n_blocks + collectable).tolist()
-        heapq.heapify(heap)
-        writing = [block for block in self.active[_GC].tolist()
-                   if block >= 0 and not self.full[block]]
-        while heap and not policy.should_stop(self.free / n_blocks):
-            self.relocate_and_erase(heapq.heappop(heap) % n_blocks)
+        order = np.sort(self.valid[collectable] * n_blocks + collectable)
+        writing = [block for block, slot in zip(self.active[_GC].tolist(),
+                                                self.slot[_GC].tolist())
+                   if slot < pages_per_block and self.valid[block] < slot]
+        while len(order) and self.free < stop:
+            # Each victim frees at most one block: none of the first
+            # ``stop - free`` can find GC stopped.
+            run = order[:stop - self.free]
+            run = run[:self.run_length(run, writing)]
+            order = order[len(run):]
+            self.relocate(run % n_blocks)
             if writing and self.full[writing].any():
                 for block in writing:
-                    valid = int(self.valid[block])
-                    if self.full[block] and valid < pages_per_block:
-                        heapq.heappush(heap, valid * n_blocks + block)
+                    if self.full[block]:
+                        key = int(self.valid[block]) * n_blocks + block
+                        order = np.insert(order, np.searchsorted(order, key), key)
                 writing = [block for block in writing if not self.full[block]]
 
-    def relocate_and_erase(self, victim: int) -> None:
-        """``relocate_block`` then ``erase`` of a full victim block."""
+    def run_length(self, run: np.ndarray, writing: list[int]) -> int:
+        """How many of the next victims, whose keys are ``run`` in order,
+        one deal relocates exactly as one deal per victim would (at least
+        one).
+
+        Between victims, erasing one appends it to its die's pool. That
+        changes the GC stream's later pages only on a die that used up its
+        room from before the run: a die with no room left is skipped by
+        the deal, and a die with room takes its pooled blocks in order,
+        the freed ones last. So victim ``i`` may join unless some earlier
+        victim ``j``'s die runs out of room, and ``j`` is erased, before
+        the last of the run's pages. Nor may it join if a block of
+        ``writing`` (the partly written GC-stream blocks with garbage in
+        them) fills before victim ``i``'s pages with a key below victim
+        ``i``'s: that block comes first in the victim order.
+        """
+        pages_per_block, n_blocks = self.pages_per_block, len(self.valid)
+        victims = run % n_blocks
+        ends = np.cumsum(run // n_blocks)  # pages dealt once each victim is relocated
+        gc_slot = self.slot[_GC]
+        room = pages_per_block - gc_slot + pages_per_block * self.count
+        rank = (self.die_ids - self.cursor) % self.n_dies
+
+        def through(dies: np.ndarray, page: np.ndarray) -> np.ndarray:
+            """Pages dealt up to and including die ``dies``' ``page``-th:
+            one round per page, over the dies with room left, by rank."""
+            page = page[:, None]
+            return (np.minimum(room, page - 1).sum(axis=1)
+                    + ((rank < rank[dies, None]) & (room >= page)).sum(axis=1) + 1)
+
+        dry = np.where(room > 0, through(self.die_ids, room), 0)
+        # Victim j is harmless while the run's pages end by the time both
+        # its die runs dry and it is erased.
+        harmless_until = np.minimum.accumulate(
+            np.maximum(ends, dry[victims // self.blocks_per_die]))
+        joins = harmless_until[:-1] >= ends[1:]
+        if writing:
+            blocks = np.array(writing)
+            dies = blocks // self.blocks_per_die
+            left = pages_per_block - gc_slot[dies]
+            keys = (self.valid[blocks] + left) * n_blocks + blocks
+            for fill, key in zip(through(dies, left).tolist(), keys.tolist()):
+                joins &= (ends[:-1] < fill) | (run[1:] < key)
+        return len(run) if joins.all() else int(np.argmin(joins)) + 1
+
+    def relocate(self, victims: np.ndarray) -> None:
+        """``relocate_block`` then ``erase`` of each full victim block, in
+        order, with one deal for all their valid pages (a run that
+        :meth:`run_length` accepts)."""
         pages_per_block = self.pages_per_block
-        back = self.back[victim * pages_per_block:(victim + 1) * pages_per_block]
-        logicals = back[back >= 0]
+        rows = self.back.reshape(-1, pages_per_block)
+        logicals = rows[victims]
+        logicals = logicals[logicals >= 0]
         if len(logicals):
             physical = self.deal(_GC, len(logicals))
             self.back[physical] = logicals
             self.l2p[logicals] = physical
-            np.add.at(self.valid, physical // pages_per_block, 1)
-        back[:] = -1
-        self.valid[victim] = 0
-        self.full[victim] = False
-        die = victim // self.blocks_per_die
-        detach = self.active[:, die] == victim
-        self.active[detach, die] = -1
-        self.slot[detach, die] = pages_per_block
-        self.pool[die, (self.head[die] + self.count[die]) % self.blocks_per_die] = victim
-        self.count[die] += 1
-        self.free += 1
+            self.valid += np.bincount(physical // pages_per_block, minlength=len(self.valid))
+        rows[victims] = -1
+        self.valid[victims] = 0
+        self.full[victims] = False
+        per_die = self.blocks_per_die
+        dies = victims // per_die
+        stream, index = np.nonzero(self.active[:, dies] == victims)
+        self.active[stream, dies[index]] = -1
+        self.slot[stream, dies[index]] = pages_per_block
+        pool, head, count = self.pool, self.head, self.count
+        for victim in victims.tolist():
+            die = victim // per_die
+            pool[die, (head[die] + count[die]) % per_die] = victim
+            count[die] += 1
+        self.free += len(victims)
 
     def write_to(self, ftl: PageMappedFtl, mapped: int) -> None:
         """Store the built state in ``ftl``, whose logical pages

@@ -699,6 +699,150 @@ def test_gc_block_filled_with_garbage_joins_the_episode():
     assert end_state(bulk) == end_state(oracle)
 
 
+# -- runs of GC victims in the bulk build -------------------------------------
+
+def record_runs(monkeypatch) -> list[dict]:
+    """Spy on the bulk build's GC, one dict per run of victims relocated
+    with one deal: free blocks before (``free``) and after
+    (``free_after``), victims offered and taken, the victims it would take
+    if no partly written GC-stream block filled (``without_fill``),
+    whether some die had no room for GC pages when it began
+    (``dry_die``), per stream whether a victim taken was that stream's
+    active block (``active``), and the collectable blocks left."""
+    runs = []
+    run_length = _SteadyStateBuild.run_length
+    relocate = _SteadyStateBuild.relocate
+
+    def spy_run_length(self, run, writing):
+        taken = run_length(self, run, writing)
+        pages_per_block = self.pages_per_block
+        room = pages_per_block - self.slot[_GC] + pages_per_block * self.count
+        victims = run[:taken] % len(self.valid)
+        runs.append(dict(
+            free=self.free, offered=len(run), taken=taken,
+            without_fill=run_length(self, run, []), dry_die=bool((room == 0).any()),
+            active=[bool(np.isin(victims, self.active[stream]).any())
+                    for stream in (_USER, _GC)]))
+        return taken
+
+    def spy_relocate(self, victims):
+        relocate(self, victims)
+        runs[-1]["free_after"] = self.free
+        runs[-1]["left"] = int(np.count_nonzero(self.full & (self.valid < self.pages_per_block)))
+
+    monkeypatch.setattr(_SteadyStateBuild, "run_length", spy_run_length)
+    monkeypatch.setattr(_SteadyStateBuild, "relocate", spy_relocate)
+    return runs
+
+
+def precondition_both(oracle: PageMappedFtl, bulk: PageMappedFtl, utilization: float,
+                      churn: float, seed: int, policy: GcPolicy) -> None:
+    """Precondition ``bulk`` and, page by page, ``oracle``, and assert
+    that they end equal."""
+    bulk.precondition(utilization, churn, seed, policy)
+    precondition_page_by_page(oracle, utilization, churn, seed, policy)
+    bulk.check_invariants()
+    assert end_state(bulk) == end_state(oracle)
+
+
+def test_gc_run_stops_at_the_watermark(monkeypatch):
+    """A run is at most ``stop - free`` victims long, so GC stops where
+    the per-victim loop does, with victims left that a longer run would
+    have collected past the watermark."""
+    geometry = tiny_geometry(channels=3, blocks_per_plane=2, pages_per_block=1)
+    policy = GcPolicy(low_watermark=0.04, high_watermark=0.18)
+    n_blocks = geometry.total_blocks
+    stop = next(free for free in range(n_blocks + 1) if policy.should_stop(free / n_blocks))
+    runs = record_runs(monkeypatch)
+    precondition_both(*(PageMappedFtl(geometry, 0.09) for _ in range(2)),
+                      0.58, 2.8, 965, policy)
+    assert any(run["offered"] == run["taken"] == stop - run["free"] >= 2
+               and run["free_after"] == stop and run["left"] for run in runs)
+
+
+@pytest.mark.parametrize("channels, blocks_per_plane, pages_per_block, overprovision, "
+                         "low, high, utilization, churn, seed, dry_die", [
+                             (1, 3, 2, 0.11, 0.25, 0.43, 0.59, 1.8, 962, True),
+                             (1, 5, 3, 0.22, 0.32, 0.6, 0.96, 1.3, 877, False),
+                         ], ids=["dry-at-start", "runs-dry"])
+def test_gc_run_ends_where_a_die_runs_out_of_room(
+        monkeypatch, channels, blocks_per_plane, pages_per_block, overprovision,
+        low, high, utilization, churn, seed, dry_die):
+    """A run ends at the victim after which a die that an earlier victim
+    of the run freed a block on would get pages: one victim at a time,
+    that die has room again. Either the die had no room for GC pages
+    when the run began, or it runs dry inside the run's pages, where the
+    per-victim loop takes a block erased earlier in the same episode."""
+    geometry = tiny_geometry(channels=channels, blocks_per_plane=blocks_per_plane,
+                             pages_per_block=pages_per_block)
+    oracle, bulk = (PageMappedFtl(geometry, overprovision) for _ in range(2))
+    log = []
+    erase, take, commit = oracle.erase, oracle._take_free_block, oracle.commit_write
+
+    def erase_and_log(victim):
+        log.append(("erase", victim.block_id))
+        erase(victim)
+
+    def take_and_log(die):
+        block = take(die)
+        log.append(("take", block and block.block_id))
+        return block
+
+    def commit_and_log(*args):
+        log.append(("write", None))
+        return commit(*args)
+
+    oracle.erase, oracle._take_free_block = erase_and_log, take_and_log
+    oracle.commit_write = commit_and_log
+    runs = record_runs(monkeypatch)
+    precondition_both(oracle, bulk, utilization, churn, seed, GcPolicy(low, high))
+    assert any(run["without_fill"] == run["taken"] < run["offered"]
+               and run["dry_die"] == dry_die for run in runs)
+    if not dry_die:
+        erased = set()  # blocks erased by the GC episode under way
+        taken_back = False
+        for op, block_id in log:
+            if op == "write":
+                erased = set()
+            elif op == "erase":
+                erased.add(block_id)
+            else:
+                taken_back |= block_id in erased
+        assert taken_back
+
+
+def test_gc_run_ends_where_a_gc_block_fills_with_garbage(monkeypatch):
+    """A partly written GC-stream block with garbage in it fills inside
+    the run's pages, with a key below the next victims': the run ends at
+    the victim whose pages fill it, and it joins the victim order."""
+    geometry = tiny_geometry(channels=3, blocks_per_plane=3, pages_per_block=2)
+    runs = record_runs(monkeypatch)
+    precondition_both(*(PageMappedFtl(geometry, 0.18) for _ in range(2)),
+                      0.62, 2.0, 631, GcPolicy(low_watermark=0.06, high_watermark=0.35))
+    assert any(run["without_fill"] > run["taken"] for run in runs)
+
+
+@pytest.mark.parametrize("stream, channels, blocks_per_plane, pages_per_block, overprovision, "
+                         "low, high, utilization, churn, seed", [
+                             (_USER, 3, 3, 1, 0.24, 0.29, 0.54, 0.88, 1.4, 919),
+                             (_GC, 2, 3, 2, 0.25, 0.14, 0.32, 0.68, 2.4, 750),
+                         ], ids=["user", "gc"])
+def test_gc_run_takes_an_exactly_full_active_block(
+        monkeypatch, stream, channels, blocks_per_plane, pages_per_block, overprovision,
+        low, high, utilization, churn, seed):
+    """A run of several victims holds one that is still its stream's
+    active block, exactly full: it is detached when it is erased, after
+    the run's deal, as the per-victim loop detaches it before the next
+    victim's pages (a full and a missing active block both take a pooled
+    block for the next page)."""
+    geometry = tiny_geometry(channels=channels, blocks_per_plane=blocks_per_plane,
+                             pages_per_block=pages_per_block)
+    runs = record_runs(monkeypatch)
+    precondition_both(*(PageMappedFtl(geometry, overprovision) for _ in range(2)),
+                      utilization, churn, seed, GcPolicy(low, high))
+    assert any(run["taken"] >= 2 and run["active"][stream] for run in runs)
+
+
 #: sha256 of ``end_state`` (as JSON) after ``precondition(0.92, 1.0, 0x5EED)``
 #: on ``conv_experiment_profile()``, recorded from the per-page
 #: precondition (``precondition_page_by_page``) before the bulk build.
@@ -717,3 +861,46 @@ def test_experiment_steady_state_digest():
         conv_device._preconditioned.clear()
     digest = hashlib.sha256(json.dumps(end_state(device.ftl)).encode()).hexdigest()
     assert digest == EXPERIMENT_STEADY_STATE_SHA256
+
+
+#: sha256 of ``end_state`` (as JSON) after ``precondition(0.92, 1.5,
+#: 0x5EED)`` on an FTL of ``conv_experiment_profile()``, by spare blocks
+#: per die: the state fig6, fig6rates and obs11 start from (with 2 spares
+#: when erase faults are on), recorded from the build that dealt one GC
+#: victim at a time, which matched the per-page build.
+CHURN_15_STEADY_STATE_SHA256 = {
+    0: "10ed1750dc04de82726603e5e8a73e26954b19cc06880d1df51b95db6c6caf6a",
+    2: "802c39a2547ef78480a00faca1ddca5412d33e0f70abf64f35f79f7e241fd1d3",
+}
+
+
+def experiment_ftl(churn: float, spares: int = 0) -> PageMappedFtl:
+    """The experiment geometry's FTL, preconditioned at 0.92 with seed
+    0x5EED and the profile's GC watermarks."""
+    profile = conv_experiment_profile()
+    ftl = PageMappedFtl(profile.geometry, profile.overprovision, spare_blocks_per_die=spares)
+    ftl.precondition(0.92, churn, 0x5EED,
+                     GcPolicy(profile.gc_low_watermark, profile.gc_high_watermark))
+    return ftl
+
+
+@pytest.mark.parametrize("spares", sorted(CHURN_15_STEADY_STATE_SHA256))
+def test_churn_15_steady_state_digest(spares):
+    ftl = experiment_ftl(1.5, spares)
+    digest = hashlib.sha256(json.dumps(end_state(ftl)).encode()).hexdigest()
+    assert digest == CHURN_15_STEADY_STATE_SHA256[spares]
+
+
+def test_experiment_build_deals_whole_runs_of_victims(monkeypatch):
+    """The churn-1.0 build relocates its 12,642 GC victims in runs: at
+    most 1,300 deals in all (one per victim made 12,659)."""
+    deals = []
+    deal = _SteadyStateBuild.deal
+
+    def counted(self, *args):
+        deals.append(args)
+        return deal(self, *args)
+
+    monkeypatch.setattr(_SteadyStateBuild, "deal", counted)
+    experiment_ftl(1.0)
+    assert len(deals) <= 1300
