@@ -27,7 +27,7 @@ from ..hostif.namespace import LBA_4K, LbaFormat
 from ..hostif.status import Status
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
-from ..sim.engine import Event, Process, Simulator
+from ..sim.engine import Event, Process, Simulator, us
 from ..sim.rng import StreamFactory
 from ..zns.profiles import DeviceProfile
 from .ftl import FtlFullError, PageMappedFtl
@@ -50,6 +50,12 @@ GC_WINDOW = 16
 #: Preconditioned FTLs kept per process (see :meth:`ConvDevice.precondition`),
 #: least recently used evicted first. One entry is a pickle of a few MiB.
 PRECONDITION_MEMO_ENTRIES = 4
+
+#: Per-access indirection penalty for reads/programs that land on a
+#: block remapped from the spare pool after a bad-block erase failure.
+BAD_BLOCK_REMAP_NS = us(25)
+#: Power-loss recovery cost per mapped page (the L2P rebuild scan).
+RECOVERY_PER_PAGE_NS = 40
 _preconditioned: OrderedDict[tuple, bytes] = OrderedDict()
 
 
@@ -233,7 +239,7 @@ class ConvDevice(DeviceCore):
         if remapped:
             # Remap-table indirection: pages on promoted spares pay an
             # extra firmware lookup before the NAND ops are issued.
-            yield sim.timeout(remapped * injector.plan.bad_block_remap_ns)
+            yield sim.timeout(remapped * BAD_BLOCK_REMAP_NS)
         if len(reads) == 1:
             yield reads[0]
         elif reads:
@@ -297,7 +303,7 @@ class ConvDevice(DeviceCore):
             block_id = physical // self.ftl.pages_per_block
             wear = self.faults.wear.unit(block_id)
             if block_id in self.ftl.remapped_blocks:
-                yield self.sim.timeout(self.faults.plan.bad_block_remap_ns)
+                yield self.sim.timeout(BAD_BLOCK_REMAP_NS)
         failures = yield from self._flush_page_to_die(
             self.ftl.die_of_physical(physical), cancel=token, wear=wear
         )
@@ -329,7 +335,7 @@ class ConvDevice(DeviceCore):
         return dropped, self.ftl.mapped_pages()
 
     def _recovery_ns(self, units: int) -> int:
-        return units * self.faults.plan.recovery_per_page_ns
+        return units * RECOVERY_PER_PAGE_NS
 
     def _exec_trim(self, command: Command, cid: int = 0) -> Generator:
         """NVMe deallocate: unmap pages so GC can reclaim them for free.

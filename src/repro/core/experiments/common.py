@@ -97,15 +97,13 @@ class ExperimentConfig:
         default=None, repr=False, compare=False
     )
     #: Fault-injection spec: a preset name or profile path understood by
-    #: :func:`repro.faults.resolve`. Kept as the *spec string* (not the
-    #: resolved plan) so configs stay JSON-serializable for the result
-    #: cache key — two runs with the same spec share cache entries.
+    #: :func:`repro.faults.resolve`. Kept as the *spec string* so configs
+    #: ship to workers as plain JSON; the result cache keys on the
+    #: resolved plan instead, so editing a profile file invalidates it.
     faults: Optional[str] = None
     #: Serving tenants sharing the fleet device (``fig7_fleet``); the
     #: reclaim antagonist is an extra tenant on top of these.
     fleet_tenants: int = 3
-    #: Per-tenant p99 SLO for the fleet serving (read) path, in µs.
-    fleet_slo_p99_us: float = 750.0
     #: Simulated duration of one fleet point.
     fleet_runtime_ns: int = ms(30)
     #: Telemetry sampling interval in simulated nanoseconds, or ``None``

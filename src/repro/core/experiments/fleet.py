@@ -45,6 +45,8 @@ _SERVE_ZONES = 8
 #: span the whole measured window instead of stalling on its first,
 #: victim-inflated reset).
 _STORM_ZONES = 40
+#: Per-tenant p99 SLO for the serving (read) path.
+_SLO_P99_NS = us(750)
 
 
 def _fleet_profile(config: ExperimentConfig):
@@ -70,13 +72,12 @@ def _one_mode(config: ExperimentConfig, mode: str) -> list[dict]:
     runtime = config.fleet_runtime_ns
     counts = [_SERVE_ZONES] * config.fleet_tenants + [_STORM_ZONES]
     parts = partition_zones(device.zones.num_zones, counts)
-    slo_ns = round(config.fleet_slo_p99_us * 1_000)
 
     scheduler = TenantScheduler(device)
     workloads = {}
     for i in range(config.fleet_tenants):
         tenant = Tenant(device, f"serve{i}", zones=parts[i], index=i,
-                        seed=config.seed, slo_p99_ns=slo_ns)
+                        seed=config.seed, slo_p99_ns=_SLO_P99_NS)
         workload = LsmWorkload(tenant, runtime, _lsm_config())
         scheduler.add_workload(tenant, workload, kind="lsm")
         workloads[tenant.name] = workload

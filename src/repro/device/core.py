@@ -35,7 +35,7 @@ from ..hostif.namespace import LbaFormat, Namespace
 from ..hostif.status import Status
 from ..obs.metrics import DEFAULT_LATENCY_BUCKETS_NS, Counter, MetricsRegistry
 from ..obs.tracer import Tracer, resolve_tracer
-from ..sim.engine import Event, Simulator
+from ..sim.engine import Event, Simulator, ms
 from ..sim.resources import Container, Resource
 from ..sim.rng import LatencySampler, StreamFactory
 
@@ -54,6 +54,10 @@ PRIO_PANIC = -100
 #: One fast-forward aging epoch adds 1..2× this many erase cycles to
 #: every wear unit (:meth:`DeviceCore.age`).
 AGING_CHURN_ERASES = 4
+
+#: Fixed firmware boot cost paid after a power cut while the controller
+#: is seized, before the model's own rebuild cost (:meth:`_recovery_ns`).
+RECOVERY_BASE_NS = ms(2)
 
 
 @lru_cache(maxsize=None)
@@ -349,10 +353,10 @@ class DeviceCore:
             self._power_loss_drop(target) if target > 0 else (0, 0)
         )
         if dropped:
-            self.buffer.drain(dropped)
+            self.buffer.take(dropped)
             if self.observing:
                 self._wbuf_gauge.set(self.buffer.level)
-        recovery = plan.recovery_base_ns + self._recovery_ns(recovery_units)
+        recovery = RECOVERY_BASE_NS + self._recovery_ns(recovery_units)
         self.faults.power_cuts.inc()
         self.faults.bytes_lost.inc(dropped)
         self.faults.recovery_ns.inc(recovery)

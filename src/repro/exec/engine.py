@@ -39,6 +39,7 @@ from ..core.experiments.points import (
     point_label,
 )
 from ..core.results import ExperimentResult, render_table
+from ..faults import resolve
 from .cache import ResultCache
 from .pool import DEFAULT_POINT_TIMEOUT_S, WorkerPool, run_point
 
@@ -242,6 +243,12 @@ def execute_experiments(
     collect_metrics = config.metrics is not None
     cfg_fields = config_fields(config)
     cache = ResultCache(cache_dir) if cache_dir else None
+    if cache is not None:
+        # Key on the plan the spec resolves to, not the spec string, so
+        # an edited JSON fault profile misses the cache.
+        plan = resolve(config.faults)
+        key_fields = dict(cfg_fields,
+                          faults=plan.to_dict() if plan is not None else None)
 
     started = time.monotonic()
     report = ExecutionReport(jobs=jobs)
@@ -266,7 +273,7 @@ def execute_experiments(
     for point in points:
         if cache is not None:
             point.cache_key = cache.key(
-                point.experiment_id, point.params, cfg_fields, collect_metrics
+                point.experiment_id, point.params, key_fields, collect_metrics
             )
             entry = cache.load(point.cache_key)
             if entry is not None:

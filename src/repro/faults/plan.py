@@ -43,6 +43,12 @@ __all__ = [
 
 KIB = 1024
 
+#: Extra erase attempts before a block is declared bad.
+ERASE_RETRY_MAX = 2
+
+_CURVE_FIELDS = ("read_disturb_curve", "program_fail_curve",
+                 "erase_fail_curve")
+
 
 class FaultPlanError(ValueError):
     """Raised for unknown presets, bad JSON profiles, or invalid fields."""
@@ -52,52 +58,43 @@ class FaultPlanError(ValueError):
 class FaultPlan:
     """Deterministic description of injected faults for one run.
 
-    All probabilities are per-operation. Rates of 0 (the default) mean
-    the corresponding hook is never armed; a plan whose every knob is
-    inert reports ``enabled == False`` and behaves exactly like no plan
-    at all (the ``NullFaultPlan`` of DESIGN.md §12).
+    Each media fault has one knob, a :class:`WearCurve` giving its
+    per-operation probability by wear. The default ``WearCurve()`` is
+    never armed; a plan whose every knob is inert reports
+    ``enabled == False`` and behaves exactly like no plan at all (the
+    ``NullFaultPlan`` of DESIGN.md §12).
     """
 
     name: str = "none"
 
     # -- media: reads ----------------------------------------------------
     #: Probability a page read hits a read-disturb soft error and enters
-    #: the firmware read-retry ladder.
-    read_disturb_prob: float = 0.0
+    #: the firmware read-retry ladder, as a function of the unit's wear
+    #: (erase count plus read exposure, below).
+    read_disturb_curve: WearCurve = WearCurve()
     #: Maximum ladder depth: each retry re-senses the page (one extra
-    #: ``read_ns`` with the die held, or ``read_retry_step_ns`` if set).
+    #: ``read_ns`` with the die held).
     read_retry_max: int = 3
-    #: Optional override for the per-retry latency step (0 = ``read_ns``).
-    read_retry_step_ns: int = 0
     #: Fraction of disturbed reads that exhaust the full ladder and stay
     #: uncorrectable — the host sees ``MEDIA_UNRECOVERED_READ`` (DNR).
     read_uncorrectable_frac: float = 0.0
-
-    # -- media: programs -------------------------------------------------
-    #: Probability a page program fails; the firmware remaps and retries
-    #: on the same die (each failure costs one extra ``program_ns``).
-    program_fail_prob: float = 0.0
-    #: Cap on consecutive program failures absorbed per page.
-    program_retry_max: int = 3
-
-    # -- media: erases ---------------------------------------------------
-    #: Probability a block erase attempt fails (retried in firmware).
-    erase_fail_prob: float = 0.0
-    #: Extra erase attempts before the block is declared bad.
-    erase_retry_max: int = 2
-
-    # -- wear curves (DESIGN.md §17) -------------------------------------
-    #: Optional wear-dependent overrides for the static probabilities
-    #: above: when set, the per-op probability is ``curve.value(wear)``
-    #: of the touched unit's erase count instead of the flat field. A
-    #: flat curve (slope 0) reproduces the static plan byte-for-byte.
-    read_disturb_curve: Optional[WearCurve] = None
-    program_fail_curve: Optional[WearCurve] = None
-    erase_fail_curve: Optional[WearCurve] = None
     #: Read-disturb exposure: every N reads of a unit since its last
     #: erase add one effective erase of wear to the read curve's input
     #: (0 = reads don't disturb). The exposure counter resets on erase.
     read_disturb_exposure_reads: int = 0
+
+    # -- media: programs -------------------------------------------------
+    #: Probability a page program fails, by the unit's erase count; the
+    #: firmware remaps and retries on the same die (each failure costs
+    #: one extra ``program_ns``).
+    program_fail_curve: WearCurve = WearCurve()
+    #: Cap on consecutive program failures absorbed per page.
+    program_retry_max: int = 3
+
+    # -- media: erases ---------------------------------------------------
+    #: Probability a block erase attempt fails (retried in firmware up
+    #: to ``ERASE_RETRY_MAX`` times), by the unit's erase count.
+    erase_fail_curve: WearCurve = WearCurve()
 
     # -- firmware retirement (ZNS) ---------------------------------------
     #: Cumulative program failures in a zone after which the firmware
@@ -111,10 +108,6 @@ class FaultPlan:
     #: device sheds capacity even before programs start failing.
     retire_read_only_erases: int = 0
     retire_offline_erases: int = 0
-    #: Per-access indirection penalty (ns) for reads/programs that land
-    #: on a conventional-FTL block remapped from the spare pool after a
-    #: bad-block erase failure.
-    bad_block_remap_ns: int = us(25)
 
     # -- power loss ------------------------------------------------------
     #: Simulated time (ns) of a single power-cut event (None = never).
@@ -123,12 +116,6 @@ class FaultPlan:
     #: the PLP capacitors can still flush; the rest of the tail is lost.
     #: (In-flight NAND programs always complete on capacitor energy.)
     plp_budget_bytes: int = 0
-    #: Fixed firmware boot cost paid while the controller is seized.
-    recovery_base_ns: int = ms(2)
-    #: Per-rolled-back-zone recovery cost (ZNS write-pointer rebuild).
-    recovery_per_zone_ns: int = us(150)
-    #: Per-mapped-page L2P scan cost (conventional FTL rebuild).
-    recovery_per_page_ns: int = 40
 
     # -- host resilience policy ------------------------------------------
     #: Host-side command timeout (None = wait forever, today's behavior).
@@ -139,20 +126,17 @@ class FaultPlan:
     retry_backoff_ns: int = us(50)
 
     def __post_init__(self):
-        for field in ("read_disturb_prob", "read_uncorrectable_frac",
-                      "program_fail_prob", "erase_fail_prob"):
-            value = getattr(self, field)
-            if not 0.0 <= value <= 1.0:
-                raise FaultPlanError(f"{field} must be in [0, 1], got {value!r}")
-        for field in ("read_retry_max", "program_retry_max", "erase_retry_max",
-                      "max_retries", "read_disturb_exposure_reads",
-                      "bad_block_remap_ns"):
+        if not 0.0 <= self.read_uncorrectable_frac <= 1.0:
+            raise FaultPlanError(
+                "read_uncorrectable_frac must be in [0, 1], "
+                f"got {self.read_uncorrectable_frac!r}")
+        for field in ("read_retry_max", "program_retry_max", "max_retries",
+                      "read_disturb_exposure_reads"):
             if getattr(self, field) < 0:
                 raise FaultPlanError(f"{field} must be >= 0")
-        for field in ("read_disturb_curve", "program_fail_curve",
-                      "erase_fail_curve"):
+        for field in _CURVE_FIELDS:
             curve = getattr(self, field)
-            if curve is not None and not isinstance(curve, WearCurve):
+            if not isinstance(curve, WearCurve):
                 raise FaultPlanError(
                     f"{field} must be a WearCurve, got {type(curve).__name__}")
         for low, high in (("retire_read_only_after", "retire_offline_after"),
@@ -167,10 +151,6 @@ class FaultPlan:
         if self.power_cut_at_ns is not None and self.power_cut_at_ns < 0:
             raise FaultPlanError("power_cut_at_ns must be >= 0")
 
-    @staticmethod
-    def _armed(prob: float, curve: Optional[WearCurve]) -> bool:
-        return curve.armed if curve is not None else prob > 0.0
-
     @property
     def enabled(self) -> bool:
         """True if any fault source or host policy is armed."""
@@ -184,27 +164,15 @@ class FaultPlan:
 
     @property
     def erase_faults_enabled(self) -> bool:
-        """True if block erases can fail (static prob or armed curve) —
-        the conventional FTL reserves its bad-block spare pool iff so."""
-        return self._armed(self.erase_fail_prob, self.erase_fail_curve)
+        """True if block erases can fail — the conventional FTL reserves
+        its bad-block spare pool iff so."""
+        return self.erase_fail_curve.armed
 
     @property
     def media_enabled(self) -> bool:
-        return (self._armed(self.read_disturb_prob, self.read_disturb_curve)
-                or self._armed(self.program_fail_prob, self.program_fail_curve)
-                or self._armed(self.erase_fail_prob, self.erase_fail_curve))
-
-    @property
-    def wear_enabled(self) -> bool:
-        """True if any wear curve or wear threshold can change behavior."""
-        return (
-            any(curve is not None and not curve.flat
-                for curve in (self.read_disturb_curve, self.program_fail_curve,
-                              self.erase_fail_curve))
-            or self.read_disturb_exposure_reads > 0
-            or self.retire_read_only_erases > 0
-            or self.retire_offline_erases > 0
-        )
+        return (self.read_disturb_curve.armed
+                or self.program_fail_curve.armed
+                or self.erase_fail_curve.armed)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -234,7 +202,6 @@ FAULT_PRESETS: dict[str, FaultPlan] = {
     "wearout": FaultPlan(
         name="wearout",
         program_retry_max=2,
-        erase_retry_max=2,
         retire_read_only_after=6,
         retire_offline_after=12,
         program_fail_curve=WearCurve(base=0.02, knee=8, slope=0.004, cap=0.30),
@@ -253,12 +220,12 @@ FAULT_PRESETS: dict[str, FaultPlan] = {
     # must still terminate with degraded-mode accounting.
     "chaos": FaultPlan(
         name="chaos",
-        read_disturb_prob=0.10,
+        read_disturb_curve=WearCurve(base=0.10),
         read_retry_max=4,
         read_uncorrectable_frac=0.05,
-        program_fail_prob=0.05,
+        program_fail_curve=WearCurve(base=0.05),
         program_retry_max=2,
-        erase_fail_prob=0.02,
+        erase_fail_curve=WearCurve(base=0.02),
         retire_read_only_after=16,
         retire_offline_after=40,
         power_cut_at_ns=ms(2),
@@ -278,8 +245,6 @@ _PRESET_NOTES = {
 }
 
 _PLAN_FIELDS = {f.name for f in dataclasses.fields(FaultPlan)}
-_CURVE_FIELDS = ("read_disturb_curve", "program_fail_curve",
-                 "erase_fail_curve")
 
 
 def _load_profile(path: str) -> FaultPlan:
@@ -295,7 +260,7 @@ def _load_profile(path: str) -> FaultPlan:
         raise FaultPlanError(
             f"fault profile {path!r} has unknown fields: {', '.join(unknown)}")
     for field in _CURVE_FIELDS:
-        if data.get(field) is not None:
+        if field in data:
             try:
                 data[field] = WearCurve.from_dict(data[field])
             except (TypeError, ValueError) as error:
@@ -338,18 +303,11 @@ class FaultInjector:
     ``"faults"`` stream (per-point salted by the execution engine), in a
     fixed per-operation order, so outcomes depend only on (seed, salt,
     operation sequence) — never on worker count or wall-clock timing.
-    Uniform variates are drawn in batches of ``_BATCH`` to keep the
-    per-op cost to a list index; batching does not change the draw
-    sequence.
     """
-
-    _BATCH = 256
 
     def __init__(self, plan: FaultPlan, rng, metrics):
         self.plan = plan
         self._rng = rng
-        self._batch: list[float] = []
-        self._cursor = 0
         #: Per-unit lifetime state (ZNS zones / conv blocks). Owned here
         #: so the flash backend and both FTLs share one odometer per
         #: device, and devices can snapshot/restore it (DESIGN.md §17).
@@ -371,12 +329,7 @@ class FaultInjector:
         self.max_erase_count = metrics.gauge("faults.max_erase_count")
 
     def _u(self) -> float:
-        cursor = self._cursor
-        if cursor == len(self._batch):
-            self._batch = self._rng.random(self._BATCH).tolist()
-            cursor = 0
-        self._cursor = cursor + 1
-        return self._batch[cursor]
+        return self._rng.random()
 
     # -- wear bookkeeping ------------------------------------------------
     def note_erase(self, wear) -> None:
@@ -390,8 +343,6 @@ class FaultInjector:
     def _read_prob(self, wear) -> float:
         plan = self.plan
         curve = plan.read_disturb_curve
-        if curve is None:
-            return plan.read_disturb_prob
         if wear is None:
             return curve.value(0)
         exposure = wear.erase_count
@@ -400,16 +351,8 @@ class FaultInjector:
             exposure += wear.reads_since_erase // window
         return curve.value(exposure)
 
-    def _program_prob(self, wear) -> float:
-        curve = self.plan.program_fail_curve
-        if curve is None:
-            return self.plan.program_fail_prob
-        return curve.value(wear.erase_count if wear is not None else 0)
-
-    def _erase_prob(self, wear) -> float:
-        curve = self.plan.erase_fail_curve
-        if curve is None:
-            return self.plan.erase_fail_prob
+    @staticmethod
+    def _erase_count_prob(curve: WearCurve, wear) -> float:
         return curve.value(wear.erase_count if wear is not None else 0)
 
     # -- per-operation outcomes ------------------------------------------
@@ -449,7 +392,7 @@ class FaultInjector:
         accumulation and retirement checks stay atomic per flush.
         """
         plan = self.plan
-        prob = self._program_prob(wear)
+        prob = self._erase_count_prob(plan.program_fail_curve, wear)
         if prob <= 0.0:
             return 0
         failures = 0
@@ -462,17 +405,16 @@ class FaultInjector:
 
     def erase_outcome(self, wear=None) -> tuple[int, bool]:
         """(extra erase attempts, block went bad?) for one block erase."""
-        plan = self.plan
-        prob = self._erase_prob(wear)
+        prob = self._erase_count_prob(self.plan.erase_fail_curve, wear)
         if prob <= 0.0:
             return 0, False
         retries = 0
-        while retries < plan.erase_retry_max and self._u() < prob:
+        while retries < ERASE_RETRY_MAX and self._u() < prob:
             retries += 1
         if retries:
             self.injected.inc(retries)
             self.erase_retries.inc(retries)
-        failed = retries >= plan.erase_retry_max > 0
+        failed = retries == ERASE_RETRY_MAX
         if failed:
             self.erase_failures.inc()
         return retries, failed

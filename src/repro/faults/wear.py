@@ -5,11 +5,9 @@ gives :mod:`repro.faults` the state to tell them apart:
 
 * :class:`WearCurve` — a tiny parametric map from a wear measure
   (erase count) to a probability: flat at ``base`` until ``knee``
-  erases, then rising by ``slope`` per erase, clamped to ``cap``. A
-  curve with ``slope == 0`` evaluates to ``base`` everywhere, so a plan
-  whose curves are flat draws *exactly* the same variates as the static
-  plan it generalizes — the byte-identity contract of DESIGN.md §12
-  extends to §17.
+  erases, then rising by ``slope`` per erase, clamped to ``cap``. It is
+  the only spelling of a media fault's probability in a plan; a curve
+  with ``slope == 0`` is a constant rate ``base``.
 * :class:`UnitWear` — one erase unit's lifetime odometer (a zone on the
   ZNS device, a block on the conventional FTL): erase count, cumulative
   program failures, and reads since the last erase (the read-disturb
@@ -55,11 +53,6 @@ class WearCurve:
             raise ValueError(f"curve knee must be >= 0, got {self.knee!r}")
         if self.slope < 0.0:
             raise ValueError(f"curve slope must be >= 0, got {self.slope!r}")
-
-    @property
-    def flat(self) -> bool:
-        """True if wear never changes the probability."""
-        return self.slope == 0.0
 
     @property
     def armed(self) -> bool:

@@ -159,9 +159,9 @@ class FlashBackend:
         if self.faults is not None:
             retries, uncorrectable = self.faults.read_outcome(wear)
             if retries:
-                step = self.faults.plan.read_retry_step_ns or self.timing.read_ns
-                yield self.sim.timeout(retries * step)
-                busy_ns += retries * step
+                retry_ns = retries * self.timing.read_ns
+                yield self.sim.timeout(retry_ns)
+                busy_ns += retry_ns
             if uncorrectable and fault_out is not None:
                 fault_out.append(die_index)
         self._die_busy_ns[die_index] += busy_ns

@@ -181,22 +181,6 @@ class Container:
             )
         self._level = level
 
-    def drain(self, amount: int) -> int:
-        """Remove up to ``amount`` immediately, never blocking.
-
-        Unlike :meth:`get`, this is a fault fixture (power loss dropping
-        the unflushed buffer tail): it takes whatever is available, wakes
-        any putters the freed space unblocks, and returns the bytes
-        actually removed.
-        """
-        if amount < 0:
-            raise SimulationError(f"negative drain amount: {amount}")
-        taken = min(amount, self._level)
-        if taken:
-            self._level -= taken
-            self._settle()
-        return taken
-
     def _settle(self) -> None:
         ready = self.sim._ready
         progressed = True

@@ -37,7 +37,7 @@ from ..hostif.namespace import LBA_4K, LbaFormat
 from ..hostif.status import Status
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
-from ..sim.engine import Simulator
+from ..sim.engine import Simulator, us
 from ..sim.resources import Resource
 from ..sim.rng import LatencySampler, StreamFactory
 from .ftl import ZoneStriping
@@ -50,6 +50,9 @@ __all__ = ["ZnsDevice"]
 
 #: Telemetry column per zone state, in the census's (declaration) order.
 _CENSUS_KEYS = tuple(f"zones.{state.value}" for state in ZoneState)
+
+#: Power-loss recovery cost per rolled-back zone (write-pointer rebuild).
+RECOVERY_PER_ZONE_NS = us(150)
 
 
 class ZnsDevice(DeviceCore):
@@ -529,7 +532,7 @@ class ZnsDevice(DeviceCore):
         return dropped, zones_rolled
 
     def _recovery_ns(self, units: int) -> int:
-        return units * self.faults.plan.recovery_per_zone_ns
+        return units * RECOVERY_PER_ZONE_NS
 
     def _drop_residual(self, zone_index: int) -> None:
         """Discard a partial buffered page (zone reset path)."""

@@ -6,6 +6,7 @@ completion path, and counters), golden-output identity for
 representative experiments, and the §IV fidelity plan.
 """
 
+import dataclasses
 import pathlib
 
 from repro.conv import ConvDevice
@@ -65,8 +66,9 @@ class TestSharedCore:
 class TestGoldenIdentity:
     """The refactor must not move a single byte of experiment output."""
 
-    def _check(self, exp_id: str, golden_name: str):
-        result = run_experiment(exp_id, golden_config())
+    def _check(self, exp_id: str, golden_name: str, faults=None):
+        config = dataclasses.replace(golden_config(), faults=faults)
+        result = run_experiment(exp_id, config)
         golden = (GOLDEN_DIR / golden_name).read_text()
         assert result.table() + "\n" == golden
 
@@ -75,6 +77,12 @@ class TestGoldenIdentity:
 
     def test_fig4a_matches_golden(self):
         self._check("fig4a", "fig4a_fast.txt")
+
+    def test_fig2b_under_chaos_matches_golden(self):
+        # Rendered before the static fault probabilities became flat wear
+        # curves and the injector stopped batching its draws: both must
+        # leave every fault outcome where it was.
+        self._check("fig2b", "fig2b_fast_chaos.txt", faults="chaos")
 
 
 def _synthetic_quantities(name: str) -> dict:

@@ -166,6 +166,32 @@ class TestEngineOutputIdentity:
         assert report2.executed == 1
         assert report2.cache_hits == len(report2.points) - 1
 
+    def test_edited_fault_profile_misses_the_cache(self, tmp_path):
+        # The key holds the plan a --faults spec resolves to, not the
+        # spec string, so a profile edited in place is a new key.
+        profile = tmp_path / "p.json"
+        cache_dir = tmp_path / "cache"
+        config = tiny_config(faults=str(profile))
+
+        def run():
+            _, report = execute_experiments(["fig2b"], config, jobs=1,
+                                            cache_dir=cache_dir)
+            return report
+
+        profile.write_text(json.dumps({"power_cut_at_ns": ms(1)}))
+        first = run()
+        assert first.executed == len(first.points) > 0
+        profile.write_text(json.dumps({
+            "power_cut_at_ns": ms(1),
+            "read_disturb_curve": {"base": 0.5},
+        }))
+        edited = run()
+        assert edited.cache_hits == 0
+        assert edited.executed == len(edited.points)
+        again = run()
+        assert again.executed == 0
+        assert again.cache_hits == len(again.points)
+
     def test_metrics_merge_matches_inline_collection(self):
         from repro.obs.metrics import MetricsRegistry
 

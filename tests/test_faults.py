@@ -21,7 +21,14 @@ import json
 
 import pytest
 
-from repro.faults import FAULT_PRESETS, FaultPlan, FaultPlanError, resolve
+from repro.device.core import RECOVERY_BASE_NS
+from repro.faults import (
+    FAULT_PRESETS,
+    FaultPlan,
+    FaultPlanError,
+    WearCurve,
+    resolve,
+)
 from repro.hostif import Command, Completion, Opcode, Status
 from repro.sim.engine import ms, us
 from repro.stacks import SpdkStack
@@ -56,10 +63,36 @@ class TestPlanResolution:
 
     def test_json_profile_round_trip(self, tmp_path):
         path = tmp_path / "my-faults.json"
-        path.write_text(json.dumps({"read_disturb_prob": 0.5}))
+        path.write_text(json.dumps({"read_disturb_curve": {"base": 0.5}}))
         loaded = resolve(str(path))
-        assert loaded.read_disturb_prob == 0.5
+        assert loaded.read_disturb_curve == WearCurve(base=0.5)
         assert loaded.name == "my-faults"  # defaults to the file stem
+
+    def test_json_profile_spells_the_chaos_preset(self, tmp_path):
+        path = tmp_path / "chaos.json"
+        path.write_text(json.dumps({
+            "read_disturb_curve": {"base": 0.10},
+            "read_retry_max": 4,
+            "read_uncorrectable_frac": 0.05,
+            "program_fail_curve": {"base": 0.05},
+            "program_retry_max": 2,
+            "erase_fail_curve": {"base": 0.02},
+            "retire_read_only_after": 16,
+            "retire_offline_after": 40,
+            "power_cut_at_ns": ms(2),
+            "plp_budget_bytes": 128 * KIB,
+            "command_timeout_ns": ms(2),
+            "max_retries": 2,
+            "retry_backoff_ns": us(20),
+        }))
+        assert resolve(str(path)) == FAULT_PRESETS["chaos"]
+
+    def test_json_profile_rejects_removed_static_probability(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"read_disturb_prob": 0.5}))
+        with pytest.raises(FaultPlanError,
+                           match="unknown fields: read_disturb_prob"):
+            resolve(str(path))
 
     def test_json_profile_rejects_unknown_fields(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -69,7 +102,7 @@ class TestPlanResolution:
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(FaultPlanError):
-            FaultPlan(read_disturb_prob=1.5)
+            FaultPlan(read_uncorrectable_frac=1.5)
 
     def test_plans_are_json_serializable(self):
         for preset in FAULT_PRESETS.values():
@@ -87,31 +120,33 @@ class TestMediaReadFaults:
     def test_retry_ladder_adds_exact_latency(self):
         # prob=1 + retry_max=1 makes the ladder depth deterministic (one
         # retry); the quiet profile has jitter disabled, so the injected
-        # latency is exactly the configured step.
+        # latency is exactly one more page sense.
         _, _, clean = self._read_latency(None)
         _, dev, faulty = self._read_latency(plan(
-            read_disturb_prob=1.0, read_retry_max=1,
-            read_retry_step_ns=us(50)))
+            read_disturb_curve=WearCurve(base=1.0), read_retry_max=1))
         assert faulty.ok
-        assert faulty.latency_ns - clean.latency_ns == us(50)
+        assert (faulty.latency_ns - clean.latency_ns
+                == dev.backend.timing.read_ns)
         assert dev.faults.read_disturbs.value == 1
         assert dev.faults.read_retries.value == 1
 
     def test_uncorrectable_read_fails_after_full_ladder(self):
         _, _, clean = self._read_latency(None)
         sim, dev, faulty = self._read_latency(plan(
-            read_disturb_prob=1.0, read_uncorrectable_frac=1.0,
-            read_retry_max=2, read_retry_step_ns=us(40)))
+            read_disturb_curve=WearCurve(base=1.0), read_uncorrectable_frac=1.0,
+            read_retry_max=2))
         assert faulty.status is Status.MEDIA_UNRECOVERED_READ
         assert not faulty.status.retryable  # DNR: retrying cannot help
-        assert faulty.latency_ns - clean.latency_ns == 2 * us(40)
+        assert (faulty.latency_ns - clean.latency_ns
+                == 2 * dev.backend.timing.read_ns)
         assert dev.faults.read_uncorrectable.value == 1
         # The failed read shows up in the always-on device error counters.
         assert dev.counters.errors[Status.MEDIA_UNRECOVERED_READ] == 1
 
     def test_read_faults_leave_writes_untouched(self):
         sim_a, dev_a = make_device(faults=None)
-        sim_b, dev_b = make_device(faults=plan(read_disturb_prob=1.0))
+        sim_b, dev_b = make_device(
+            faults=plan(read_disturb_curve=WearCurve(base=1.0)))
         nlb = dev_a.profile.geometry.page_size // 4096
         a = run_cmd(sim_a, dev_a, write(0, nlb))
         b = run_cmd(sim_b, dev_b, write(0, nlb))
@@ -124,7 +159,7 @@ class TestZoneRetirement:
         # four flushed pages accumulate four failures, crossing the
         # READ_ONLY threshold at 2 and the OFFLINE threshold at 4.
         sim, dev = make_device(faults=plan(
-            program_fail_prob=1.0, program_retry_max=1,
+            program_fail_curve=WearCurve(base=1.0), program_retry_max=1,
             retire_read_only_after=2, retire_offline_after=4))
         page = dev.profile.geometry.page_size
         assert run_cmd(sim, dev, write(0, 4 * page // 4096)).ok
@@ -141,7 +176,7 @@ class TestZoneRetirement:
 
     def test_below_threshold_zone_stays_writable(self):
         sim, dev = make_device(faults=plan(
-            program_fail_prob=1.0, program_retry_max=1,
+            program_fail_curve=WearCurve(base=1.0), program_retry_max=1,
             retire_read_only_after=100))
         page = dev.profile.geometry.page_size
         assert run_cmd(sim, dev, write(0, 4 * page // 4096)).ok
@@ -155,8 +190,7 @@ class TestPowerCut:
     # The 2 MiB write is admitted into the buffer at ~t=401us and NAND
     # programs take 450us, so a cut at t=500us catches a full buffer
     # with only the earliest pages persisted.
-    CUT = plan(power_cut_at_ns=us(500), plp_budget_bytes=0,
-               recovery_base_ns=ms(1))
+    CUT = plan(power_cut_at_ns=us(500), plp_budget_bytes=0)
 
     def _run_cut(self):
         sim, dev = make_device(faults=self.CUT)
@@ -170,7 +204,7 @@ class TestPowerCut:
         lost = dev.faults.bytes_lost.value
         assert dev.faults.power_cuts.value == 1
         assert lost > 0
-        assert dev.faults.recovery_ns.value >= ms(1)
+        assert dev.faults.recovery_ns.value >= RECOVERY_BASE_NS
         # Lost bytes came out of the buffer: everything else flushed.
         assert dev.buffer.level == 0
         # The write pointer rolled back over the lost LBAs.

@@ -153,10 +153,11 @@ class TestRetirementUnderTenancy:
     (DESIGN.md §17) and retired zones drop out of the reclaim loop."""
 
     def _retiring_plan(self):
-        from repro.faults import FaultPlan
+        from repro.faults import FaultPlan, WearCurve
 
         # Every page program fails once; two failures retire the zone.
-        return FaultPlan(name="retiring", program_fail_prob=1.0,
+        return FaultPlan(name="retiring",
+                         program_fail_curve=WearCurve(base=1.0),
                          program_retry_max=1, retire_read_only_after=2,
                          retire_offline_after=4)
 

@@ -6,8 +6,6 @@ Covers the wear layer end to end:
   its JSON round trip, and validation;
 * plan-level wiring — wear curves arming the media-fault machinery,
   inverted retirement thresholds rejected at resolve time;
-* the headline byte-identity guarantee — a *flat* wear curve is
-  byte-identical to the equivalent static-probability plan;
 * wear odometers — erase counts, read-disturb exposure, program
   failures; snapshot/restore through the device state fixture;
 * deterministic aging — :meth:`Device.age` replays are bit-reproducible
@@ -33,7 +31,6 @@ from repro.faults import (
 from repro.flash.geometry import FlashGeometry
 from repro.conv.ftl import PageMappedFtl
 from repro.hostif import Status, ZoneAction
-from repro.sim.engine import us
 from repro.zns import ZoneState
 
 from .util import make_device, mgmt, read, run_cmd, write
@@ -48,7 +45,6 @@ def plan(**overrides) -> FaultPlan:
 class TestWearCurve:
     def test_flat_curve_is_constant(self):
         curve = WearCurve(base=0.25)
-        assert curve.flat
         assert curve.value(0) == 0.25
         assert curve.value(10_000) == 0.25
 
@@ -58,7 +54,6 @@ class TestWearCurve:
         assert curve.value(10) == 0.1          # knee inclusive
         assert curve.value(12) == pytest.approx(0.2)
         assert curve.value(1_000) == 0.4       # capped
-        assert not curve.flat
 
     def test_armed_semantics(self):
         assert not WearCurve().armed                      # all-zero: inert
@@ -118,7 +113,6 @@ class TestPlanWearValidation:
         plan(retire_offline_after=3)
         assert not plan(retire_offline_after=3).enabled
         assert plan(retire_read_only_erases=10).enabled
-        assert plan(retire_read_only_erases=10).wear_enabled
 
     def test_curve_profile_round_trips_through_json(self, tmp_path):
         path = tmp_path / "wear.json"
@@ -137,54 +131,6 @@ class TestPlanWearValidation:
         assert resolve("wearout").program_fail_curve.armed
         assert resolve("wearout").erase_fail_curve.armed
         assert resolve("read-disturb").read_disturb_curve.armed
-
-
-class _Trace:
-    """Latency trace of a fixed write+drain+read+reset sequence."""
-
-    def __init__(self, faults):
-        sim, dev = make_device(faults=faults)
-        self.latencies = []
-        page = dev.profile.geometry.page_size
-        nlb = page // 4096
-        for i in range(4):
-            self.latencies.append(
-                run_cmd(sim, dev, write(i * nlb, nlb)).latency_ns)
-        sim.run()
-        for i in range(4):
-            self.latencies.append(
-                run_cmd(sim, dev, read(i * nlb, nlb)).latency_ns)
-        self.latencies.append(
-            run_cmd(sim, dev, mgmt(0, ZoneAction.RESET)).latency_ns)
-        self.device = dev
-
-
-class TestFlatCurveByteIdentity:
-    """A flat curve (slope 0) must reproduce the static plan exactly —
-    same draws, same latencies, same counters — so armed-but-flat
-    profiles degrade to the pre-wear behaviour."""
-
-    def test_flat_program_curve_matches_static_prob(self):
-        static = _Trace(plan(program_fail_prob=0.5, program_retry_max=2))
-        flat = _Trace(plan(
-            program_fail_curve=WearCurve(base=0.5), program_retry_max=2))
-        assert static.latencies == flat.latencies
-        assert (static.device.faults.program_failures.value
-                == flat.device.faults.program_failures.value)
-
-    def test_flat_read_curve_matches_static_prob(self):
-        static = _Trace(plan(read_disturb_prob=0.7, read_retry_max=3))
-        flat = _Trace(plan(
-            read_disturb_curve=WearCurve(base=0.7), read_retry_max=3))
-        assert static.latencies == flat.latencies
-        assert (static.device.faults.read_retries.value
-                == flat.device.faults.read_retries.value)
-
-    def test_flat_erase_curve_matches_static_prob(self):
-        static = _Trace(plan(erase_fail_prob=0.5, erase_retry_max=2))
-        flat = _Trace(plan(
-            erase_fail_curve=WearCurve(base=0.5), erase_retry_max=2))
-        assert static.latencies == flat.latencies
 
 
 class TestWearOdometers:
@@ -211,7 +157,7 @@ class TestWearOdometers:
 
     def test_program_failures_accumulate_per_zone(self):
         sim, dev = make_device(faults=plan(
-            program_fail_prob=1.0, program_retry_max=1,
+            program_fail_curve=WearCurve(base=1.0), program_retry_max=1,
             retire_read_only_after=100))
         page = dev.profile.geometry.page_size
         assert run_cmd(sim, dev, write(0, 4 * page // 4096)).ok
@@ -226,7 +172,8 @@ class TestWearOdometers:
         wear = dev.faults.wear.unit(0)
         for erases in (0, 5, 10, 20, 50, 1_000):
             wear.erase_count = erases
-            probs.append(dev.faults._program_prob(wear))
+            probs.append(dev.faults._erase_count_prob(
+                injector_plan.program_fail_curve, wear))
         assert probs == sorted(probs)
         assert probs[0] == 0.01 and probs[-1] == 0.6
 
