@@ -145,7 +145,7 @@ class LsmWorkload:
             # Flush cadence with a little deterministic jitter so two
             # tenants' flushers do not phase-lock against the device.
             jitter = int(rng.integers(0, config.flush_interval_ns // 4 + 1))
-            yield self.sim.timeout(config.flush_interval_ns + jitter)
+            yield config.flush_interval_ns + jitter
             zone_id = self._take_zone()
             if zone_id is None:
                 continue  # all zones sealed; wait for compaction
@@ -187,7 +187,7 @@ class LsmWorkload:
         config = self.config
         while self.sim.now < self.until_ns:
             if len(self._sealed) < config.compact_trigger or not self._free:
-                yield self.sim.timeout(config.flush_interval_ns)
+                yield config.flush_interval_ns
                 continue
             source = self._sealed.pop(0)
             victims = [s for s in self._catalog if s.zone == source and s.live]
@@ -248,7 +248,7 @@ class LsmWorkload:
         blocks_per_read = config.read_bytes // self._block
         while self.sim.now < self.until_ns:
             think = int(rng.exponential(config.read_interval_ns))
-            yield self.sim.timeout(max(1, think))
+            yield max(1, think)
             if not self._catalog:
                 continue
             sst = self._catalog[int(rng.integers(0, len(self._catalog)))]

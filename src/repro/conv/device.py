@@ -239,7 +239,7 @@ class ConvDevice(DeviceCore):
         if remapped:
             # Remap-table indirection: pages on promoted spares pay an
             # extra firmware lookup before the NAND ops are issued.
-            yield sim.timeout(remapped * BAD_BLOCK_REMAP_NS)
+            yield remapped * BAD_BLOCK_REMAP_NS
         if len(reads) == 1:
             yield reads[0]
         elif reads:
@@ -261,7 +261,7 @@ class ConvDevice(DeviceCore):
         start_page, n_pages = self._page_span(command.slba, nbytes)
         flash_bytes = n_pages * self._page_size
         admit_started = self.sim.now if self.tracer.enabled else 0
-        yield self.sim.timeout(shape.admit_ns)
+        yield shape.admit_ns
         yield self.buffer.put(flash_bytes)
         if self.observing:
             self._wbuf_gauge.set(self.buffer.level)
@@ -303,7 +303,7 @@ class ConvDevice(DeviceCore):
             block_id = physical // self.ftl.pages_per_block
             wear = self.faults.wear.unit(block_id)
             if block_id in self.ftl.remapped_blocks:
-                yield self.sim.timeout(BAD_BLOCK_REMAP_NS)
+                yield BAD_BLOCK_REMAP_NS
         failures = yield from self._flush_page_to_die(
             self.ftl.die_of_physical(physical), cancel=token, wear=wear
         )
@@ -360,7 +360,7 @@ class ConvDevice(DeviceCore):
         # Mapping-table updates: same per-LBA cost class as the ZNS
         # reset's unmapping work, scaled to the pages actually touched.
         map_started = self.sim.now
-        yield self.sim.timeout(unmapped * self.profile.per_lba_ns_4k * 4)
+        yield unmapped * self.profile.per_lba_ns_4k * 4
         if self.tracer.enabled:
             self.tracer.span("firmware", "trim.unmap", map_started,
                              self.sim.now, track="firmware", cid=cid,

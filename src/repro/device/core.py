@@ -294,7 +294,7 @@ class DeviceCore:
             admitted = admit()
             if admitted[0].ok and admitted[1]:
                 service_ns += open_ns
-        yield self.sim.timeout(self._io_jitter.jitter(service_ns))
+        yield self._io_jitter.jitter(service_ns)
         self.controller.release(req)
         if traced:
             if granted_at > queued_at:
@@ -321,7 +321,9 @@ class DeviceCore:
         if failures or self.observing:
             # Resume where a get of the page, always granted at once,
             # would have: the gauge read and the callers' wear accounting
-            # keep their place in the event order (DESIGN.md §15.5).
+            # keep their place in the event order (DESIGN.md §15.5). The
+            # timer is queued before the take wakes any putter, so it
+            # cannot be a zero sleep, which would queue after them.
             resume = self.sim.timeout(0)
             self.buffer.take(self._page_size)
             yield resume
@@ -344,7 +346,9 @@ class DeviceCore:
         panic request observes the recovery latency.
         """
         plan = self.faults.plan
-        yield self.sim.timeout(plan.power_cut_at_ns)
+        # A JSON profile may give the cut time as a float; a sleep is an
+        # exact int.
+        yield int(plan.power_cut_at_ns)
         req = self.controller.request(PRIO_PANIC)
         yield req
         target = self.buffer.level - plan.plp_budget_bytes
@@ -364,7 +368,7 @@ class DeviceCore:
             start = self.sim.now
             self.tracer.instant("fault", "power_cut", start,
                                 track="controller", bytes_lost=dropped)
-        yield self.sim.timeout(recovery)
+        yield recovery
         if self.tracer.enabled:
             self.tracer.span("fault", "power_loss_recovery", start,
                              self.sim.now, track="controller")

@@ -154,13 +154,13 @@ class FlashBackend:
         # accounting can use the constant instead of clock reads (the
         # timestamps below are only needed for trace spans).
         start = self.sim.now if traced else 0
-        yield self.sim.timeout(self.timing.read_ns)
+        yield self.timing.read_ns
         busy_ns = self.timing.read_ns
         if self.faults is not None:
             retries, uncorrectable = self.faults.read_outcome(wear)
             if retries:
                 retry_ns = retries * self.timing.read_ns
-                yield self.sim.timeout(retry_ns)
+                yield retry_ns
                 busy_ns += retry_ns
             if uncorrectable and fault_out is not None:
                 fault_out.append(die_index)
@@ -175,7 +175,7 @@ class FlashBackend:
         transfer = self._transfer_cache.get(nbytes)
         if transfer is None:
             transfer = self._transfer_cache[nbytes] = self.transfer_ns(nbytes)
-        yield self.sim.timeout(transfer)
+        yield transfer
         bus.release(breq)
         self.counters.pages_read += 1
         if traced:
@@ -205,7 +205,7 @@ class FlashBackend:
         bus = self._bus_of_die[die_index]
         breq = bus.request(priority)
         yield breq
-        yield self.sim.timeout(self._page_transfer_ns)
+        yield self._page_transfer_ns
         bus.release(breq)
         die = self.dies[die_index]
         req = die.request(priority)
@@ -217,14 +217,14 @@ class FlashBackend:
             # Commit point: once programming starts, PLP capacitor energy
             # carries the operation to completion on power loss.
             cancel[1] = True
-        yield self.sim.timeout(self.timing.program_ns)
+        yield self.timing.program_ns
         busy_ns = self.timing.program_ns
         failures = 0
         if self.faults is not None:
             failures = self.faults.program_outcome(wear)
             if failures:
                 extra = failures * self.timing.program_ns
-                yield self.sim.timeout(extra)
+                yield extra
                 busy_ns += extra
         self._die_busy_ns[die_index] += busy_ns
         if self._op_counters is not None:
@@ -250,14 +250,14 @@ class FlashBackend:
         req = die.request(priority)
         yield req
         start = self.sim.now if traced else 0
-        yield self.sim.timeout(self.timing.erase_ns)
+        yield self.timing.erase_ns
         busy_ns = self.timing.erase_ns
         bad_block = False
         if self.faults is not None:
             retries, bad_block = self.faults.erase_outcome(wear)
             if retries:
                 extra = retries * self.timing.erase_ns
-                yield self.sim.timeout(extra)
+                yield extra
                 busy_ns += extra
             if not bad_block and wear is not None:
                 self.faults.note_erase(wear)

@@ -2,8 +2,8 @@
 
 The kernel is a minimal, deterministic event-driven simulator in the style
 of SimPy: *processes* are Python generators that ``yield`` events
-(timeouts, resource requests, other processes), and the engine advances a
-simulated clock from event to event.
+(resource requests, other processes, conditions) or ``int`` delays to
+sleep, and the engine advances a simulated clock from event to event.
 
 Simulated time is kept in **integer nanoseconds**. Integer time makes the
 simulation exactly reproducible (no floating-point drift in comparisons)
@@ -11,17 +11,28 @@ and gives sub-nanosecond-free semantics for the microsecond-scale device
 latencies this package models. Use the :func:`us`, :func:`ms` and
 :func:`sec` helpers to construct durations.
 
+Sleeping: a process waits out a delay by yielding the ``int`` number of
+nanoseconds (``yield service_ns``); no event is built for it. The
+process itself goes on the heap (or, for ``0``, the ready deque) where
+a :class:`Timeout` created in the yield expression would have gone, so
+the event order is the same. Only an exact ``int`` sleeps: a negative
+delay raises :class:`SimulationError` inside the generator, and any
+other non-event (a float, a bool, a numpy integer) fails the process.
+
 Determinism: events scheduled for the same timestamp fire in scheduling
 order, so a run with the same seed and inputs always produces the same
 trace. Two structures maintain that order (DESIGN.md §10):
 
 * **Immediate events** (``succeed``/``fail`` triggers, zero-delay
-  timeouts, resource grants) go to a FIFO *ready deque* — no heap
-  entry, no sequence number. The deque position *is* the tie-break. A
-  new :class:`Process` queues *itself* there, untriggered, and the run
-  loop takes its first step when it pops it.
-* **Delayed events** go to a heap of ``(when, seq, event)`` entries; the
-  monotonically increasing ``seq`` breaks same-timestamp ties.
+  timeouts and sleeps, resource grants) go to a FIFO *ready deque* —
+  no heap entry, no sequence number. The deque position *is* the
+  tie-break. An untriggered :class:`Process` on the deque is either a
+  bootstrap (a new process queues *itself* there) or a wake from a
+  sleep; either way the run loop resumes it with ``None`` when it pops
+  it.
+* **Delayed events** and sleeping processes go to a heap of
+  ``(when, seq, entry)`` tuples; the monotonically increasing ``seq``
+  breaks same-timestamp ties.
 
 The split is order-preserving because simulated time only moves forward:
 every heap entry due at time ``T`` was scheduled strictly before the
@@ -52,8 +63,8 @@ completion is not dispatched at all; its failure is, and raises.
 Allocation discipline: every event is a fresh object that lives exactly
 as long as something references it; the engine keeps no freelists, so
 code that retains an event (completion handles, condition children)
-always holds its own object. The hottest constructors (:class:`Timeout`,
-:class:`Process`) inline ``Event.__init__`` to save a call per event.
+always holds its own object. The hot constructors (:class:`Process`,
+:class:`Timeout`) inline ``Event.__init__`` to save a call per event.
 """
 
 from __future__ import annotations
@@ -187,14 +198,19 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed simulated delay."""
+    """An event that fires after a fixed simulated delay.
 
-    __slots__ = ("delay",)
+    A timer for code that holds it as an event: one child of an
+    ``any_of``, or an event queued now and yielded later. To sleep, a
+    process yields the ``int`` delay itself (see the module docstring).
+    """
+
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: int, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        # Event.__init__ inlined (hottest constructor in the kernel).
+        # Event.__init__ inlined.
         self.sim = sim
         self._cb = None
         self._exception = None
@@ -202,7 +218,6 @@ class Timeout(Event):
         self._triggered = True
         self._value = value
         delay = int(delay)
-        self.delay = delay
         if delay:
             sim._sequence += 1
             heappush(sim._heap, (sim.now + delay, sim._sequence, self))
@@ -224,7 +239,7 @@ class Process(Event):
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         # Event.__init__ inlined: one Process per command/flush makes this
-        # the second-hottest constructor after Timeout.
+        # the hottest constructor in the kernel.
         self.sim = sim
         self._cb = None
         self._value = None
@@ -266,9 +281,22 @@ class Process(Event):
 
     # -- internal --------------------------------------------------------
     def _block_on(self, target: Any) -> None:
-        """Wait on a yield target the run loop does not attach inline: a
-        processed event, an event with its own ``add_callback``, or a
-        non-event (which fails the process)."""
+        """Wait on a yield target the run loop does not handle inline: a
+        sleep, a processed event, an event with its own ``add_callback``,
+        or a non-event (which fails the process)."""
+        if target.__class__ is int:
+            sim = self.sim
+            if target > 0:
+                sim._sequence += 1
+                heappush(sim._heap, (sim.now + target, sim._sequence, self))
+            elif target == 0:
+                sim._ready.append(self)
+            else:
+                # Raised inside the generator, so the process's own
+                # handlers and finally blocks run.
+                self._advance(self.generator.throw, SimulationError(
+                    f"process {self.name!r} slept a negative delay: {target}"))
+            return
         if not isinstance(target, Event):
             self.fail(SimulationError(f"process {self.name!r} yielded non-event {target!r}"))
             return
@@ -305,12 +333,13 @@ class _Condition(Event):
         if not self.events:
             self.succeed({})
             return
+        on_child = self._on_child
         for event in self.events:
             if event._processed:
-                self._on_child(event)
+                on_child(event)
             else:
                 self._pending += 1
-                event.add_callback(self._on_child)
+                event.add_callback(on_child)
         self._check_start()
 
     def _check_start(self) -> None:
@@ -410,7 +439,11 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
-        """Create an event firing ``delay`` nanoseconds from now."""
+        """Create an event firing ``delay`` nanoseconds from now.
+
+        For a timer the caller holds; a process that only sleeps yields
+        the ``int`` delay instead.
+        """
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: str = "") -> Process:
@@ -458,11 +491,13 @@ class Simulator:
         # code in the package (about half of all Python time), so the
         # dispatch is inlined here once. Semantics, in order:
         #
-        # 1. an untriggered Process is a bootstrap: take its first step;
+        # 1. an untriggered Process is a bootstrap or a wake from a
+        #    sleep: take its next step with ``None``;
         # 2. otherwise mark processed and detach the waiter slot;
         # 3. a Process waiter resumes its generator inline — a yielded
-        #    pending event of a class in ``_INLINE_WAIT`` takes it as its
-        #    waiter in place, anything else goes through
+        #    positive ``int`` puts the process itself on the heap, a
+        #    yielded pending event of a class in ``_INLINE_WAIT`` takes
+        #    it as its waiter in place, anything else goes through
         #    Process._block_on; StopIteration completes the process onto
         #    the ready deque (Event.succeed minus the already-triggered
         #    guard, which cannot fire for a just-returned generator),
@@ -534,8 +569,14 @@ class Simulator:
                     except BaseException as error:  # noqa: BLE001
                         proc.fail(error)
                     else:
-                        if target.__class__ in inline_wait \
-                                and not target._processed:
+                        cls = target.__class__
+                        if cls is int and target > 0:
+                            # A sleep: the process itself is the heap
+                            # entry, under the sequence number a Timeout
+                            # built in the yield expression would draw.
+                            self._sequence = seq = self._sequence + 1
+                            heappush(heap, (self.now + target, seq, proc))
+                        elif cls in inline_wait and not target._processed:
                             if target._cb is None:
                                 target._cb = proc
                             else:

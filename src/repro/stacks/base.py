@@ -77,7 +77,7 @@ class StorageStack:
     def _issue(self, command: Command):
         traced = self.tracer.enabled
         entered = self.sim.now if traced else 0
-        yield self.sim.timeout(self.submit_overhead_ns)
+        yield self.submit_overhead_ns
         self.stats.dispatched += 1
         target = self.device.submit(command)
         cid = 0
@@ -91,7 +91,7 @@ class StorageStack:
                              opcode=command.opcode.value)
         completion = yield target
         complete_started = self.sim.now if traced else 0
-        yield self.sim.timeout(self.complete_overhead_ns)
+        yield self.complete_overhead_ns
         completion.completed_at = self.sim.now
         if traced:
             self.tracer.span("host", f"{self.name}.complete", complete_started,

@@ -52,10 +52,10 @@ class IoUringStack(StorageStack):
         return self.sim.process(self._issue_scheduled(command))
 
     def _issue_scheduled(self, command: Command):
-        yield self.sim.timeout(self.submit_overhead_ns + self.scheduler.overhead_ns)
+        yield self.submit_overhead_ns + self.scheduler.overhead_ns
         inner = self.sim.event()
         self.scheduler.enqueue(command, inner)
         completion = yield inner
-        yield self.sim.timeout(self.complete_overhead_ns)
+        yield self.complete_overhead_ns
         completion.completed_at = self.sim.now
         return completion

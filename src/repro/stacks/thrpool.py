@@ -69,11 +69,11 @@ class ThreadPoolStack(StorageStack):
         # command then waits for a worker slot in FIFO order (this wait
         # is the stack's queueing delay and is part of the measured
         # latency, exactly like mq-deadline's scheduler hold time).
-        yield self.sim.timeout(ENQUEUE_NS)
+        yield ENQUEUE_NS
         slot = self._workers.request()
         yield slot
         try:
-            yield self.sim.timeout(DISPATCH_NS)
+            yield DISPATCH_NS
             self.stats.dispatched += 1
             target = self.device.submit(command)
             cid = 0
@@ -87,7 +87,7 @@ class ThreadPoolStack(StorageStack):
             # The callback runs on the worker thread; the slot frees
             # only after it returns (xNVMe invokes cb before the worker
             # loops for more work).
-            yield self.sim.timeout(CALLBACK_NS)
+            yield CALLBACK_NS
             completion.completed_at = self.sim.now
             if traced:
                 self.tracer.span("host", f"{self.name}.complete",

@@ -217,7 +217,7 @@ class ResetStorm:
             if zone.state is not ZoneState.EMPTY:
                 if index % len(self.zone_pool) == 0:
                     # Whole pool awaiting reclaim; wait for the resetter.
-                    yield self.sim.timeout(us(50))
+                    yield us(50)
                 continue
             failed = False
             remaining = zone.cap_lbas
@@ -231,7 +231,7 @@ class ResetStorm:
                     break
                 remaining -= nlb
                 if self.pace_ns:
-                    yield self.sim.timeout(self.pace_ns)
+                    yield self.pace_ns
             if not failed and remaining == 0:
                 self._filled.append(zone_id)
 
@@ -240,7 +240,7 @@ class ResetStorm:
         tenant = self.tenant
         while self.sim.now < self.until_ns:
             if not self._filled:
-                yield self.sim.timeout(us(50))
+                yield us(50)
                 continue
             zone = device.zones.zones[self._filled.pop(0)]
             completion = yield tenant.submit(

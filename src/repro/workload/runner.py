@@ -206,14 +206,14 @@ class JobRunner:
                 # All target zones transiently blocked by in-flight work;
                 # wait out a completion window and retry instead of
                 # retiring the slot (which would shrink concurrency).
-                yield sim.timeout(us(10))
+                yield us(10)
                 continue
             if command is None:
                 return
             if self._pacer is not None:
                 delay = self._pacer.delay_for(job.block_size)
                 if delay:
-                    yield sim.timeout(delay)
+                    yield delay
                 if sim.now >= end_ns:
                     return
             if self._fault_plan is None:
@@ -271,13 +271,13 @@ class JobRunner:
             attempts += 1
             self.result.retries += 1
             self._retry_counter.inc()
-            yield sim.timeout(plan.retry_backoff_ns << (attempts - 1))
+            yield plan.retry_backoff_ns << (attempts - 1)
             command.submitted_at = -1
 
     def _reset_zone(self, pattern, zone_id: int) -> Generator:
         if zone_id in self._resetting:
             # Another slot is already resetting this zone; back off.
-            yield self.sim.timeout(us(10))
+            yield us(10)
             return
         self._resetting.add(zone_id)
         try:

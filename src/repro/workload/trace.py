@@ -186,7 +186,7 @@ class TraceReplayer:
         for record in self.trace:
             due = start + record.timestamp_ns
             if self.sim.now < due:
-                yield self.sim.timeout(due - self.sim.now)
+                yield due - self.sim.now
             elif self.sim.now > due:
                 self.late_submissions += 1
             inflight = [e for e in inflight if not e.processed]

@@ -396,7 +396,7 @@ class ZnsDevice(DeviceCore):
         nbytes = shape.nbytes
         traced = self.tracer.enabled
         admit_started = self.sim.now if traced else 0
-        yield self.sim.timeout(shape.admit_ns)
+        yield shape.admit_ns
         yield self.buffer.put(nbytes)
         if self.observing:
             self._wbuf_gauge.set(self.buffer.level)
@@ -551,14 +551,14 @@ class ZnsDevice(DeviceCore):
             # that is not a zone start is a malformed field (QEMU's
             # zns_get_zone_by_slba ordering).
             in_range = self.zones.zone_containing(command.slba) is not None
-            yield self.sim.timeout(self.profile.zone_open_ns)
+            yield self.profile.zone_open_ns
             return self._complete(
                 command,
                 Status.INVALID_FIELD if in_range else Status.LBA_OUT_OF_RANGE,
                 cid=cid,
             )
         if zone.index in self._mgmt_busy:
-            yield self.sim.timeout(self.profile.zone_open_ns)
+            yield self.profile.zone_open_ns
             return self._complete(command, Status.INVALID_ZONE_STATE_TRANSITION,
                                   cid=cid)
         action = command.action
@@ -581,7 +581,7 @@ class ZnsDevice(DeviceCore):
         req = self.firmware.request(PRIO_IO)
         yield req
         granted_at = self.sim.now
-        yield self.sim.timeout(self._mgmt_jitter.jitter(nominal_ns))
+        yield self._mgmt_jitter.jitter(nominal_ns)
         self.firmware.release(req)
         if self.tracer.enabled:
             if granted_at > queued_at:
@@ -648,7 +648,7 @@ class ZnsDevice(DeviceCore):
                 # follow the zone's erase-count curve (DESIGN.md §17).
                 retries, bad = injector.erase_outcome(wear)
                 if retries:
-                    yield self.sim.timeout(retries * self.profile.nand.erase_ns)
+                    yield retries * self.profile.nand.erase_ns
                 if bad:
                     self.zones.retire(zone, ZoneState.OFFLINE)
                     injector.zones_offlined.inc()
@@ -688,7 +688,7 @@ class ZnsDevice(DeviceCore):
                 step = min(chunk_ns, work_ns - done_work)
                 new_debt = self._fw_debt_ns - debt_mark
                 debt_mark = self._fw_debt_ns
-                yield self.sim.timeout(step + new_debt)
+                yield step + new_debt
                 done_work += step
                 debt_paid += new_debt
         finally:

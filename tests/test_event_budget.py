@@ -7,7 +7,15 @@ not change what the simulation does), and the dispatched events per
 completed command must stay at or below the bound measured when those
 events went (DESIGN.md §15.5). A change that adds an event per page or
 per command back moves the ratio by about 1 and fails here.
+
+Processes sleep by yielding an ``int`` delay, so the same point builds
+no ``Timeout`` at all, and no code under ``src/repro`` sleeps the other
+way, by yielding a ``Timeout`` it builds in the yield expression
+(DESIGN.md §15.6).
 """
+
+import ast
+from pathlib import Path
 
 from repro.core.experiments.common import (
     KIB,
@@ -15,8 +23,10 @@ from repro.core.experiments.common import (
     build_device,
     measure_job,
 )
-from repro.sim.engine import events_total, ms
+from repro.sim.engine import Timeout, events_total, ms
 from repro.workload.job import IoKind, JobSpec
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: Commands the point completes; equal before and after the event diet.
 COMMANDS = 691
@@ -27,7 +37,15 @@ PAGE_PROGRAMS = 704
 EVENTS_PER_COMMAND_BOUND = 35.34
 
 
-def test_zns_write_point_events_per_command():
+def test_zns_write_point_events_per_command(monkeypatch):
+    timeouts = []
+    build_timeout = Timeout.__init__
+
+    def spy(self, *args, **kwargs):
+        timeouts.append(args)
+        build_timeout(self, *args, **kwargs)
+
+    monkeypatch.setattr(Timeout, "__init__", spy)
     config = ExperimentConfig()
     sim, device = build_device(config)
     device.debug_prefill_buffer(zone_index=3)
@@ -44,3 +62,18 @@ def test_zns_write_point_events_per_command():
         f"{events} events for {commands} commands "
         f"({events / commands:.2f} per command)"
     )
+    assert timeouts == []
+
+
+def test_no_source_sleeps_on_a_timeout():
+    """A sleep yields the delay; ``yield <expr>.timeout(...)`` builds an
+    event only to sleep on it."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            value = node.value if isinstance(node, ast.Yield) else None
+            if (isinstance(value, ast.Call)
+                    and isinstance(value.func, ast.Attribute)
+                    and value.func.attr == "timeout"):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert offenders == []

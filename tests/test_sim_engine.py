@@ -1,12 +1,16 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     AllOf,
     AnyOf,
     Container,
     Event,
+    Resource,
     SimulationError,
     Simulator,
     ms,
@@ -191,15 +195,36 @@ class TestProcesses:
         assert proc.triggered and not proc.ok
 
     def test_yielding_non_event_fails_process(self):
+        # Only an exact int sleeps; anything else that is not an event
+        # fails the process.
+        for target in (3.0, True, np.int64(3), "3"):
+            sim = Simulator()
+
+            def bad():
+                yield target
+
+            proc = sim.process(bad())
+            with pytest.raises(SimulationError, match="non-event"):
+                sim.run()
+            assert proc.triggered and not proc.ok
+
+        # A negative sleep raises inside the generator, as building a
+        # negative Timeout does there, so the process's own finally runs.
         sim = Simulator()
+        cleaned = []
 
-        def bad():
-            yield 3
+        def negative():
+            try:
+                yield -1
+            finally:
+                cleaned.append(sim.now)
 
-        proc = sim.process(bad())
-        with pytest.raises(SimulationError, match="non-event"):
+        proc = sim.process(negative())
+        with pytest.raises(SimulationError, match="failed with nothing"):
             sim.run()
-        assert proc.triggered and not proc.ok
+        assert cleaned == [0]
+        assert isinstance(proc._exception, SimulationError)
+        assert "negative" in str(proc._exception)
 
     def test_fire_and_forget_failure_stops_run(self):
         sim = Simulator()
@@ -304,6 +329,170 @@ class TestBootstrap:
 
         assert sim.run(until=sim.process(worker())) == 7
         assert sim.now == us(3)
+
+
+def _timeout_sleep(sim, delay):
+    return sim.timeout(delay)
+
+
+def _int_sleep(sim, delay):
+    return delay
+
+
+def _run_program(program, capacity, sleep):
+    """Run ``program`` (one op list per process) and return its
+    ``(now, process, step)`` trace and dispatched-event count; every
+    sleep goes through ``sleep(sim, delay)`` in the yield expression."""
+    sim = Simulator()
+    disk = Resource(sim, capacity=capacity)
+    trace = []
+
+    def sleeper(name, delays):
+        for step, delay in enumerate(delays):
+            yield sleep(sim, delay)
+            trace.append((sim.now, name, step))
+
+    def worker(name, ops):
+        for step, (kind, arg) in enumerate(ops):
+            if kind == "sleep":
+                yield sleep(sim, arg)
+            elif kind == "hold":
+                request = disk.request()
+                yield request
+                yield sleep(sim, arg)
+                disk.release(request)
+            elif kind == "spawn":
+                sim.spawn(sleeper(f"{name}.{step}", arg))
+            else:
+                yield sim.all_of([
+                    sim.process(sleeper(f"{name}.{step}.{i}", [delay]))
+                    for i, delay in enumerate(arg)
+                ])
+            trace.append((sim.now, name, step))
+
+    for index, ops in enumerate(program):
+        sim.process(worker(f"p{index}", ops))
+    before = events_total()
+    sim.run()
+    return trace, events_total() - before
+
+
+_DELAY = st.integers(0, 4)
+_OP = st.one_of(
+    st.tuples(st.just("sleep"), _DELAY),
+    st.tuples(st.just("hold"), _DELAY),
+    st.tuples(st.just("spawn"), st.lists(_DELAY, min_size=1, max_size=3)),
+    st.tuples(st.just("all_of"), st.lists(_DELAY, min_size=1, max_size=3)),
+)
+
+
+class TestSleep:
+    """A process sleeps by yielding an int: the process itself takes the
+    heap or deque place a Timeout built in the yield expression took."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(program=st.lists(st.lists(_OP, min_size=1, max_size=6),
+                            min_size=1, max_size=5),
+           capacity=st.integers(1, 2))
+    def test_int_sleep_matches_timeout_sleep(self, program, capacity):
+        assert (_run_program(program, capacity, _int_sleep)
+                == _run_program(program, capacity, _timeout_sleep))
+
+    def test_zero_sleep_takes_the_deque_place_of_a_zero_timeout(self):
+        def order(sleep):
+            sim = Simulator()
+            log = []
+            gate = sim.event()
+
+            def waiter():
+                yield gate
+                log.append("waiter")
+
+            def sleeper():
+                gate.succeed()
+                yield sleep(sim, 0)
+                log.append("sleeper")
+
+            def other():
+                yield sim.timeout(0)
+                log.append("other")
+
+            sim.process(waiter())
+            sim.process(sleeper())
+            sim.process(other())
+            sim.run()
+            return log
+
+        assert order(_timeout_sleep) == ["waiter", "sleeper", "other"]
+        assert order(_int_sleep) == order(_timeout_sleep)
+
+    def test_sleeper_past_a_deadline_wakes_on_the_next_run(self):
+        sim = Simulator()
+        woke = []
+
+        def sleeper():
+            yield us(5)
+            woke.append(sim.now)
+
+        sim.process(sleeper())
+        sim.run(until=us(2))
+        assert sim.now == us(2) and woke == []
+        sim.run()
+        assert woke == [us(5)]
+
+    @pytest.mark.parametrize("sleep", [_int_sleep, _timeout_sleep],
+                             ids=["int", "timeout"])
+    def test_spawned_sleeper(self, sleep):
+        sim = Simulator()
+        woke = []
+
+        def sleeper():
+            for _ in range(2):
+                yield sleep(sim, us(3))
+                woke.append(sim.now)
+
+        sim.spawn(sleeper())
+        before = events_total()
+        sim.run()
+        # The bootstrap and two wakes; no completion is dispatched.
+        assert events_total() - before == 3
+        assert woke == [us(3), us(6)]
+
+    def test_sleep_after_a_wake_through_resume(self):
+        sim = Simulator()
+        log = []
+
+        class Parking(Event):
+            __slots__ = ("parked",)
+
+            def __init__(self, sim):
+                super().__init__(sim)
+                self.parked = []
+
+            def add_callback(self, waiter):
+                self.parked.append(waiter)
+
+        gate = Parking(sim)
+
+        def sleeper():
+            value = yield gate
+            log.append((sim.now, value))
+            yield us(5)
+            log.append((sim.now, "slept"))
+            yield 0
+            log.append((sim.now, "yielded"))
+
+        def opener():
+            yield us(10)
+            gate.succeed("open")
+            for waiter in gate.parked:
+                waiter.resume(gate)
+
+        sim.process(sleeper())
+        sim.process(opener())
+        sim.run()
+        assert log == [(us(10), "open"), (us(15), "slept"),
+                       (us(15), "yielded")]
 
 
 class TestInlineAttach:
