@@ -13,10 +13,9 @@ Structure:
 * writes allocate the next slot of the user active block on a
   round-robin die cursor, remap the logical page, and invalidate the old
   physical page,
-* GC picks greedy victims (fewest valid pages), relocates the survivors
-  in one call per victim, and erases. Victims come from a lazy
-  ``(valid_count, block_id)`` min-heap rather than a scan over every
-  block (DESIGN.md §18).
+* GC picks greedy victims (fewest valid pages, found by a scan over the
+  blocks; DESIGN.md §18.1), relocates the survivors in one call per
+  victim, and erases.
 * the untimed greedy-GC steady state a measurement starts from is built
   in bulk on numpy arrays (:meth:`PageMappedFtl.precondition`), exact to
   the per-page path above (DESIGN.md §18.6).
@@ -27,7 +26,6 @@ the matching NAND operations through the shared flash backend.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
@@ -40,10 +38,6 @@ if TYPE_CHECKING:
     from .gc import GcPolicy
 
 __all__ = ["Block", "PageMappedFtl", "FtlFullError"]
-
-#: The victim heap is rebuilt from the blocks once it holds more than
-#: this many entries per block (stale entries pile up between pops).
-VICTIM_HEAP_SLACK = 4
 
 
 class FtlFullError(RuntimeError):
@@ -119,10 +113,6 @@ class PageMappedFtl:
         )
         self.total_user_pages_written = 0
         self.total_gc_pages_copied = 0
-        #: Lazy victim heap of ``(valid_count, block_id)``: an entry is
-        #: pushed whenever a full block's count changes, and stale entries
-        #: are dropped when they surface in :meth:`pick_victim`.
-        self._victims: list[tuple[int, int]] = []
 
     # -- introspection -----------------------------------------------------
     @property
@@ -160,8 +150,8 @@ class PageMappedFtl:
         return len(self._spare[die])
 
     def check_invariants(self) -> None:
-        """Raise :class:`SimulationError` if a mapping/pool/victim-heap
-        invariant fails (used by property tests). Explicit raises, not
+        """Raise :class:`SimulationError` if a mapping or pool invariant
+        fails (used by property tests). Explicit raises, not
         ``assert``, so ``python -O`` keeps the check.
 
         One pass over the back-maps, as one array, checks every set slot
@@ -198,10 +188,6 @@ class PageMappedFtl:
             raise SimulationError("free-block count drift")
         if any(self.blocks[block_id].write_slot != 0 for block_id in free + spare):
             raise SimulationError("pooled block not erased")
-        if not set(self._collectable_entries()) <= set(self._victims):
-            raise SimulationError("collectable block without a live victim-heap entry")
-        if len(self._victims) > VICTIM_HEAP_SLACK * len(self.blocks):
-            raise SimulationError("victim heap past its bound")
 
     def check_pristine(self) -> None:
         """Raise ``ValueError`` unless nothing was ever written: no mapped
@@ -284,37 +270,17 @@ class PageMappedFtl:
     # -- garbage collection ----------------------------------------------------
     def pick_victim(self, exclude: Optional[set[int]] = None) -> Optional[Block]:
         """Greedy victim: the full block with the fewest valid pages that
-        has at least one garbage page; ties go to the lowest block id.
+        has at least one garbage page and is not bad; ties go to the lowest
+        block id. ``None`` when no block qualifies.
 
         ``exclude`` skips blocks already being collected (lets a pipelined
-        GC pick several victims concurrently). The victim's heap entry
-        stays in place, so asking twice returns the same block.
+        GC pick several victims concurrently). Picking changes nothing, so
+        asking twice returns the same block.
         """
-        # Only full blocks are candidates. A block still accepting writes
-        # (every active block) is never full; a full block is collectable
-        # even while still referenced as a stream's most-recent active
-        # block. Fully valid blocks yield nothing: no entry is ever pushed
-        # for them, so an entry whose count matches its block is live.
-        heap = self._victims
-        blocks = self.blocks
-        bad = self.bad_blocks
-        pages_per_block = self.pages_per_block
-        skipped = []
-        best: Optional[Block] = None
-        while heap:
-            count, block_id = heap[0]
-            block = blocks[block_id]
-            if (count != block.valid_count or block.write_slot != pages_per_block
-                    or block_id in bad):
-                heapq.heappop(heap)  # stale
-            elif exclude and block_id in exclude:
-                skipped.append(heapq.heappop(heap))
-            else:
-                best = block
-                break
-        for entry in skipped:
-            heapq.heappush(heap, entry)
-        return best
+        entries = self._collectable_entries()
+        if exclude:
+            entries = [entry for entry in entries if entry[1] not in exclude]
+        return self.blocks[min(entries)[1]] if entries else None
 
     def relocate_block(self, victim: Block) -> list[int]:
         """Move every valid page out of a victim; returns the new physical
@@ -326,11 +292,10 @@ class PageMappedFtl:
         still set always matches the L2P and none can be stale.
 
         The victim's own pages skip :meth:`_invalidate_physical`: its
-        count falls as pages leave, and one heap entry is pushed for it
-        at the end. If an allocation raises :class:`FtlFullError`
-        partway, the pages already moved stay moved and counted in
-        ``total_gc_pages_copied``, the rest stay mapped in the victim,
-        and the victim's heap entry carries its remaining count.
+        count falls as pages leave. If an allocation raises
+        :class:`FtlFullError` partway, the pages already moved stay moved
+        and counted in ``total_gc_pages_copied``, the rest stay mapped in
+        the victim, and the victim's ``valid_count`` counts them.
         """
         slots = victim.slot_to_logical
         l2p = self._l2p
@@ -347,9 +312,7 @@ class PageMappedFtl:
                 l2p[logical] = new_physical
                 moved.append(new_physical)
         finally:
-            if moved:
-                self.total_gc_pages_copied += len(moved)
-                self._push_victim(victim)
+            self.total_gc_pages_copied += len(moved)
         return moved
 
     def erase(self, victim: Block) -> None:
@@ -406,8 +369,6 @@ class PageMappedFtl:
             raise ValueError(f"double invalidate of physical page {physical}")
         block.slot_to_logical[slot] = -1
         block.valid_count -= 1
-        if block.write_slot == self.pages_per_block:
-            self._push_victim(block)
 
     def _detach(self, victim: Block) -> None:
         """Forget a recycled block as the active block of the stream that
@@ -439,21 +400,15 @@ class PageMappedFtl:
             block.write_slot += 1
             block.slot_to_logical[slot] = logical
             block.valid_count += 1
-            if block.write_slot == full and block.valid_count < full:
-                # Filled with garbage already in it: collectable now.
-                self._push_victim(block)
             return block.block_id * full + slot
         raise FtlFullError("no allocatable block outside the GC reserve")
 
-    def _push_victim(self, block: Block) -> None:
-        heap = self._victims
-        heapq.heappush(heap, (block.valid_count, block.block_id))
-        if len(heap) > VICTIM_HEAP_SLACK * len(self.blocks):
-            self._victims = self._collectable_entries()
-            heapq.heapify(self._victims)
-
     def _collectable_entries(self) -> list[tuple[int, int]]:
-        """``(valid_count, block_id)`` of every block pick_victim may return."""
+        """``(valid_count, block_id)`` of every block :meth:`pick_victim`
+        may return: full, not fully valid and not bad."""
+        # A block still accepting writes (every active block) is never
+        # full; a full block is collectable even while still referenced as
+        # a stream's most-recent active block.
         full = self.pages_per_block
         return [
             (block.valid_count, block.block_id) for block in self.blocks
@@ -632,12 +587,12 @@ class _SteadyStateBuild:
     def collect(self, stop: int) -> None:
         """Greedy GC until ``stop`` blocks are free or no victim is left.
 
-        Victims come in the victim heap's ``(valid_count, block_id)``
-        order, as one sorted array of ``valid × total_blocks + id`` keys
-        per call. It starts as every full block with garbage in it: within
-        a call no page is overwritten, so the only counts that change are
-        a victim's, which leaves the order, and those of the GC-stream
-        blocks being written. A block the GC stream takes from a pool
+        Victims come in :meth:`PageMappedFtl.pick_victim`'s
+        ``(valid_count, block_id)`` order, as one sorted array of ``valid ×
+        total_blocks + id`` keys per call. It starts as every full block
+        with garbage in it: within a call no page is overwritten, so the
+        only counts that change are a victim's, which leaves the order, and
+        those of the GC-stream blocks being written. A block the GC stream takes from a pool
         fills with valid pages only; one it was already writing, with
         garbage in it, joins the order when it fills (DESIGN.md §18.7).
 
@@ -762,5 +717,3 @@ class _SteadyStateBuild:
             ftl._free[die] = deque(self.pool[die, ring].tolist())
         ftl._die_cursor = self.cursor
         ftl.free_block_count = self.free
-        ftl._victims = ftl._collectable_entries()
-        heapq.heapify(ftl._victims)

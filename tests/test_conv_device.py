@@ -134,7 +134,6 @@ def ftl_state(ftl) -> dict:
         "counters": (ftl.total_user_pages_written, ftl.total_gc_pages_copied),
         "bad": sorted(ftl.bad_blocks),
         "remapped": sorted(ftl.remapped_blocks),
-        "victims": sorted(ftl._victims),
     }
 
 

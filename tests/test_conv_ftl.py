@@ -184,7 +184,8 @@ def test_mapping_integrity_under_random_overwrites_and_gc(writes):
 
 
 def reference_victim(ftl: PageMappedFtl, exclude=frozenset()):
-    """The O(blocks) greedy scan the victim heap replaced: the oracle."""
+    """The greedy scan written out block by block, independent of
+    ``_collectable_entries``: the oracle for ``pick_victim``."""
     best = None
     for block in ftl.blocks:
         if not block.is_full or block.block_id in ftl.bad_blocks:
@@ -206,11 +207,11 @@ def reference_victim(ftl: PageMappedFtl, exclude=frozenset()):
               st.integers(0, 63)),
     min_size=100, max_size=400,
 ))
-def test_victim_heap_matches_scan_under_random_ops(ops):
+def test_pick_victim_matches_scan_under_random_ops(ops):
     """Writes, overwrites, trims and a pipelined GC (several victims in
     flight, picked with ``exclude=``, relocated while other victims wait
-    in flight, then erased or retired) never make the heap disagree with
-    the scan."""
+    in flight, then erased or retired) never make ``pick_victim``
+    disagree with the scan."""
     ftl = PageMappedFtl(tiny_geometry(), overprovision=0.25,
                         spare_blocks_per_die=1)
     reserve = ftl.geometry.total_dies
@@ -267,28 +268,6 @@ def test_erased_active_block_leaves_its_stream():
     ftl.check_invariants()
 
 
-def test_victim_heap_rebuild_keeps_the_scan_order():
-    """GC driven by the scan instead of the heap never pops a stale
-    entry, so they pile up until the heap rebuilds itself; the rebuilt
-    heap still picks what the scan picks."""
-    rng = random.Random(7)
-    ftl = PageMappedFtl(tiny_geometry(), overprovision=0.5)
-    rebuilds = 0
-    for step in range(2000):
-        while ftl.free_fraction < 0.2:
-            victim = reference_victim(ftl)
-            ftl.relocate_block(victim)
-            ftl.erase(victim)
-        before = len(ftl._victims)
-        ftl.commit_write(rng.randrange(ftl.logical_pages))
-        rebuilds += len(ftl._victims) < before  # commit_write only pushes
-        if step % 100 == 0:
-            ftl.check_invariants()
-    assert rebuilds > 0
-    ftl.check_invariants()
-    assert ftl.pick_victim() is reference_victim(ftl)
-
-
 def test_check_invariants_catches_free_block_count_drift():
     ftl = PageMappedFtl(tiny_geometry(), overprovision=0.25)
     ftl.check_invariants()
@@ -301,7 +280,7 @@ def relocate_page_by_page(ftl: PageMappedFtl, victim: Block) -> list[int]:
     """The per-page relocation ``relocate_block`` replaced: the oracle.
 
     Each page allocates a GC slot, then leaves the victim through
-    ``_invalidate_physical``, which pushes one victim-heap entry per page.
+    ``_invalidate_physical``.
     """
     moved = []
     for slot in range(ftl.pages_per_block):
@@ -314,14 +293,6 @@ def relocate_page_by_page(ftl: PageMappedFtl, victim: Block) -> list[int]:
         ftl.total_gc_pages_copied += 1
         moved.append(new_physical)
     return moved
-
-
-def mapping_state(ftl: PageMappedFtl) -> dict:
-    """Everything the relocation path may change, except the heap's layout
-    (the oracle pushes one entry per moved page)."""
-    state = ftl_state(ftl)
-    del state["victims"]
-    return state
 
 
 @settings(max_examples=100, deadline=None)
@@ -370,12 +341,12 @@ def test_relocate_block_matches_page_by_page_oracle(
                         outcomes.append(None)
                     ftl.check_invariants()
                 assert outcomes[0] == outcomes[1]
-                assert mapping_state(fast) == mapping_state(slow)
+                assert ftl_state(fast) == ftl_state(slow)
                 if outcomes[0] is None:
                     return  # both ran out of space at the same page
         for ftl in (fast, slow):
             ftl.commit_write(logical)
-    assert mapping_state(fast) == mapping_state(slow)
+    assert ftl_state(fast) == ftl_state(slow)
 
 
 def test_relocate_block_partial_failure_keeps_moved_pages():
@@ -501,10 +472,8 @@ def precondition_page_by_page(ftl: PageMappedFtl, utilization: float, churn: flo
 
 def end_state(ftl: PageMappedFtl) -> dict:
     """Everything a preconditioned FTL carries into a measured run, with
-    the victim heap as its collectable set (the two builds push different
-    heap entries, and only the set decides a pick)."""
+    the collectable set ``pick_victim`` chooses from."""
     state = ftl_state(ftl)
-    del state["victims"]
     state["collectable"] = sorted(ftl._collectable_entries())
     return state
 
