@@ -148,13 +148,16 @@ class ConvDevice(DeviceCore):
             f"conventional device does not support {command.opcode.value}"
         )
 
-    def _telemetry_levels(self) -> dict:
-        levels = super()._telemetry_levels()
-        levels["ftl.free_frac"] = round(self.ftl.free_fraction, 6)
-        levels["ftl.bad_blocks"] = len(self.ftl.bad_blocks)
-        levels["gc.running"] = 1 if self._gc_running else 0
-        levels["gc.inflight_blocks"] = len(self._gc_inflight_blocks)
-        return levels
+    _telemetry_level_names = DeviceCore._telemetry_level_names + (
+        "ftl.free_frac", "ftl.bad_blocks", "gc.running", "gc.inflight_blocks",
+    )
+
+    def _telemetry_levels(self) -> tuple:
+        ftl = self.ftl
+        return super()._telemetry_levels() + (
+            round(ftl.free_fraction, 6), len(ftl.bad_blocks),
+            1 if self._gc_running else 0, len(self._gc_inflight_blocks),
+        )
 
     def _wear_unit_ids(self) -> list[int]:
         # Aged erase blocks start wear-curve failure rates (and eventually

@@ -424,18 +424,21 @@ class DeviceCore:
         return 0
 
     # ------------------------------------------------------------ telemetry
-    def _telemetry_levels(self) -> dict:
-        """Instantaneous levels sampled per telemetry window (model hook).
+    #: Column names of the :meth:`_telemetry_levels` values, fixed per
+    #: device model.
+    _telemetry_level_names: tuple[str, ...] = ("ctrl.queue", "wbuf.level_bytes")
 
-        Keys are column names; values are point-in-time numbers the
-        registry does not carry. Subclasses extend with their media-side
-        state (zone census, FTL free space, GC occupancy).
+    def _telemetry_levels(self) -> tuple:
+        """Instantaneous levels sampled per telemetry row (model hook).
+
+        One value per name in :attr:`_telemetry_level_names`: a
+        point-in-time number the registry does not carry, or ``None``
+        while the level is absent. Subclasses extend both with their
+        media-side state (zone census, FTL free space, GC occupancy).
+        Runs on every row, so resources are read through their slots.
         """
         controller = self.controller
-        return {
-            "ctrl.queue": controller.queue_length + controller.in_use,
-            "wbuf.level_bytes": self.buffer.level,
-        }
+        return (controller._waiting + controller._in_use, self.buffer._level)
 
     def _telemetry_cumulative(self) -> tuple[tuple[str, ...], list[int]]:
         """Monotonic ``*.busy_ns`` totals as ``(keys, totals)``, the keys

@@ -22,6 +22,9 @@ Payloads are canonicalized through a JSON round-trip before assembly,
 so a value has exactly one form whether it came from this process, a
 worker, or a cache file (floats round-trip exactly; tuples become
 lists, which :func:`~repro.core.experiments.points.assemble` restores).
+Metrics snapshots take the same round trip. Telemetry segments do not:
+samplers build them from JSON-native values, and
+:func:`check_segments` enforces that instead.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ __all__ = [
     "ExecutionReport",
     "PointRecord",
     "canonical_payload",
+    "check_segments",
     "config_fields",
     "execute_experiments",
 ]
@@ -73,6 +77,46 @@ def _json_scalar(obj: Any):
 def canonical_payload(payload: Any) -> Any:
     """The unique JSON-round-tripped form of a point payload."""
     return json.loads(json.dumps(payload, default=_json_scalar))
+
+
+#: Types a telemetry segment's lists may hold: JSON numbers and null,
+#: which a JSON round trip returns as they are. (It would turn a numpy
+#: scalar into a Python number; a segment that skips the round trip
+#: must not hold one.)
+_SEGMENT_VALUE_TYPES = frozenset({int, float, type(None)})
+
+
+def check_segments(segments: list) -> list:
+    """Return telemetry ``segments`` after checking that each is already
+    in its canonical JSON form, so it needs no round trip.
+
+    Samplers build segments from ints, floats and ``None`` only; a value
+    of any other type (a numpy scalar from a level hook, say) raises
+    ``TypeError`` naming its column.
+    """
+    for segment in segments:
+        for key, value in segment.items():
+            if type(value) is dict:  # the columns
+                for name, column in value.items():
+                    _check_list(column, f"column {name!r}", segment)
+            elif type(value) is list:
+                _check_list(value, f"field {key!r}", segment)
+            elif type(value) not in (str, int):
+                raise TypeError(f"telemetry segment of {segment['device']}: "
+                                f"field {key!r} is {value!r}, not a str or int")
+    return segments
+
+
+def _check_list(values: Any, what: str, segment: dict) -> None:
+    if type(values) is not list:
+        raise TypeError(f"telemetry segment of {segment['device']}: {what} "
+                        f"is a {type(values).__name__}, not a list")
+    odd = set(map(type, values)) - _SEGMENT_VALUE_TYPES
+    if odd:
+        names = ", ".join(sorted(t.__name__ for t in odd))
+        raise TypeError(f"telemetry segment of {segment['device']}: {what} "
+                        f"holds {names}; segments hold only int, float "
+                        f"and None")
 
 
 @dataclass
@@ -361,7 +405,7 @@ def execute_experiments(
             metrics_snapshot = canonical_payload(metrics_snapshot)
         point_segments = reply.get("telemetry")
         if point_segments is not None:
-            point_segments = canonical_payload(point_segments)
+            point_segments = check_segments(point_segments)
         payloads[point.experiment_id][point.index] = payload
         snapshots[point.task_id] = metrics_snapshot
         segments[point.task_id] = point_segments

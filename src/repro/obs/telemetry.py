@@ -50,23 +50,27 @@ class TelemetrySampler:
     Attached by :meth:`TelemetryCollector.attach` from the device
     constructor; never instantiate directly. A clock advance costs one
     integer comparison (:meth:`_on_advance`). The registry is bound into
-    a plan, extended only when it grows. A row appends to the gauge and
-    level columns but records counter deltas, histogram windows and busy
-    fractions only as *entries* where they moved, which :meth:`segment`
-    fills into default-valued columns (DESIGN.md §13.4).
+    a plan, extended only when it grows. A row stores the current gauge
+    values and the device's level tuple as they are, and compares the
+    counter values, histogram totals and per-die busy totals with the
+    previous row's: only a row where one of them moved records counter
+    deltas, histogram windows and busy fractions, as *entries* that
+    :meth:`segment` fills into default-valued columns (DESIGN.md §13.4).
 
     Padding is pinned, as segments are digested output: a column first
     seen at row *k* reads ``0`` before it (``None`` for percentiles).
-    Only level key sets shrink: the ZNS census names only states some
-    zone is in, so ``zones.<state>`` reads ``0`` before that state is
-    first seen and ``None`` in later rows where no zone is in it.
+    A level value of ``None`` means "absent": the ZNS census reports
+    only states some zone is in, so ``zones.<state>`` reads ``0`` before
+    that state is first seen and ``None`` in later rows where no zone is
+    in it.
     """
 
     __slots__ = (
-        "interval_ns", "device", "ordinal", "_closed", "_next", "_rows",
-        "_windows", "_spans", "_cols", "_defaults", "_entries", "_bound",
-        "_counters", "_counter_prev", "_gauges", "_hists",
-        "_levels", "_busy_names", "_busy_prev", "_finalized",
+        "interval_ns", "device", "ordinal", "_closed", "_next", "_windows",
+        "_defaults", "_entries", "_bound",
+        "_counters", "_counter_prev", "_hists", "_hist_metrics",
+        "_hist_prev", "_gauges", "_gauge_breaks", "_gauge_values",
+        "_level_values", "_busy_names", "_busy_prev", "_finalized",
     )
 
     def __init__(self, interval_ns: int, device: Any, ordinal: int):
@@ -75,20 +79,24 @@ class TelemetrySampler:
         self.ordinal = ordinal
         self._closed = 0          # completed windows already sampled
         self._next = interval_ns  # sim time at which the next row closes
-        self._rows = 0
-        self._windows: list[int] = []
-        self._spans: list[int] = []
-        self._cols: dict[str, list] = {}     # gauge and level columns
+        self._windows: list[int] = []  # per row: the last window it closes
         self._defaults: dict[str, Any] = {}  # entry columns' defaults
         self._entries: list[tuple[str, int, Any]] = []  # (column, row, value)
         self._bound = 0                      # registry metrics planned
         self._counters: list[Counter] = []
         self._counter_prev: list[int] = []
-        self._gauges: list[tuple[Gauge, list]] = []
-        self._hists: list[list] = []  # [metric, column names, counts, total]
-        self._levels: dict[str, list] = {}
-        self._busy_names: Optional[list[str]] = None
-        self._busy_prev: list[int] = []
+        self._hists: list[tuple[Histogram, list[str], list[int]]] = []
+        self._hist_metrics: list[Histogram] = []
+        self._hist_prev: list[int] = []      # histogram totals
+        self._gauges: list[Gauge] = []
+        # Gauge values and level values, row after row, each flat: the
+        # level count is fixed per device, the gauge count changes only
+        # at a (row, offset, gauge count) break.
+        self._gauge_breaks: list[tuple[int, int, int]] = []
+        self._gauge_values: list = []
+        self._level_values: list = []
+        self._busy_names: list[str] = []
+        self._busy_prev: Optional[list[int]] = None
         self._finalized = False
 
     # ------------------------------------------------------------- sampling
@@ -116,106 +124,134 @@ class TelemetrySampler:
                 self._defaults[name] = 0
             elif cls is Gauge and not name.startswith("nand.die"):
                 # (Per-die busy gauges repeat the busy fractions below.)
-                col = self._cols[name] = [0] * self._rows
-                self._gauges.append((metric, col))
+                self._gauges.append(metric)
             elif cls is Histogram:
                 names = [f"{name}.count"]
                 names += (f"{name}.p{p}" for p in _PERCENTILES)
                 self._defaults.update(zip(names, (0, None, None, None)))
-                self._hists.append([metric, names, [0] * len(metric.counts), 0])
+                self._hists.append((metric, names, [0] * len(metric.counts)))
+                self._hist_metrics.append(metric)
+                self._hist_prev.append(0)
         self._bound = len(metrics)
+        breaks = self._gauge_breaks
+        if len(self._gauges) != (breaks[-1][2] if breaks else 0):
+            breaks.append((len(self._windows), len(self._gauge_values),
+                           len(self._gauges)))
 
     def _sample(self, completed: int, end_ns: int) -> None:
         """Emit one row covering ``(last row .. completed]`` windows."""
-        span = completed - self._closed
-        elapsed = end_ns - self._closed * self.interval_ns
-        if elapsed <= 0:
-            elapsed = self.interval_ns
         device = self.device
         if len(device.metrics) != self._bound:
             self._bind(list(device.metrics))
-        row = self._rows
-        entries = self._entries
-
         values = [metric.value for metric in self._counters]
+        totals = [metric.total for metric in self._hist_metrics]
+        busy = device._telemetry_cumulative()[1]
+        if (values != self._counter_prev or totals != self._hist_prev
+                or busy != self._busy_prev):
+            self._record_moves(values, totals, busy, end_ns)
+        self._gauge_values += [metric.value for metric in self._gauges]
+        self._level_values += device._telemetry_levels()
+        self._windows.append(completed)
+        self._closed = completed
+
+    def _record_moves(self, values: list, totals: list, busy: list,
+                      end_ns: int) -> None:
+        """Record the entries of a row in which a counter, a histogram
+        total or a busy total differs from the previous row's."""
+        row = len(self._windows)
+        entries = self._entries
         if values != self._counter_prev:
             for metric, value, prev in zip(self._counters, values,
                                            self._counter_prev):
                 if value != prev:
                     entries.append((metric.name, row, value - prev))
             self._counter_prev = values
-        for metric, col in self._gauges:
-            col.append(metric.value)
-        for hist in self._hists:
-            metric, names, pcounts, ptotal = hist
-            total = metric.total
-            if total != ptotal:
-                counts = metric.counts
-                dtotal = total - ptotal
-                dcounts = [c - p for c, p in zip(counts, pcounts)]
-                entries.append((names[0], row, dtotal))
-                for name, p in zip(names[1:], _PERCENTILES):
-                    entries.append((name, row, round(bucket_percentile(
-                        metric.bounds, dcounts, dtotal, p), 1)))
-                hist[2] = list(counts)
-                hist[3] = total
-
-        levels = device._telemetry_levels()
-        for name, value in levels.items():
-            col = self._levels.get(name)
-            if col is None:
-                col = self._levels[name] = self._cols[name] = [0] * row
-            col.append(value)
-        if len(levels) < len(self._levels):
-            for col in self._levels.values():
-                if len(col) == row:
-                    col.append(None)
-
-        keys, totals = device._telemetry_cumulative()
-        if self._busy_names is None:
+        if totals != self._hist_prev:
+            for (metric, names, pcounts), total, ptotal in zip(
+                    self._hists, totals, self._hist_prev):
+                if total != ptotal:
+                    counts = metric.counts
+                    dtotal = total - ptotal
+                    dcounts = [c - p for c, p in zip(counts, pcounts)]
+                    entries.append((names[0], row, dtotal))
+                    for name, p in zip(names[1:], _PERCENTILES):
+                        entries.append((name, row, round(bucket_percentile(
+                            metric.bounds, dcounts, dtotal, p), 1)))
+                    pcounts[:] = counts
+            self._hist_prev = totals
+        if self._busy_prev is None:
+            keys = self.device._telemetry_cumulative()[0]
             self._busy_names = [key.removesuffix("_ns") + "_frac"
                                 for key in keys]
             self._defaults.update(dict.fromkeys(self._busy_names, 0.0))
             self._busy_prev = [0] * len(keys)
-        if totals != self._busy_prev:
-            for name, total, prev in zip(self._busy_names, totals,
+        if busy != self._busy_prev:
+            elapsed = end_ns - self._closed * self.interval_ns
+            if elapsed <= 0:
+                elapsed = self.interval_ns
+            for name, total, prev in zip(self._busy_names, busy,
                                          self._busy_prev):
                 if total != prev:
                     entries.append(
                         (name, row, round((total - prev) / elapsed, 6)))
-            self._busy_prev = list(totals)
-
-        self._rows = row + 1
-        self._windows.append(completed)
-        self._spans.append(span)
-        self._closed = completed
+            self._busy_prev = list(busy)
 
     # ------------------------------------------------------------- finalize
     def segment(self) -> dict[str, Any]:
         """Close the partial final window and return the columnar segment.
 
         The final row always exists (it carries the end-of-run census
-        and any activity after the last boundary); all-zero columns are
-        dropped — absence means "never moved".
+        and any activity after the last boundary); all-falsy columns are
+        dropped — absence means "never moved". Every value is a JSON
+        number or ``None`` as long as the metrics and level hooks hold
+        ints and floats; the engine checks it (DESIGN.md §9).
         """
         if not self._finalized:
             self._finalized = True
             now = int(self.device.sim.now)
             self._sample(self._closed + 1, now)
-        cols = dict(self._cols)
-        for name, default in self._defaults.items():
-            cols[name] = [default] * self._rows
+        windows = self._windows
+        rows = len(windows)
+        cols: dict[str, list] = {}
+        names = self.device._telemetry_level_names
+        levels = self._level_values
+        for index, name in enumerate(names):
+            col = levels[index::len(names)]
+            if not any(col):
+                continue
+            if col[0] is None:  # absent until first seen: pad with 0
+                first = next(i for i, value in enumerate(col)
+                             if value is not None)
+                col[:first] = [0] * first
+            cols[name] = col
+        gauge_cols: list[list] = []
+        values = self._gauge_values
+        breaks = self._gauge_breaks
+        for (row, offset, count), (end, _, _) in zip(
+                breaks, breaks[1:] + [(rows, 0, 0)]):
+            # Gauges bound at this break read 0 in the rows before it.
+            gauge_cols += ([0] * row for _ in range(count - len(gauge_cols)))
+            block = values[offset:offset + (end - row) * count]
+            for index, col in enumerate(gauge_cols):
+                col += block[index::count]
+        cols.update(zip((metric.name for metric in self._gauges), gauge_cols))
+        defaults = self._defaults
+        moved: dict[str, list] = {}
         for name, row, value in self._entries:
-            cols[name][row] = value
+            col = moved.get(name)
+            if col is None:
+                col = moved[name] = [defaults[name]] * rows
+            col[row] = value
+        cols.update(moved)
         columns = {name: cols[name] for name in sorted(cols) if any(cols[name])}
         return {
             "device": f"{self.device.kind}:{self.device.profile.name}",
             "ordinal": self.ordinal,
             "interval_ns": self.interval_ns,
-            "rows": self._rows,
+            "rows": rows,
             "end_ns": int(self.device.sim.now),
-            "windows": self._windows,
-            "spans": self._spans,
+            "windows": windows,
+            "spans": [b - a for a, b in zip([0] + windows, windows)],
             "columns": columns,
         }
 

@@ -263,19 +263,20 @@ class ZnsDevice(DeviceCore):
         return nbytes
 
     # --------------------------------------------------------------- helpers
-    def _telemetry_levels(self) -> dict:
-        levels = super()._telemetry_levels()
-        census = self.zones.census
-        # Only states some zone is in get a key (see TelemetrySampler on
-        # what that means for the zones.<state> columns).
-        for key, count in zip(_CENSUS_KEYS, census.values()):
-            if count:
-                levels[key] = count
-        levels["zones.retired"] = (
-            census[ZoneState.READ_ONLY] + census[ZoneState.OFFLINE]
+    _telemetry_level_names = (DeviceCore._telemetry_level_names + _CENSUS_KEYS
+                              + ("zones.retired", "fw.debt_ns"))
+
+    def _telemetry_levels(self) -> tuple:
+        # Census counts by position, in _CENSUS_KEYS order. A state no
+        # zone is in is absent (see TelemetrySampler on what that means
+        # for the zones.<state> columns).
+        (empty, implicit_open, explicit_open, closed, full, read_only,
+         offline) = self.zones.census.values()
+        return super()._telemetry_levels() + (
+            empty or None, implicit_open or None, explicit_open or None,
+            closed or None, full or None, read_only or None, offline or None,
+            read_only + offline, self._fw_debt_ns,
         )
-        levels["fw.debt_ns"] = self._fw_debt_ns
-        return levels
 
     def _on_zone_transition(self, zone: Zone, old: ZoneState,
                             new: ZoneState) -> None:

@@ -8,11 +8,14 @@ The guarantees under test:
   identical with it on or off,
 * the merged timeseries is byte-identical at any ``--jobs`` (including
   under fault injection) and survives a cache round trip,
+* drained segments are already canonical JSON, which the engine checks
+  instead of round-tripping them,
 * the pinned aggregation semantics (plan-order gauge merge, NaN from an
   empty histogram percentile) hold,
 * the sampler emits exactly the segments of the plain per-window
-  registry walk it replaced (kept below as a reference), and committed
-  digests pin telemetry across commits,
+  registry walk it replaced (kept below as a reference), on random
+  command mixes and on rows where exactly one thing moves, and
+  committed digests pin telemetry across commits,
 * the run directory round-trips and the HTML dashboard renders exactly
   the committed golden page.
 """
@@ -36,7 +39,8 @@ from repro.core.experiments.common import (
 )
 from repro.core.experiments.points import experiment_plans
 from repro.core.results import ExperimentResult
-from repro.exec import execute_experiments
+from repro.exec import canonical_payload, execute_experiments
+from repro.exec.engine import check_segments
 from repro.exec.pool import run_point
 from repro.flash.geometry import FlashGeometry
 from repro.hostif.commands import Command, Opcode, ZoneAction
@@ -210,6 +214,67 @@ class TestEngineIntegration:
         assert any("started (pid" in line for line in lines)
 
 
+def same_json(a, b) -> bool:
+    """Equal, with every element of the same type (``0 == 0.0`` fails)."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(same_json(a[k], b[k]) for k in a)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(same_json, a, b))
+    return a == b
+
+
+FAULT_PRESETS = [None, "read-disturb", "chaos", "wearout", "power-cut"]
+
+
+class TestSegmentContract:
+    """The engine type-checks segments instead of JSON round-tripping
+    them: what a sampler drains must already be in canonical form."""
+
+    @pytest.mark.parametrize("faults", FAULT_PRESETS)
+    def test_zns_point_segments_are_canonical(self, faults):
+        plan = experiment_plans()["fig2b"]
+        config = tiny_config(telemetry_interval_ns=us(100), faults=faults)
+        params = plan.plan(config)[-1]
+        segments = run_point(plan, config, params, True)["telemetry"]
+        assert segments and segments[0]["device"].startswith("zns:")
+        for segment in segments:
+            assert same_json(canonical_payload(segment), segment)
+        assert check_segments(segments) is segments
+
+    @pytest.mark.parametrize("faults", FAULT_PRESETS)
+    def test_conv_point_segments_are_canonical(self, faults):
+        # At the oracle's 0.9 fill, chaos's erase failures exhaust the
+        # small FTL's free blocks and GC dies (ROADMAP item 1).
+        segments = conv_point_segments(faults, utilization=0.85)
+        assert segments and segments[0]["device"].startswith("conv:")
+        for segment in segments:
+            assert same_json(canonical_payload(segment), segment)
+        assert check_segments(segments) is segments
+
+    def test_non_native_level_value_raises_naming_the_column(self,
+                                                             monkeypatch):
+        np = pytest.importorskip("numpy")
+        levels = ZnsDevice._telemetry_levels
+
+        def numpy_queue(self):
+            queue, *rest = levels(self)
+            return (np.float64(queue + 0.5), *rest)
+
+        monkeypatch.setattr(ZnsDevice, "_telemetry_levels", numpy_queue)
+        with pytest.raises(TypeError, match="'ctrl.queue'.*float64"):
+            execute_experiments(["fig2a"],
+                                tiny_config(telemetry_interval_ns=us(100)),
+                                jobs=1, cache_dir=None)
+
+    def test_check_rejects_non_list_columns(self):
+        segment = {"device": "zns:x", "ordinal": 0, "rows": 2,
+                   "windows": [1, 2], "columns": {"a.b": (1, 2)}}
+        with pytest.raises(TypeError, match="'a.b'.*tuple"):
+            check_segments([segment])
+
+
 # --------------------------------------------------------- reference sampler
 def _ref_delta_percentile(bounds, dcounts, dtotal, p):
     rank = p / 100 * dtotal
@@ -229,8 +294,10 @@ def _ref_delta_percentile(bounds, dcounts, dtotal, p):
 
 class ReferenceSampler:
     """The sampler as a plain per-window walk over the whole registry,
-    kept as the oracle for :class:`TelemetrySampler`. The only change
-    from that code is reading the ``(keys, totals)`` busy hook."""
+    kept as the oracle for :class:`TelemetrySampler`. The only changes
+    from that code read the hooks' current shapes: the ``(keys,
+    totals)`` busy hook, and the level tuple, rebuilt into the dict of
+    present levels (``None`` means absent) the walk consumed."""
 
     def __init__(self, interval_ns, device):
         self.interval_ns = interval_ns
@@ -306,8 +373,11 @@ class ReferenceSampler:
                         pad=None,
                     )
                 prev_hists[name] = (list(counts), total)
-        for name, value in device._telemetry_levels().items():
-            put(name, value)
+        levels = dict(zip(device._telemetry_level_names,
+                          device._telemetry_levels()))
+        for name, value in levels.items():
+            if value is not None:
+                put(name, value)
         prev_cumulative = self._prev_cumulative
         for name, value in zip(*device._telemetry_cumulative()):
             delta = value - prev_cumulative.get(name, 0)
@@ -452,6 +522,128 @@ class TestReferenceEquivalence:
         assert device.zones.census[ZoneState.EXPLICIT_OPEN] == 1
 
 
+def idle_row(sim, reference) -> int:
+    """Idle past a few windows in one clock advance, so exactly one row
+    closes; returns that row's index."""
+    sim.run(until=sim.timeout(us(35)))
+    return len(reference._windows) - 1
+
+
+def moved_columns(device, segment, row: int) -> set:
+    """Columns that moved at ``row``: a level or gauge whose value (or
+    value type) differs from the previous row's, any other column where
+    its delta is non-zero."""
+    instant = set(device._telemetry_level_names)
+    instant.update(m.name for m in device.metrics if type(m) is Gauge)
+    moved = set()
+    for name, column in segment["columns"].items():
+        now, before = column[row], column[row - 1]
+        if name in instant:
+            if now != before or type(now) is not type(before):
+                moved.add(name)
+        elif now not in (0, None):
+            moved.add(name)
+    return moved
+
+
+class TestQuietRows:
+    """Rows in which exactly one thing moves, between quiet rows, must
+    match the reference walk: the sampler records entries only on rows
+    where a counter, a histogram total or a busy total moved."""
+
+    def run(self, change):
+        """Three quiet rows, ``change(device)``, the row that sees it, two
+        more quiet rows; returns the segment, that row and its movers."""
+        sim, device, collector, reference = sampled_device("zns", us(10))
+        for _ in range(3):
+            idle_row(sim, reference)
+        change(device)
+        row = idle_row(sim, reference)
+        idle_row(sim, reference)
+        idle_row(sim, reference)
+        [segment] = collector.drain()
+        assert json.dumps(segment) == json.dumps(reference.segment())
+        return segment, row, moved_columns(device, segment, row)
+
+    def test_controller_queue_alone_while_a_command_waits(self):
+        sim, device, collector, reference = sampled_device("zns", us(10))
+        idle_row(sim, reference)
+        holder = device.controller.request()  # granted: the slot is taken
+        held = idle_row(sim, reference)
+        zone = device.zones.zones[0]
+        done = device.submit(Command(Opcode.READ, slba=zone.zslba,
+                                     nlb=device.namespace.lbas(4 * KIB)))
+        waiting = idle_row(sim, reference)
+        device.controller.release(holder)
+        sim.run(until=done)
+        idle_row(sim, reference)
+        [segment] = collector.drain()
+        assert json.dumps(segment) == json.dumps(reference.segment())
+        column = segment["columns"]["ctrl.queue"]
+        assert (column[held], column[waiting]) == (1, 2)
+        assert moved_columns(device, segment, held) == {"ctrl.queue"}
+        assert moved_columns(device, segment, waiting) == {"ctrl.queue"}
+
+    def test_census_state_appears_with_no_counter_moving(self):
+        def close_zone_zero(device):
+            # A fixture restore: the census moves, no observer fires.
+            image = device.zones.state_snapshot()
+            zone = device.zones.zones[0]
+            image[0] = ("closed", zone.zslba + 8, 0)
+            device.zones.restore_state(image)
+
+        segment, row, moved = self.run(close_zone_zero)
+        assert moved == {"zones.empty", "zones.closed"}
+        closed = segment["columns"]["zones.closed"]
+        assert closed == [0] * row + [1] * (segment["rows"] - row)
+
+    def test_one_gauge(self):
+        segment, row, moved = self.run(
+            lambda device: device.metrics.get("device.zones.open").set(3))
+        assert moved == {"device.zones.open"}
+
+    def test_one_histogram_count(self):
+        segment, row, moved = self.run(
+            lambda device: device.metrics.get("device.latency_ns.read")
+            .observe(us(80)))
+        assert moved == {f"device.latency_ns.read.{field}"
+                         for field in ("count", "p50", "p95", "p99")}
+        assert segment["columns"]["device.latency_ns.read.count"][row] == 1
+
+    def test_one_die_busy_total(self):
+        def busy_die_three(device):
+            device.backend._die_busy_ns[3] += us(5)
+
+        segment, row, moved = self.run(busy_die_three)
+        assert moved == {"nand.die3.busy_frac"}
+
+    def test_counter_registered_after_rows_exist(self):
+        segment, row, moved = self.run(
+            lambda device: device.metrics.counter("late.ops").inc(2))
+        assert moved == {"late.ops"}
+        late = segment["columns"]["late.ops"]
+        assert late == [0] * row + [2] + [0] * (segment["rows"] - row - 1)
+
+    def test_gauge_reset_to_an_equal_value_of_another_type(self):
+        """``0.0`` and ``0`` compare equal but encode differently in
+        the digest: each row holds the gauge's current object."""
+        sim, device, collector, reference = sampled_device("zns", us(10))
+        gauge = device.metrics.gauge("late.level")
+        gauge.set(1.5)
+        idle_row(sim, reference)
+        gauge.set(0.0)
+        as_float = idle_row(sim, reference)
+        gauge.set(0)
+        as_int = idle_row(sim, reference)
+        idle_row(sim, reference)
+        [segment] = collector.drain()
+        assert json.dumps(segment) == json.dumps(reference.segment())
+        column = segment["columns"]["late.level"]
+        assert type(column[as_float]) is float
+        assert type(column[as_int]) is int
+        assert type(column[-1]) is int
+
+
 # ------------------------------------------------------------------ oracle
 def canonical_digest(segments) -> str:
     """sha256 of segments in the canonical form ``telemetry.json`` uses."""
@@ -459,9 +651,10 @@ def canonical_digest(segments) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def conv_point_segments() -> list:
+def conv_point_segments(faults=None, utilization=0.9) -> list:
     """One conventional point on a small geometry: a greedy-GC steady
-    state, then a random-write flood beside a random reader.
+    state at ``utilization``, then a random-write flood beside a random
+    reader, under the ``faults`` preset.
 
     The plan-driven conv points (fig6, obs11, ablation-gc-priority)
     precondition a ~12 GiB device first, which alone takes longer than
@@ -469,10 +662,11 @@ def conv_point_segments() -> list:
     and per-die busy columns moving in a fraction of a second.
     """
     collector = TelemetryCollector(us(20))
-    config = tiny_config(metrics=MetricsRegistry(), telemetry=collector)
+    config = tiny_config(metrics=MetricsRegistry(), telemetry=collector,
+                         faults=faults)
     sim, device = build_conv_device(
         config, sn640(geometry=SMALL_CONV_GEOMETRY, write_buffer_bytes=4 * MIB))
-    device.precondition(0.9, steady_state_churn=1.0, seed=config.seed)
+    device.precondition(utilization, steady_state_churn=1.0, seed=config.seed)
     span = (0, device.namespace.capacity_lbas)
     writer = JobRunner(
         device, SpdkStack(device, enforce_write_serialization=False),
