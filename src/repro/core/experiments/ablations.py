@@ -247,8 +247,8 @@ def small_zone_profile(**overrides):
     """A small-zone ZNS device (paper §V: Bae et al., Im et al.).
 
     96 MiB zones with a generous open/active budget — the design point
-    that trades per-zone striping width for many concurrently open
-    zones.
+    that real devices take for many concurrently open zones. The
+    simulated device still stripes each zone across every die.
     """
     base = zn540(
         name="small-zone ZNS (simulated)",

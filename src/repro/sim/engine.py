@@ -147,11 +147,6 @@ class Event:
         return self._triggered
 
     @property
-    def processed(self) -> bool:
-        """True once the event's callbacks have run."""
-        return self._processed
-
-    @property
     def ok(self) -> bool:
         """True if the event fired successfully (not failed)."""
         return self._triggered and self._exception is None

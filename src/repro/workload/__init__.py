@@ -12,7 +12,6 @@ from .patterns import (
 from .ratelimit import RatePacer
 from .runner import JobResult, JobRunner
 from .stats import LatencyStats, TimeSeries
-from .trace import Trace, TraceRecord, TraceReplayer, synthetic_trace
 
 __all__ = [
     "BACKOFF",
@@ -27,10 +26,6 @@ __all__ = [
     "RangePattern",
     "RatePacer",
     "TimeSeries",
-    "Trace",
-    "TraceRecord",
-    "TraceReplayer",
-    "synthetic_trace",
     "ZoneAppendCursor",
     "ZoneWriteCursor",
 ]

@@ -92,9 +92,7 @@ class ZnsDevice(DeviceCore):
             metrics=self.metrics if self.observing else None,
             faults=self.faults,
         )
-        self.striping = ZoneStriping(
-            profile.geometry, profile.zone_size_bytes, profile.stripe_width
-        )
+        self.striping = ZoneStriping(profile.geometry, profile.zone_size_bytes)
         self.firmware = Resource(sim, capacity=1, name="firmware")
         self._mgmt_jitter = LatencySampler(
             streams.stream("zns-mgmt"), profile.mgmt_jitter_sigma

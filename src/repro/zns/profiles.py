@@ -45,6 +45,7 @@ class DeviceProfile:
     channel_bandwidth: int
 
     # -- zoned layout (ignored by the conventional device) ----------------
+    # Every zone stripes across all dies (repro.zns.ftl.ZoneStriping).
     zone_size_bytes: int
     zone_cap_bytes: int
     num_zones: int
@@ -85,12 +86,6 @@ class DeviceProfile:
     fw_read_ns: int
     fw_write_ns: int
     fw_append_ns: int
-
-    # -- zone-to-die striping ----------------------------------------------
-    #: Dies per zone stripe; None = stripe across every die (large-zone
-    #: behaviour). Must divide the total die count. Narrow widths model
-    #: small-zone/grouped devices (see repro.zns.ftl / §V, Bae et al.).
-    stripe_width: "int | None" = None
 
     # -- conventional-FTL knobs (ignored by the ZNS device) ----------------
     # With 7% overprovisioning a fully mapped device can never exceed ~7%

@@ -1,8 +1,9 @@
 """Smoke tests: the quick examples must run end-to-end.
 
-(The heavier examples — gc_comparison, zone_parallelism, trace_replay,
-characterize_device — exercise code paths the benchmark harness already
-covers; running them here would double CI time for no extra coverage.)
+(The heavier examples — gc_comparison, characterize_device,
+emulator_fidelity — exercise code paths the benchmark harness already
+covers; CI's "Every example runs" step runs them instead, so tier-1 time
+stays small.)
 """
 
 import pathlib
@@ -41,7 +42,5 @@ def test_examples_directory_complete():
         "characterize_device.py",
         "gc_comparison.py",
         "emulator_fidelity.py",
-        "zone_parallelism.py",
-        "trace_replay.py",
     }
     assert {p.name for p in EXAMPLES.glob("*.py")} == expected

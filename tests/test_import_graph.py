@@ -1,10 +1,11 @@
 """The import graph of ``src/repro``: every module is used, none is cyclic.
 
 ``src/repro`` holds only the product. Every module in it must be reached
-from an entry point (the CLI, an experiment, an example or a benchmark
-script), and its module-level imports must form a DAG, so that importing
-any module first never meets a partially initialised one. Test-only
-oracles live under ``tests/``.
+from an entry point (the CLI, an experiment or a benchmark script), and
+its module-level imports must form a DAG, so that importing any module
+first never meets a partially initialised one. Examples are not entry
+points: code that only an example uses does not belong in ``src/``.
+Test-only oracles live under ``tests/``.
 """
 
 import ast
@@ -98,8 +99,7 @@ def _executes(name):
 
 
 def test_every_module_is_reachable_from_an_entry_point():
-    scripts = [*sorted((ROOT / "examples").glob("*.py")),
-               *sorted((ROOT / "benchmarks").rglob("*.py"))]
+    scripts = sorted((ROOT / "benchmarks").rglob("*.py"))
     frontier = [t for path in scripts for t in _uses(path.name, _imports(path, ""))]
     frontier += [m for m in MODULES if m == "repro.__main__"
                  or m.startswith("repro.core.experiments")]

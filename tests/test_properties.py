@@ -167,15 +167,22 @@ def test_striping_span_covers_exactly_the_request(zone_index, offset_pages, nbyt
 @given(
     zone_index=st.integers(0, 903),
     zone_page=st.integers(0, 10_000),
-    stripe_width=st.sampled_from([8, 16]),
 )
-def test_zone_table_matches_die_for_page(zone_index, zone_page, stripe_width):
-    striping = ZoneStriping(FlashGeometry(), zone_size_bytes=2048 * 1024 * 1024,
-                            stripe_width=stripe_width)
+def test_zone_table_matches_die_for_page(zone_index, zone_page):
+    geometry = FlashGeometry()
+    striping = ZoneStriping(geometry, zone_size_bytes=2048 * 1024 * 1024)
     table = striping.zone_table(zone_index)
-    assert len(table) == stripe_width
-    assert (table[zone_page % stripe_width]
+    assert len(table) == geometry.total_dies
+    assert (table[zone_page % geometry.total_dies]
             == striping.die_for_page(zone_index, zone_page))
+
+
+def test_die_for_page_rejects_negative_indices():
+    striping = ZoneStriping(FlashGeometry(), zone_size_bytes=2048 * 1024 * 1024)
+    with pytest.raises(ValueError, match="zone index"):
+        striping.die_for_page(-1, 0)
+    with pytest.raises(ValueError, match="zone page"):
+        striping.die_for_page(0, -1)
 
 
 @settings(max_examples=30, deadline=None)
