@@ -155,7 +155,7 @@ class LsmWorkload:
             for chunk_start in range(0, config.sst_bytes, config.append_chunk):
                 chunk = min(config.append_chunk,
                             config.sst_bytes - chunk_start)
-                completion = yield tenant.submit(Command(
+                completion = yield from tenant.issue(Command(
                     Opcode.APPEND, slba=self._zslba(zone_id),
                     nlb=chunk // self._block))
                 if not completion.ok:
@@ -172,7 +172,7 @@ class LsmWorkload:
                 yield from self._seal(zone_id)
 
     def _seal(self, zone_id: int) -> Generator:
-        completion = yield self.tenant.submit(Command(
+        completion = yield from self.tenant.issue(Command(
             Opcode.ZONE_MGMT, slba=self._zslba(zone_id),
             action=ZoneAction.FINISH))
         if not completion.ok:
@@ -194,7 +194,7 @@ class LsmWorkload:
             survivors = max(1, int(len(victims) * config.survivor_fraction))
             # Read the source SSTs back (compaction read traffic)...
             for sst in victims:
-                completion = yield tenant.submit(Command(
+                completion = yield from tenant.issue(Command(
                     Opcode.READ,
                     slba=self._zslba(source) + sst.offset // self._block,
                     nlb=sst.length // self._block))
@@ -210,7 +210,7 @@ class LsmWorkload:
                                          config.append_chunk):
                     chunk = min(config.append_chunk,
                                 config.sst_bytes - chunk_start)
-                    completion = yield tenant.submit(Command(
+                    completion = yield from tenant.issue(Command(
                         Opcode.APPEND, slba=self._zslba(target),
                         nlb=chunk // self._block))
                     if not completion.ok:
@@ -222,7 +222,7 @@ class LsmWorkload:
             for sst in victims:
                 sst.live = False
             self._catalog = [s for s in self._catalog if s.live]
-            completion = yield tenant.submit(Command(
+            completion = yield from tenant.issue(Command(
                 Opcode.ZONE_MGMT, slba=self._zslba(source),
                 action=ZoneAction.RESET))
             if completion.ok:
@@ -232,7 +232,7 @@ class LsmWorkload:
                 tenant.record_error(completion.status, self._zslba(source))
             # Seal the output zone so compaction does not accumulate
             # open zones against the device's max-open limit.
-            completion = yield tenant.submit(Command(
+            completion = yield from tenant.issue(Command(
                 Opcode.ZONE_MGMT, slba=self._zslba(target),
                 action=ZoneAction.FINISH))
             if not completion.ok:
@@ -256,7 +256,7 @@ class LsmWorkload:
             within = int(rng.integers(0, max_block + 1)) if max_block > 0 else 0
             slba = (self._zslba(sst.zone)
                     + sst.offset // self._block + within)
-            completion = yield tenant.submit(Command(
+            completion = yield from tenant.issue(Command(
                 Opcode.READ, slba=slba, nlb=blocks_per_read))
             self.reads += 1
             if completion.ok:

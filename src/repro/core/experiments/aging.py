@@ -184,7 +184,7 @@ class _TenantReader:
             zone = device.zones.zones[zones[int(rng.integers(0, len(zones)))]]
             span = max(1, zone.cap_lbas - nlb)
             slba = zone.zslba + int(rng.integers(0, span))
-            completion = yield tenant.submit(
+            completion = yield from tenant.issue(
                 Command(Opcode.READ, slba=slba, nlb=nlb))
             if completion.ok:
                 tenant.record(completion, nlb * block)

@@ -48,7 +48,7 @@ def _sweep_with_refill(device, zone_pool, count: int, latency: LatencyStats) -> 
             pool.remove(zone_index)
         else:
             return
-        completion = yield device.submit(
+        completion = yield from device.issue(
             Command(Opcode.ZONE_MGMT, slba=zone.zslba, action=ZoneAction.RESET)
         )
         if completion.ok:

@@ -200,7 +200,7 @@ class DeviceCore:
                 sim.process(self._power_cut_process(), name="power-cut")
         else:
             self.faults = None
-        #: Command id of the most recent ``submit`` (host stacks read it
+        #: Command id of the most recent ``issue`` (host stacks read it
         #: to tie their own spans to the device-assigned trace id).
         self.last_cid = 0
         self._page_size = profile.geometry.page_size
@@ -216,8 +216,10 @@ class DeviceCore:
         self.telemetry = telemetry.attach(self) if telemetry is not None else None
 
     # ------------------------------------------------------------------ api
-    def submit(self, command: Command) -> Event:
-        """Begin executing a command; the event fires with a Completion."""
+    def issue(self, command: Command) -> Generator:
+        """Accept a command; returns the generator that executes it, for
+        the waiting process to run with ``yield from`` (DESIGN.md §11).
+        An unsupported opcode raises here, at the call."""
         if command.submitted_at < 0:
             command.submitted_at = self.sim.now
         cid = (
@@ -226,10 +228,12 @@ class DeviceCore:
             else 0
         )
         self.last_cid = cid
-        # The process event itself is the completion event (the generator
-        # returns the Completion): one event instead of a done-event plus
-        # a never-watched process event per command.
-        return self.sim.process(self._dispatch(command, cid))
+        return self._dispatch(command, cid)
+
+    def submit(self, command: Command) -> Event:
+        """:meth:`issue` as a process, for a caller that needs an event;
+        it fires with the Completion."""
+        return self.sim.process(self.issue(command))
 
     def _dispatch(self, command: Command, cid: int) -> Generator:
         """Map an opcode to its executor generator (model-specific)."""

@@ -123,7 +123,7 @@ def _reset_under_write_p95_ms(model: EmulatorModel, resets: int = 14) -> tuple[f
     def writer():
         stats = LatencyStats()
         while not stop:
-            cpl = yield device.submit(Command(Opcode.WRITE, slba=wzone.wp, nlb=nlb))
+            cpl = yield from device.issue(Command(Opcode.WRITE, slba=wzone.wp, nlb=nlb))
             if cpl.ok:
                 stats.record(cpl.latency_ns)
         return stats
@@ -135,7 +135,7 @@ def _reset_under_write_p95_ms(model: EmulatorModel, resets: int = 14) -> tuple[f
         for i in range(resets):
             z = zone_pool[i % 4]
             device.force_fill(z, device.zones.zones[z].cap_lbas)
-            cpl = yield device.submit(Command(
+            cpl = yield from device.issue(Command(
                 Opcode.ZONE_MGMT, slba=device.zones.zones[z].zslba,
                 action=ZoneAction.RESET))
             loaded.record(cpl.latency_ns)

@@ -12,12 +12,17 @@ costs and policies the paper compares in §III-A:
 Latency accounting: the stack stamps ``submitted_at`` when the request
 enters the stack (what fio reports), so queueing and merging delays are
 part of the measured latency, exactly as in the paper's numbers.
+
+Execution: a command runs inside the process that waits for it, as
+``yield from stack.issue(command)``, and the stack runs the device's
+``issue`` generator the same way; ``submit`` wraps ``issue`` in a
+process for a caller that needs an event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Generator
 
 from ..hostif.commands import Command
 from ..sim.engine import Event, Simulator
@@ -66,30 +71,33 @@ class StorageStack:
         self.tracer = device.tracer
 
     # -- protocol -----------------------------------------------------------
-    def submit(self, command: Command) -> Event:
-        """Issue a command through the stack; fires with its Completion."""
+    def issue(self, command: Command) -> Generator:
+        """Accept a command; returns the generator that carries it through
+        the stack and the device to its Completion. Refusals raise here."""
         command.submitted_at = self.sim.now
         self.stats.requests += 1
-        # The issue process doubles as the completion event (its return
-        # value is the Completion) — no separate done event per command.
-        return self.sim.process(self._issue(command))
+        return self._issue(command)
+
+    def submit(self, command: Command) -> Event:
+        """:meth:`issue` as a process; fires with the Completion."""
+        return self.sim.process(self.issue(command))
 
     def _issue(self, command: Command):
         traced = self.tracer.enabled
         entered = self.sim.now if traced else 0
         yield self.submit_overhead_ns
         self.stats.dispatched += 1
-        target = self.device.submit(command)
+        execute = self.device.issue(command)
         cid = 0
         if traced:
-            # The device assigns the command's trace id in submit(); read
+            # The device assigns the command's trace id in issue(); read
             # it back immediately (single-threaded, deterministic) so
             # host-side spans correlate with the device's spans.
             cid = self.device.last_cid
             self.tracer.span("host", f"{self.name}.submit", entered,
                              self.sim.now, track="host", cid=cid,
                              opcode=command.opcode.value)
-        completion = yield target
+        completion = yield from execute
         complete_started = self.sim.now if traced else 0
         yield self.complete_overhead_ns
         completion.completed_at = self.sim.now

@@ -12,10 +12,9 @@ zone-management commands — use SPDK for those (paper §III-A).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from ..hostif.commands import Command, Opcode
-from ..sim.engine import Event
 from .base import StorageStack, UnsupportedOperation
 from .scheduler import MqDeadlineScheduler
 
@@ -39,17 +38,17 @@ class IoUringStack(StorageStack):
         else:
             raise ValueError(f"unknown scheduler {scheduler!r} (none | mq-deadline)")
 
-    def submit(self, command: Command) -> Event:
+    def issue(self, command: Command) -> Generator:
         if command.opcode in (Opcode.APPEND, Opcode.ZONE_MGMT):
             raise UnsupportedOperation(
                 f"fio/io_uring cannot issue {command.opcode.value} commands; "
                 "use the SPDK stack (paper §III-A)"
             )
         if self.scheduler is None or not self.scheduler.wants(command):
-            return super().submit(command)
+            return super().issue(command)
         command.submitted_at = self.sim.now
         self.stats.requests += 1
-        return self.sim.process(self._issue_scheduled(command))
+        return self._issue_scheduled(command)
 
     def _issue_scheduled(self, command: Command):
         yield self.submit_overhead_ns + self.scheduler.overhead_ns

@@ -99,7 +99,7 @@ class MqDeadlineScheduler:
                 self.tracer.instant("host", "mqd.dispatch", self.sim.now,
                                     track="host", zone=key,
                                     batch=len(batch), nlb=total_nlb)
-            completion: Completion = yield self.device.submit(merged)
+            completion: Completion = yield from self.device.issue(merged)
             for cmd, done in batch:
                 done.succeed(
                     Completion(

@@ -14,10 +14,9 @@ with SPDK".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Generator
 
 from ..hostif.commands import Command, Opcode
-from ..sim.engine import Event
 from .base import StorageStack, UnsupportedOperation
 
 if TYPE_CHECKING:
@@ -41,24 +40,26 @@ class SpdkStack(StorageStack):
         zone = self._zones.zone_containing(command.slba)
         return None if zone is None else zone.index
 
-    def submit(self, command: Command) -> Event:
+    def issue(self, command: Command) -> Generator:
         zone_index = self._zone_index_for(command)
-        if zone_index is not None:
-            if (
-                self.enforce_write_serialization
-                and self._inflight_zone_writes.get(zone_index, 0) > 0
-            ):
-                raise UnsupportedOperation(
-                    f"SPDK has no scheduler: zone {zone_index} already has an "
-                    "in-flight write (issue appends or serialize writes)"
-                )
-            self._inflight_zone_writes[zone_index] = (
-                self._inflight_zone_writes.get(zone_index, 0) + 1
+        if zone_index is None:
+            return super().issue(command)
+        if (
+            self.enforce_write_serialization
+            and self._inflight_zone_writes.get(zone_index, 0) > 0
+        ):
+            raise UnsupportedOperation(
+                f"SPDK has no scheduler: zone {zone_index} already has an "
+                "in-flight write (issue appends or serialize writes)"
             )
-        done = super().submit(command)
-        if zone_index is not None:
-            done.add_callback(lambda _e: self._release_zone(zone_index))
-        return done
+        self._inflight_zone_writes[zone_index] = (
+            self._inflight_zone_writes.get(zone_index, 0) + 1
+        )
+        return self._zone_write(zone_index, super().issue(command))
 
-    def _release_zone(self, zone_index: int) -> None:
-        self._inflight_zone_writes[zone_index] -= 1
+    def _zone_write(self, zone_index: int, execute: Generator):
+        """Run a zone write; its zone's count drops however it ends."""
+        try:
+            return (yield from execute)
+        finally:
+            self._inflight_zone_writes[zone_index] -= 1

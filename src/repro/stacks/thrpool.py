@@ -75,14 +75,14 @@ class ThreadPoolStack(StorageStack):
         try:
             yield DISPATCH_NS
             self.stats.dispatched += 1
-            target = self.device.submit(command)
+            execute = self.device.issue(command)
             cid = 0
             if traced:
                 cid = self.device.last_cid
                 self.tracer.span("host", f"{self.name}.submit", entered,
                                  self.sim.now, track="host", cid=cid,
                                  opcode=command.opcode.value)
-            completion = yield target
+            completion = yield from execute
             complete_started = self.sim.now if traced else 0
             # The callback runs on the worker thread; the slot frees
             # only after it returns (xNVMe invokes cb before the worker

@@ -223,7 +223,7 @@ class ResetStorm:
             remaining = zone.cap_lbas
             while remaining > 0 and self.sim.now < self.until_ns:
                 nlb = min(chunk_nlb, remaining)
-                completion = yield tenant.submit(
+                completion = yield from tenant.issue(
                     Command(Opcode.APPEND, slba=zone.zslba, nlb=nlb))
                 if not completion.ok:
                     tenant.record_error(completion.status, zone.zslba)
@@ -243,7 +243,7 @@ class ResetStorm:
                 yield us(50)
                 continue
             zone = device.zones.zones[self._filled.pop(0)]
-            completion = yield tenant.submit(
+            completion = yield from tenant.issue(
                 Command(Opcode.ZONE_MGMT, slba=zone.zslba,
                         action=ZoneAction.RESET)
             )

@@ -16,7 +16,7 @@ its accounting is plain arithmetic on simulated-time observations.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 import numpy as np
 
@@ -123,10 +123,15 @@ class Tenant:
         return np.random.default_rng(child)
 
     # -- submission ------------------------------------------------------
-    def submit(self, command: Command) -> Event:
-        """Stamp the tenant label and issue through the tenant's stack."""
+    def issue(self, command: Command) -> Generator:
+        """Stamp the tenant label and issue through the tenant's stack;
+        returns the stack's generator (run it with ``yield from``)."""
         command.tenant = self.name
-        return self.stack.submit(command)
+        return self.stack.issue(command)
+
+    def submit(self, command: Command) -> Event:
+        """:meth:`issue` as a process; fires with the Completion."""
+        return self.sim.process(self.issue(command))
 
     # -- accounting ------------------------------------------------------
     def record(self, completion: Completion, nbytes: int = 0) -> None:

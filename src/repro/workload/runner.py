@@ -195,7 +195,9 @@ class JobRunner:
         sim = self.sim
         end_ns = self._end_ns
         next_target = pattern.next_target
-        submit = self.stack.submit
+        # The fault branch submits through the stack's event API only,
+        # so it never looks ``issue`` up.
+        issue = self.stack.issue if self._fault_plan is None else None
         is_append = isinstance(pattern, ZoneAppendCursor)
         while sim.now < end_ns:
             command, reset_zone = next_target()
@@ -216,8 +218,8 @@ class JobRunner:
                     yield delay
                 if sim.now >= end_ns:
                     return
-            if self._fault_plan is None:
-                completion = yield submit(command)
+            if issue is not None:
+                completion = yield from issue(command)
             else:
                 completion = yield from self._submit_resilient(
                     command, pattern, is_append)
@@ -283,7 +285,7 @@ class JobRunner:
         try:
             zslba = self.device.zones.zones[zone_id].zslba
             command = Command(Opcode.ZONE_MGMT, slba=zslba, action=ZoneAction.RESET)
-            completion = yield self.device.submit(command)
+            completion = yield from self.device.issue(command)
             if completion.ok:
                 self.result.resets += 1
                 if self._reset_counter is not None:

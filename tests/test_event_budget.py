@@ -11,7 +11,9 @@ per command back moves the ratio by about 1 and fails here.
 Processes sleep by yielding an ``int`` delay, so the same point builds
 no ``Timeout`` at all, and no code under ``src/repro`` sleeps the other
 way, by yielding a ``Timeout`` it builds in the yield expression
-(DESIGN.md §15.6).
+(DESIGN.md §15.6). Nor does any wait on a command by yielding the event
+of a ``submit`` call: a process runs the ``issue`` generator instead
+(DESIGN.md §11).
 """
 
 import ast
@@ -33,8 +35,8 @@ COMMANDS = 691
 #: Page programs the point completes.
 PAGE_PROGRAMS = 704
 #: Dispatched events per completed command: 37.37 before the event diet,
-#: 35.33 after it.
-EVENTS_PER_COMMAND_BOUND = 35.34
+#: 35.33 after it, 31.33 once commands run inside the waiting process.
+EVENTS_PER_COMMAND_BOUND = 31.34
 
 
 def test_zns_write_point_events_per_command(monkeypatch):
@@ -65,15 +67,26 @@ def test_zns_write_point_events_per_command(monkeypatch):
     assert timeouts == []
 
 
-def test_no_source_sleeps_on_a_timeout():
-    """A sleep yields the delay; ``yield <expr>.timeout(...)`` builds an
-    event only to sleep on it."""
+def _yielded_calls(method: str) -> list[str]:
+    """Source lines under ``src/repro`` that ``yield <expr>.<method>(...)``."""
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             value = node.value if isinstance(node, ast.Yield) else None
             if (isinstance(value, ast.Call)
                     and isinstance(value.func, ast.Attribute)
-                    and value.func.attr == "timeout"):
+                    and value.func.attr == method):
                 offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
-    assert offenders == []
+    return offenders
+
+
+def test_no_source_sleeps_on_a_timeout():
+    """A sleep yields the delay; ``yield <expr>.timeout(...)`` builds an
+    event only to sleep on it."""
+    assert _yielded_calls("timeout") == []
+
+
+def test_no_source_waits_on_a_submitted_process():
+    """A process waits on a command with ``yield from <x>.issue(...)``;
+    ``yield <x>.submit(...)`` builds a process only to wait on it."""
+    assert _yielded_calls("submit") == []

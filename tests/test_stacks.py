@@ -4,14 +4,22 @@ import json
 
 import pytest
 
+from repro.conv import ConvDevice
+from repro.core.experiments.common import build_stack
+from repro.flash import KIB, MIB, FlashGeometry
 from repro.hostif import Status, ZoneAction
-from repro.sim import us
+from repro.sim import Simulator, ms, us
+from repro.sim.engine import events_total
+from repro.sim.rng import StreamFactory
 from repro.stacks import (
     IoUringStack,
     SpdkStack,
     ThreadPoolStack,
     UnsupportedOperation,
 )
+from repro.workload import IoKind, JobRunner, JobSpec, Pattern
+from repro.zns import ZnsDevice
+from repro.zns.profiles import zn540_small
 
 from .util import append, make_device, mgmt, read, write
 
@@ -279,3 +287,103 @@ class TestMqDeadlineMerging:
         workers = [sim.process(writer()) for _ in range(16)]
         sim.run(until=sim.all_of(workers))
         assert stack.stats.merge_fraction > 0.8
+
+
+class _ProcessPerCommand:
+    """Wraps a stack or device so each command runs in a process of its
+    own, the shape the host path had before commands ran inside the
+    waiting process. Everything else is read through from the target."""
+
+    def __init__(self, target):
+        self._target = target
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+    def issue(self, command):
+        return (yield self._target.submit(command))
+
+
+class TestInlineExecutionIsExact:
+    """Running a command inside the waiting process moves no output: the
+    same jobs give the same results, counters and end time as they do
+    with a process per command at both the stack and the device, and
+    dispatch fewer events."""
+
+    GRID = [
+        ("zns", "spdk", IoKind.WRITE),
+        ("zns", "spdk", IoKind.APPEND),
+        ("zns", "iouring-none", IoKind.WRITE),
+        ("zns", "iouring-none", IoKind.READ),
+        ("zns", "iouring-mq-deadline", IoKind.WRITE),
+        ("zns", "thrpool", IoKind.WRITE),
+        ("conv", "spdk", IoKind.WRITE),
+        ("conv", "iouring-none", IoKind.WRITE),
+    ]
+
+    @staticmethod
+    def _run(kind, stack_name, op, iodepth, process_per_command):
+        geometry = FlashGeometry(channels=4, dies_per_channel=2,
+                                 planes_per_die=1, blocks_per_plane=64,
+                                 pages_per_block=16, page_size=16 * KIB)
+        if kind == "zns":
+            sim = Simulator()
+            device = ZnsDevice(sim, zn540_small(zone_size_bytes=MIB,
+                                                zone_cap_bytes=MIB),
+                               streams=StreamFactory(7))
+            if stack_name == "spdk" and op == IoKind.WRITE:
+                # One in-flight write per zone under SPDK: the depth is
+                # spread over one-zone threads (Fig. 4b's inter-zone shape).
+                shape = dict(numjobs=iodepth, zones=range(iodepth),
+                             zone_per_thread=True)
+            else:
+                shape = dict(iodepth=iodepth, zones=[0, 1, 2, 3])
+            job = JobSpec(op=op, block_size=16 * KIB, runtime_ns=ms(2),
+                          ramp_ns=us(200), **shape)
+            if op == IoKind.READ:
+                for zone in job.zones:
+                    device.force_fill(zone, device.zones.zones[zone].cap_lbas)
+        else:
+            sim = Simulator()
+            device = ConvDevice(sim, zn540_small(geometry=geometry,
+                                                 write_buffer_bytes=4 * MIB),
+                                streams=StreamFactory(7))
+            job = JobSpec(op=op, block_size=16 * KIB, runtime_ns=ms(2),
+                          ramp_ns=us(200), iodepth=iodepth,
+                          pattern=Pattern.RANDOM, address_range=(0, 4096))
+        host = _ProcessPerCommand(device) if process_per_command else device
+        stack = build_stack(host, stack_name)
+        if process_per_command:
+            stack = _ProcessPerCommand(stack)
+        before = events_total()
+        result = JobRunner(host, stack, job).run()
+        events = events_total() - before
+        counters = device.counters
+        return events, {
+            "ops": result.ops,
+            "bytes": result.bytes,
+            "resets": result.resets,
+            "errors": result.errors,
+            "measured_ns": result.measured_ns,
+            "latency": result.latency.asarray().tolist(),
+            "reset_latency": result.reset_latency.asarray().tolist(),
+            "completed": counters.completed,
+            "device_errors": counters.errors,
+            "bytes_written": counters.bytes_written,
+            "bytes_read": counters.bytes_read,
+            "pages_programmed": device.backend.counters.pages_programmed,
+            "stack": vars(stack.stats),
+            "now": sim.now,
+        }
+
+    @pytest.mark.parametrize("iodepth", [1, 8])
+    @pytest.mark.parametrize("kind,stack_name,op", GRID)
+    def test_same_outcome_as_a_process_per_command(self, kind, stack_name,
+                                                   op, iodepth):
+        inline_events, inline = self._run(kind, stack_name, op, iodepth,
+                                          process_per_command=False)
+        old_events, old = self._run(kind, stack_name, op, iodepth,
+                                    process_per_command=True)
+        assert inline["ops"] > 0
+        assert inline == old
+        assert inline_events < old_events
