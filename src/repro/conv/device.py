@@ -215,9 +215,8 @@ class ConvDevice(DeviceCore):
         sim = self.sim
         lookup = self.ftl.lookup
         die_of = self.ftl.die_of_physical
-        read_page = self.backend.read_page
+        read = self.backend.read
         injector = self.backend.faults
-        fault_out = [] if injector is not None else None
         pages_per_block = self.ftl.pages_per_block
         remapped_blocks = self.ftl.remapped_blocks
         remapped = 0
@@ -232,26 +231,22 @@ class ConvDevice(DeviceCore):
                 wear = injector.wear.unit(block_id)
                 if block_id in remapped_blocks:
                     remapped += 1
-            reads.append(
-                sim.process(
-                    read_page(die_of(physical), priority=PRIO_IO,
-                              transfer_bytes=take, cid=cid,
-                              fault_out=fault_out, wear=wear)
-                )
-            )
+            reads.append(read(die_of(physical), PRIO_IO, take, cid, wear=wear))
         if remapped:
             # Remap-table indirection: pages on promoted spares pay an
             # extra firmware lookup before the NAND ops are issued.
             yield remapped * BAD_BLOCK_REMAP_NS
+        unrecovered = False
         if len(reads) == 1:
-            yield reads[0]
+            unrecovered = (yield reads[0]).result
         elif reads:
-            yield sim.all_of(reads)
+            done = yield sim.all_of(reads)
+            unrecovered = any(op.result for op in done.values())
             if self.tracer.enabled:
                 self.tracer.span("nand", "read.fanout", nand_started,
                                  self.sim.now, track="nand", cid=cid,
                                  dies=len(reads))
-        if fault_out:
+        if unrecovered:
             return self._complete(command, Status.MEDIA_UNRECOVERED_READ, cid=cid)
         return self._complete(command, Status.SUCCESS, nbytes=shape.nbytes, cid=cid)
 
@@ -271,16 +266,12 @@ class ConvDevice(DeviceCore):
         if self.tracer.enabled:
             self.tracer.span("buffer", "write.admit", admit_started,
                              self.sim.now, track="buffer", cid=cid, nbytes=nbytes)
-        spawn = self.sim.spawn
-        flush = self._flush_page
-        if self.faults is None:
-            for logical in range(start_page, start_page + n_pages):
-                spawn(flush(logical))
-        else:
-            for logical in range(start_page, start_page + n_pages):
+        token = None
+        for logical in range(start_page, start_page + n_pages):
+            if self.faults is not None:
                 token = [False, False]  # [cancelled, program started]
                 self._pending_flushes.append(token)
-                spawn(flush(logical, token))
+            self.sim.spawn(self._flush_page(logical, token))
         self._maybe_wake_gc()
         return self._complete(command, Status.SUCCESS, nbytes=nbytes, cid=cid)
 
@@ -307,16 +298,17 @@ class ConvDevice(DeviceCore):
             wear = self.faults.wear.unit(block_id)
             if block_id in self.ftl.remapped_blocks:
                 yield BAD_BLOCK_REMAP_NS
-        failures = yield from self._flush_page_to_die(
-            self.ftl.die_of_physical(physical), cancel=token, wear=wear
-        )
-        if wear is not None and failures > 0:
-            wear.program_failures += failures
-        if token is not None:
-            try:
-                self._pending_flushes.remove(token)
-            except ValueError:
-                pass
+                if token[0]:  # cancelled during the remap lookup
+                    self._pending_flushes.remove(token)
+                    return
+        self.backend.program(self.ftl.die_of_physical(physical), PRIO_IO,
+                             label="flush", token=token, wear=wear,
+                             done=self._flush_done)
+
+    def _flush_settled(self, op) -> None:
+        if op.result > 0 and op.wear is not None:
+            op.wear.program_failures += op.result
+        self._pending_flushes.remove(op.token)
 
     # ------------------------------------------------------------ power loss
     def _power_loss_drop(self, target: int) -> tuple[int, int]:
@@ -413,23 +405,21 @@ class ConvDevice(DeviceCore):
         """Relocate one victim's valid pages, then erase and recycle it."""
         started = self.sim.now
         try:
-            copies = [
-                self.sim.process(
-                    self._gc_copy(victim.die, self.ftl.die_of_physical(new_physical))
-                )
-                for new_physical in self.ftl.relocate_block(victim)
-            ]
+            # A copy is a read record whose completion queues the program.
+            copies = []
+            for new_physical in self.ftl.relocate_block(victim):
+                copies.append(self.sim.event())
+                self.backend.read(victim.die, self.gc_priority, label="gc.read",
+                                  done=self._gc_program,
+                                  tag=(self.ftl.die_of_physical(new_physical), copies[-1]))
             if copies:
                 yield self.sim.all_of(copies)
                 self._gc_copy_counter.inc(len(copies))
             wear = (self.backend.faults.wear.unit(victim.block_id)
                     if self.backend.faults is not None else None)
-            bad = yield self.sim.process(
-                self.backend.erase_block(
-                    victim.die, priority=self.gc_priority, label="gc.erase",
-                    wear=wear
-                )
-            )
+            erased = yield self.backend.erase(victim.die, self.gc_priority,
+                                              label="gc.erase", wear=wear)
+            bad = erased.result
             freed = True
             if bad:
                 # Erase retries exhausted: retire the block and promote a
@@ -477,8 +467,8 @@ class ConvDevice(DeviceCore):
                 parked.extend(stalled[index + 1:])
                 return
 
-    def _gc_copy(self, src_die: int, dst_die: int) -> Generator:
-        yield from self.backend.read_page(src_die, priority=self.gc_priority,
-                                          label="gc.read")
-        yield from self.backend.program_page(dst_die, priority=self.gc_priority,
-                                             label="gc.program")
+    def _gc_program(self, read) -> None:
+        """Second half of a GC copy: program the page its read sensed."""
+        die, copied = read.tag
+        self.backend.program(die, self.gc_priority, label="gc.program",
+                             done=copied.succeed)

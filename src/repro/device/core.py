@@ -10,8 +10,8 @@ pipeline. :class:`DeviceCore` owns everything the two models share:
 * the **completion path** — :meth:`_complete` stamps the completion,
   feeds :class:`DeviceCounters`, the latency histograms, and the
   command trace span,
-* the capacitor-backed **write buffer** and the per-die flush tail
-  (:meth:`_flush_page_to_die`: program the page, take its bytes out of
+* the capacitor-backed **write buffer** and the completion of a page
+  flush (:meth:`_flush_done`: take the programmed page's bytes out of
   the buffer),
 * the per-request costs (:meth:`_io_shape`): a pure function of opcode,
   LBA count and the namespace LBA format (Observation #1), computed once
@@ -309,33 +309,30 @@ class DeviceCore:
         return admitted
 
     # -------------------------------------------------------------- flushing
-    def _flush_page_to_die(self, die: int, cancel: list | None = None,
-                           wear=None) -> Generator:
-        """Program one buffered page to a die, then drain the buffer.
+    def _flush_done(self, op) -> None:
+        """A buffered page's program completed (both models): take its
+        bytes out of the buffer, unless a power cut cancelled it (result
+        ``-1``) and drained them, then let the model's ``_flush_settled``
+        drop its power-loss token and book its program failures."""
+        if op.result >= 0:
+            if op.result or self.observing:
+                # Resume where a get of the page, always granted at once,
+                # would have: the gauge read and the wear accounting keep
+                # their place in the event order (DESIGN.md §15.5). The
+                # timer is queued before the take wakes any putter.
+                resume = self.sim.timeout(0, op)
+                self.buffer.take(self._page_size)
+                resume.add_callback(self._flush_resumed)
+                return
+            self.buffer.take(self._page_size)
+        if op.token is not None:
+            self._flush_settled(op)
 
-        Returns the backend's injected-program-failure count, or ``-1``
-        when a power cut cancelled the page before it reached the media
-        (the power-cut handler already drained its bytes). ``wear`` is
-        the touched unit's odometer for wear-dependent failure rates.
-        """
-        failures = yield from self.backend.program_page(
-            die, priority=PRIO_IO, label="flush", cancel=cancel, wear=wear)
-        if failures < 0:
-            return failures
-        if failures or self.observing:
-            # Resume where a get of the page, always granted at once,
-            # would have: the gauge read and the callers' wear accounting
-            # keep their place in the event order (DESIGN.md §15.5). The
-            # timer is queued before the take wakes any putter, so it
-            # cannot be a zero sleep, which would queue after them.
-            resume = self.sim.timeout(0)
-            self.buffer.take(self._page_size)
-            yield resume
-            if self.observing:
-                self._wbuf_gauge.set(self.buffer.level)
-        else:
-            self.buffer.take(self._page_size)
-        return failures
+    def _flush_resumed(self, resume: Event) -> None:
+        if self.observing:
+            self._wbuf_gauge.set(self.buffer.level)
+        if resume._value.token is not None:
+            self._flush_settled(resume._value)
 
     # ------------------------------------------------------------ power loss
     def _power_cut_process(self) -> Generator:

@@ -233,8 +233,8 @@ class Process(Event):
     __slots__ = ("generator", "_name", "_send", "_spawned")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
-        # Event.__init__ inlined: one Process per command/flush makes this
-        # the hottest constructor in the kernel.
+        # Event.__init__ inlined: one Process per host slot, GC victim and
+        # conventional flush makes this a hot constructor.
         self.sim = sim
         self._cb = None
         self._value = None
@@ -527,7 +527,7 @@ class Simulator:
                             if event is stop:
                                 return stop.value
                             if event._exception is not None \
-                                    and event.__class__ is Process:
+                                    and isinstance(event, Process):
                                 raise SimulationError(
                                     f"process {event.name!r} failed with nothing "
                                     f"waiting on it: {event._exception!r}"

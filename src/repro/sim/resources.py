@@ -1,10 +1,10 @@
 """Shared-resource primitives for the simulation kernel.
 
-Two primitives cover every contention point in the device models:
-
+* :class:`PriorityFifo` — the one priority queue: a FIFO per level.
 * :class:`Resource` — a server with fixed capacity and one FIFO queue of
-  acquire requests per priority level. Models controller slots, NAND
-  dies, channel buses, and the firmware management unit.
+  acquire requests per priority level. Models the controller, the ZNS
+  firmware management unit and the thread pool's workers (NAND dies and
+  buses serve their own queues, :mod:`repro.flash.backend`).
 * :class:`Container` — a reservoir of continuous "stuff" (bytes) with
   blocking put/get and a non-blocking take. Models the device write
   buffer.
@@ -20,20 +20,41 @@ from collections import deque
 
 from .engine import Event, SimulationError, Simulator
 
-__all__ = ["Resource", "Container"]
+__all__ = ["PriorityFifo", "Resource", "Container"]
 
 
-class Resource:
+class PriorityFifo:
+    """A FIFO per priority level, lowest level first: the order of a
+    ``(priority, arrival)`` heap, but the models use a handful of levels,
+    so scanning them is cheaper. Subclasses (:class:`Resource`, the flash
+    servers) hold the ``_waiting`` count and the ``_levels`` dict."""
+
+    __slots__ = ()
+
+    def _enqueue(self, item, priority: int) -> None:
+        queue = self._levels.get(priority)
+        if queue is None:
+            queue = deque()
+            self._levels = dict(sorted({**self._levels, priority: queue}.items()))
+        queue.append(item)
+        self._waiting += 1
+
+    def _dequeue(self):
+        """Remove the next item; one must be waiting."""
+        self._waiting -= 1
+        for queue in self._levels.values():
+            if queue:
+                return queue.popleft()
+
+
+class Resource(PriorityFifo):
     """A capacity-limited server with one FIFO queue per priority level.
 
     A request is a plain :class:`Event` that fires, with the resource as
     its value, once a slot is granted. A grant sets the event's fields
     and queues it on the ready deque directly, as :meth:`Event.succeed`
-    would on an untriggered event. A freed slot goes to the oldest
-    request at the lowest waiting priority level — the order of a
-    ``(priority, arrival)`` heap. The models use a handful of levels
-    (power-loss panic, urgent GC, I/O, management), so scanning the
-    levels in order is cheaper than keeping a heap.
+    would on an untriggered event. A freed slot goes to the next waiting
+    request (:class:`PriorityFifo`).
     """
 
     __slots__ = ("sim", "capacity", "name", "_in_use", "_waiting", "_levels")
@@ -46,8 +67,6 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiting = 0
-        #: Priority level -> FIFO of waiting requests, in ascending
-        #: priority order.
         self._levels: dict[int, deque[Event]] = {}
 
     # -- introspection ---------------------------------------------------
@@ -72,12 +91,7 @@ class Resource:
             event._triggered = True
             sim._ready.append(event)
             return event
-        queue = self._levels.get(priority)
-        if queue is None:
-            queue = deque()
-            self._levels = dict(sorted({**self._levels, priority: queue}.items()))
-        queue.append(event)
-        self._waiting += 1
+        self._enqueue(event, priority)
         return event
 
     def release(self, request: Event) -> None:
@@ -87,14 +101,11 @@ class Resource:
         # Hand the slot on, if anyone waits, without it ever becoming free.
         request._value = None
         if self._waiting:
-            for queue in self._levels.values():
-                if queue:
-                    self._waiting -= 1
-                    granted = queue.popleft()
-                    granted._value = self
-                    granted._triggered = True
-                    self.sim._ready.append(granted)
-                    return
+            granted = self._dequeue()
+            granted._value = self
+            granted._triggered = True
+            self.sim._ready.append(granted)
+            return
         self._in_use -= 1
 
 

@@ -58,6 +58,9 @@ class StorageStack:
     """Base class: overhead bookkeeping + passthrough submission."""
 
     name = "base"
+    #: True when the stack refuses a second in-flight write to a zone
+    #: (SPDK has no scheduler to serialize them).
+    enforce_write_serialization = False
 
     def __init__(self, device: DeviceCore, submit_overhead_ns: int,
                  complete_overhead_ns: int):

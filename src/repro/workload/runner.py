@@ -90,6 +90,12 @@ class JobRunner:
 
     def __init__(self, device: DeviceCore, stack, job: JobSpec,
                  ts_interval_ns: int = DEFAULT_TS_INTERVAL_NS):
+        if (job.op == IoKind.WRITE and job.iodepth > 1 and device.zones is not None
+                and stack.enforce_write_serialization):
+            raise ValueError(
+                f"job {job.name!r}: {stack.name} allows one in-flight write per zone, "
+                f"so a write job cannot run at iodepth {job.iodepth}; use numjobs "
+                "one-zone threads at iodepth 1, or appends")
         self.device = device
         self.stack = stack
         self.job = job

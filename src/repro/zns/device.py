@@ -106,7 +106,7 @@ class ZnsDevice(DeviceCore):
         self._zone_page_cursor: dict[int, int] = {}
         #: Fault-mode bookkeeping (unused — and unallocated per zone —
         #: when ``self.faults is None``): power-loss cancellation tokens
-        #: for spawned-but-uncommitted page flushes. Per-zone wear
+        #: for queued-but-uncommitted page flushes. Per-zone wear
         #: odometers (erase counts, cumulative program failures, read
         #: exposure) live on ``self.faults.wear`` (DESIGN.md §17).
         self._zone_pending: dict[int, list] = {}
@@ -314,25 +314,14 @@ class ZnsDevice(DeviceCore):
         offset = (command.slba - zone.zslba) * self._block_size
         spans = self.striping.dies_for_span(zone.index, offset, nbytes)
         nand_started = self.sim.now if self.tracer.enabled else 0
-        sim = self.sim
-        read_page = self.backend.read_page
-        if self.backend.faults is not None:
-            fault_out = []
-            wear = self.backend.faults.wear.unit(zone.index)
-        else:
-            fault_out = None
-            wear = None
-        yield sim.all_of([
-            sim.process(
-                read_page(die, priority=PRIO_IO, transfer_bytes=take,
-                          cid=cid, fault_out=fault_out, wear=wear)
-            )
-            for die, take in spans
-        ])
+        wear = (self.faults.wear.unit(zone.index)
+                if self.backend.faults is not None else None)
+        reads = yield self.sim.all_of([self.backend.read(die, PRIO_IO, take, cid, wear=wear)
+                                       for die, take in spans])
         if self.tracer.enabled:
             self.tracer.span("nand", "read.fanout", nand_started, self.sim.now,
                              track="nand", cid=cid, dies=len(spans))
-        if fault_out:
+        if any(op.result for op in reads.values()):
             # The read-retry ladder exhausted on at least one spanned
             # page: NVMe media error, DNR (the host must not retry).
             return self._complete(command, Status.MEDIA_UNRECOVERED_READ, cid=cid)
@@ -407,50 +396,38 @@ class ZnsDevice(DeviceCore):
 
     # -------------------------------------------------------------- flushing
     def _enqueue_flush(self, zone_index: int, nbytes: int) -> None:
-        """Queue buffered bytes for programming to the zone's die stripe."""
+        """Queue buffered bytes for programming to the zone's die stripe:
+        one program record per full page, completed by :meth:`_flush_done`."""
         page = self._page_size
         total = self._zone_residual.get(zone_index, 0) + nbytes
         if total >= page:
             table = self.striping.zone_table(zone_index)
             width = len(table)
             cursor = self._zone_page_cursor.get(zone_index, 0)
-            spawn = self.sim.spawn
-            if self.faults is None:
-                flush = self._flush_page_to_die
-                while total >= page:
-                    total -= page
-                    spawn(flush(table[cursor % width]))
-                    cursor += 1
-            else:
+            program, done = self.backend.program, self._flush_done
+            pending = wear = token = None
+            if self.faults is not None:
                 # Fault-aware flushes carry a power-loss cancellation
                 # token and attribute program failures to the zone.
                 pending = self._zone_pending.setdefault(zone_index, [])
-                flush = self._flush_zone_page
-                while total >= page:
-                    total -= page
+                wear = (self.faults.wear.unit(zone_index)
+                        if self.backend.faults is not None else None)
+            while total >= page:
+                total -= page
+                if pending is not None:
                     token = [False, False]  # [cancelled, program started]
                     pending.append(token)
-                    spawn(flush(zone_index, table[cursor % width], token))
-                    cursor += 1
+                program(table[cursor % width], PRIO_IO, label="flush",
+                        token=token, wear=wear, done=done, tag=zone_index)
+                cursor += 1
             self._zone_page_cursor[zone_index] = cursor
         self._zone_residual[zone_index] = total
 
-    def _flush_zone_page(self, zone_index: int, die: int,
-                         token: list) -> Generator:
-        """Fault-aware page flush: cancellable, failure-attributed."""
-        wear = (self.faults.wear.unit(zone_index)
-                if self.backend.faults is not None else None)
-        failures = yield from self._flush_page_to_die(die, cancel=token,
-                                                      wear=wear)
-        pending = self._zone_pending.get(zone_index)
-        if pending is not None:
-            try:
-                pending.remove(token)
-            except ValueError:
-                pass
-        if failures > 0 and wear is not None:
-            wear.program_failures += failures
-            self._apply_wear_retirement(self.zones.zones[zone_index], wear)
+    def _flush_settled(self, op) -> None:
+        self._zone_pending[op.tag].remove(op.token)
+        if op.result > 0 and op.wear is not None:
+            op.wear.program_failures += op.result
+            self._apply_wear_retirement(self.zones.zones[op.tag], op.wear)
 
     def _apply_wear_retirement(self, zone: Zone, wear) -> bool:
         """Firmware wear accounting: retire a worn zone per the plan.

@@ -38,7 +38,7 @@ class TestSharedCore:
         assert ZnsDevice.kind == "zns" and ConvDevice.kind == "conv"
         # The pipeline methods are inherited, not re-implemented.
         for name in ("_controller_service", "_complete", "submit",
-                     "_io_shape", "_flush_page_to_die"):
+                     "_io_shape", "_flush_done"):
             assert getattr(ZnsDevice, name) is getattr(DeviceCore, name)
             assert getattr(ConvDevice, name) is getattr(DeviceCore, name)
 
@@ -83,6 +83,12 @@ class TestGoldenIdentity:
         # curves and the injector stopped batching its draws: both must
         # leave every fault outcome where it was.
         self._check("fig2b", "fig2b_fast_chaos.txt", faults="chaos")
+
+    def test_fig3_under_power_cut_matches_golden(self):
+        # Rendered while page operations still held dies and buses as
+        # Resources, one process each: the cut cancels queued flushes
+        # that must still cross their bus and drop at die start.
+        self._check("fig3", "fig3_fast_power_cut.txt", faults="power-cut")
 
 
 def _synthetic_quantities(name: str) -> dict:

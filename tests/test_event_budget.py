@@ -13,7 +13,8 @@ no ``Timeout`` at all, and no code under ``src/repro`` sleeps the other
 way, by yielding a ``Timeout`` it builds in the yield expression
 (DESIGN.md §15.6). Nor does any wait on a command by yielding the event
 of a ``submit`` call: a process runs the ``issue`` generator instead
-(DESIGN.md §11).
+(DESIGN.md §11). Page operations are records served by the dies and
+buses, so the point builds fewer processes than it completes commands.
 """
 
 import ast
@@ -25,7 +26,7 @@ from repro.core.experiments.common import (
     build_device,
     measure_job,
 )
-from repro.sim.engine import Timeout, events_total, ms
+from repro.sim.engine import Process, Timeout, events_total, ms
 from repro.workload.job import IoKind, JobSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -35,19 +36,27 @@ COMMANDS = 691
 #: Page programs the point completes.
 PAGE_PROGRAMS = 704
 #: Dispatched events per completed command: 37.37 before the event diet,
-#: 35.33 after it, 31.33 once commands run inside the waiting process.
-EVENTS_PER_COMMAND_BOUND = 31.34
+#: 35.33 after it, 31.33 once commands run inside the waiting process,
+#: 20.01 once dies and buses serve page-operation records.
+EVENTS_PER_COMMAND_BOUND = 20.02
 
 
 def test_zns_write_point_events_per_command(monkeypatch):
     timeouts = []
+    processes = []
     build_timeout = Timeout.__init__
+    build_process = Process.__init__
 
     def spy(self, *args, **kwargs):
         timeouts.append(args)
         build_timeout(self, *args, **kwargs)
 
+    def process_spy(self, *args, **kwargs):
+        processes.append(args)
+        build_process(self, *args, **kwargs)
+
     monkeypatch.setattr(Timeout, "__init__", spy)
+    monkeypatch.setattr(Process, "__init__", process_spy)
     config = ExperimentConfig()
     sim, device = build_device(config)
     device.debug_prefill_buffer(zone_index=3)
@@ -65,6 +74,9 @@ def test_zns_write_point_events_per_command(monkeypatch):
         f"({events / commands:.2f} per command)"
     )
     assert timeouts == []
+    # Page operations are records queued at die and bus servers, not
+    # processes.
+    assert len(processes) < commands, f"{len(processes)} processes"
 
 
 def _yielded_calls(method: str) -> list[str]:

@@ -247,6 +247,24 @@ class TestJobRunner:
         with pytest.raises(ValueError):
             runner.run()
 
+    def test_spdk_zone_write_above_qd1_rejected_at_construction(self):
+        """SPDK allows one in-flight write per zone, so a zoned write job
+        at iodepth > 1 is refused before any simulated time passes."""
+        from repro.zns import ZnsDevice
+        from repro.zns.profiles import zn540_small
+
+        sim = Simulator()
+        dev = ZnsDevice(sim, zn540_small())
+        job = JobSpec(op=IoKind.WRITE, block_size=16 * KIB, iodepth=2,
+                      zones=[0, 1, 2, 3], runtime_ns=ms(1))
+        with pytest.raises(ValueError, match="one in-flight write per zone"
+                           ".*numjobs one-zone threads at iodepth 1, or appends"):
+            JobRunner(dev, SpdkStack(dev), job)
+        assert sim.now == 0
+        # A stack that does not enforce the rule (the interference
+        # experiments' writer) still takes the job.
+        JobRunner(dev, SpdkStack(dev, enforce_write_serialization=False), job)
+
     def test_mq_deadline_intra_zone_write_merging(self):
         """Obs #7 mechanism: QD writes through mq-deadline merge and
         beat the per-command IOPS cap."""
