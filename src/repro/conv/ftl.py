@@ -26,6 +26,7 @@ the matching NAND operations through the shared flash backend.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
@@ -44,21 +45,21 @@ class FtlFullError(RuntimeError):
     """Raised when an allocation finds no free block anywhere."""
 
 
+#: Pages the bulk build's fill deals at a time (bounds its temporaries).
+_FILL_CHUNK = 1 << 16
+
+
 class Block:
-    """One erase block: slot→logical back-map and validity accounting."""
+    """One erase block: write slot and validity accounting. Its slots'
+    logical pages live in the FTL's flat back-map."""
 
-    __slots__ = ("block_id", "die", "slot_to_logical", "write_slot", "valid_count")
+    __slots__ = ("block_id", "die", "write_slot", "valid_count")
 
-    def __init__(self, block_id: int, die: int, pages_per_block: int):
+    def __init__(self, block_id: int, die: int):
         self.block_id = block_id
         self.die = die
-        self.slot_to_logical = [-1] * pages_per_block
         self.write_slot = 0
         self.valid_count = 0
-
-    @property
-    def is_full(self) -> bool:
-        return self.write_slot >= len(self.slot_to_logical)
 
 
 class PageMappedFtl:
@@ -78,9 +79,13 @@ class PageMappedFtl:
         self.logical_pages = int(geometry.total_pages * (1 - overprovision))
         if self.logical_pages <= 0:
             raise ValueError("geometry too small for any logical capacity")
-        #: Dense logical→physical map (``None`` = unmapped) and the number
-        #: of mapped entries in it.
-        self._l2p: list[Optional[int]] = [None] * self.logical_pages
+        #: Flat logical→physical map and physical→logical back-map (``-1``
+        #: unmapped; DESIGN.md §18.2), and the number of mapped pages. The
+        #: typecode, also their numpy dtype, is int32 when every physical
+        #: page id fits.
+        code = "i" if geometry.total_pages <= np.iinfo(np.int32).max else "q"
+        self._l2p = array(code, [-1]) * self.logical_pages
+        self._back = array(code, [-1]) * geometry.total_pages
         self._mapped = 0
         blocks_per_die = geometry.planes_per_die * geometry.blocks_per_plane
         if not 0 <= spare_blocks_per_die < blocks_per_die:
@@ -100,7 +105,7 @@ class PageMappedFtl:
         for die in range(geometry.total_dies):
             for b in range(blocks_per_die):
                 block_id = die * blocks_per_die + b
-                self.blocks.append(Block(block_id, die, self.pages_per_block))
+                self.blocks.append(Block(block_id, die))
                 if b >= blocks_per_die - spare_blocks_per_die:
                     self._spare[die].append(block_id)
                 else:
@@ -122,46 +127,34 @@ class PageMappedFtl:
     def mapped_pages(self) -> int:
         return self._mapped
 
-    def write_amplification(self) -> float:
-        """Cumulative WA = (user + GC copies) / user pages."""
-        if self.total_user_pages_written == 0:
-            return 1.0
-        return (
-            self.total_user_pages_written + self.total_gc_pages_copied
-        ) / self.total_user_pages_written
-
     def lookup(self, logical_page: int) -> Optional[int]:
         """Physical page id of a logical page, or None if unmapped."""
         self._check_logical(logical_page)
-        return self._l2p[logical_page]
+        physical = self._l2p[logical_page]
+        return None if physical < 0 else physical
 
     def die_of_physical(self, physical_page: int) -> int:
         return self.blocks[physical_page // self.pages_per_block].die
-
-    def block_of_physical(self, physical_page: int) -> int:
-        return physical_page // self.pages_per_block
-
-    def is_remapped(self, physical_page: int) -> bool:
-        """True if the page lives on a spare promoted after a bad block
-        (accesses pay the firmware's remap-table indirection)."""
-        return physical_page // self.pages_per_block in self.remapped_blocks
-
-    def spare_blocks_left(self, die: int) -> int:
-        return len(self._spare[die])
 
     def check_invariants(self) -> None:
         """Raise :class:`SimulationError` if a mapping or pool invariant
         fails (used by property tests). Explicit raises, not
         ``assert``, so ``python -O`` keeps the check.
 
-        One pass over the back-maps, as one array, checks every set slot
-        against the L2P. Distinct slots are distinct physical pages, so the
-        slots that pass map distinct logical pages; the L2P direction then
-        holds iff the L2P maps exactly as many pages as the back-maps hold."""
+        One pass over the back-map, read in place as one array, checks
+        every set slot against the L2P. Distinct slots are distinct
+        physical pages, so the slots that pass map distinct logical pages;
+        the L2P direction then holds iff the L2P maps exactly as many pages
+        as the back-map holds."""
         blocks = self.blocks
-        # Row i is blocks[i], so flat index i * pages_per_block + slot is
-        # the slot's physical page.
-        back = np.array([block.slot_to_logical for block in blocks])
+        l2p = np.frombuffer(self._l2p, self._l2p.typecode)
+        # Row i is blocks[i]: flat index i * pages_per_block + slot.
+        back = np.frombuffer(self._back, self._back.typecode).reshape(len(blocks), -1)
+        # Only -1 means unmapped: any other entry out of range is corruption.
+        for name, entries, bound in (("L2P", l2p, back.size),
+                                     ("back-map", back, self.logical_pages)):
+            if entries.min() < -1 or entries.max() >= bound:
+                raise SimulationError(f"{name} entry out of range")
         live = back >= 0
         if (live.sum(axis=1) != [block.valid_count for block in blocks]).any():
             raise SimulationError("valid_count drift")
@@ -169,7 +162,6 @@ class PageMappedFtl:
         if (live & (np.arange(self.pages_per_block) >= write_slots[:, None])).any():
             raise SimulationError("mapped slot beyond the write slot")
         physical = np.flatnonzero(live)
-        l2p = np.array([-1 if p is None else p for p in self._l2p])
         if (l2p[back.ravel()[physical]] != physical).any():
             raise SimulationError("back-map entry missing from L2P")
         mapped = int(np.count_nonzero(l2p >= 0))
@@ -248,7 +240,7 @@ class PageMappedFtl:
         self._check_logical(logical_page)
         physical = self._allocate(self._user_active, logical_page, reserve)
         old = self._l2p[logical_page]
-        if old is None:
+        if old < 0:
             self._mapped += 1
         else:
             self._invalidate_physical(old)
@@ -260,9 +252,9 @@ class PageMappedFtl:
         """Unmap a logical page (NVMe deallocate); True if it was mapped."""
         self._check_logical(logical_page)
         old = self._l2p[logical_page]
-        if old is None:
+        if old < 0:
             return False
-        self._l2p[logical_page] = None
+        self._l2p[logical_page] = -1
         self._mapped -= 1
         self._invalidate_physical(old)
         return True
@@ -297,17 +289,17 @@ class PageMappedFtl:
         and counted in ``total_gc_pages_copied``, the rest stay mapped in
         the victim, and the victim's ``valid_count`` counts them.
         """
-        slots = victim.slot_to_logical
-        l2p = self._l2p
+        base = victim.block_id * self.pages_per_block
+        back, l2p = self._back, self._l2p
         gc_active = self._gc_active
         allocate = self._allocate
         moved: list[int] = []
         try:
-            for slot, logical in enumerate(slots):
+            for physical, logical in enumerate(back[base:base + self.pages_per_block], base):
                 if logical < 0:
                     continue
                 new_physical = allocate(gc_active, logical)
-                slots[slot] = -1
+                back[physical] = -1
                 victim.valid_count -= 1
                 l2p[logical] = new_physical
                 moved.append(new_physical)
@@ -322,7 +314,7 @@ class PageMappedFtl:
                 f"erasing block {victim.block_id} with {victim.valid_count} valid pages"
             )
         self._detach(victim)
-        victim.slot_to_logical = [-1] * self.pages_per_block
+        self._clear_back_map(victim)
         victim.write_slot = 0
         self._free[victim.die].append(victim.block_id)
         self.free_block_count += 1
@@ -344,7 +336,7 @@ class PageMappedFtl:
             )
         self._detach(victim)
         self.bad_blocks.add(victim.block_id)
-        victim.slot_to_logical = [-1] * self.pages_per_block
+        self._clear_back_map(victim)
         victim.write_slot = self.pages_per_block  # full forever: never allocated
         spares = self._spare[victim.die]
         if not spares:
@@ -364,11 +356,16 @@ class PageMappedFtl:
 
     def _invalidate_physical(self, physical: int) -> None:
         block = self.blocks[physical // self.pages_per_block]
-        slot = physical % self.pages_per_block
-        if block.slot_to_logical[slot] < 0:
+        if self._back[physical] < 0:
             raise ValueError(f"double invalidate of physical page {physical}")
-        block.slot_to_logical[slot] = -1
+        self._back[physical] = -1
         block.valid_count -= 1
+
+    def _clear_back_map(self, block: Block) -> None:
+        pages_per_block = self.pages_per_block
+        base = block.block_id * pages_per_block
+        unmapped = array(self._back.typecode, [-1]) * pages_per_block
+        self._back[base:base + pages_per_block] = unmapped
 
     def _detach(self, victim: Block) -> None:
         """Forget a recycled block as the active block of the stream that
@@ -387,8 +384,6 @@ class PageMappedFtl:
             die = self._die_cursor
             self._die_cursor = (die + 1) % dies
             block = active_set[die]
-            # ``write_slot == full`` is ``is_full`` without the property
-            # lookup: when the FTL stalls this loop runs for every die.
             if block is None or block.write_slot == full:
                 if self.free_block_count <= reserve:
                     continue  # don't eat into the GC reserve
@@ -396,11 +391,11 @@ class PageMappedFtl:
                 if block is None:
                     continue
                 active_set[die] = block
-            slot = block.write_slot
+            physical = block.block_id * full + block.write_slot
             block.write_slot += 1
-            block.slot_to_logical[slot] = logical
+            self._back[physical] = logical
             block.valid_count += 1
-            return block.block_id * full + slot
+            return physical
         raise FtlFullError("no allocatable block outside the GC reserve")
 
     def _collectable_entries(self) -> list[tuple[int, int]]:
@@ -432,10 +427,12 @@ class _SteadyStateBuild:
     """A pristine :class:`PageMappedFtl` mirrored on numpy arrays, where the
     precondition's fill, overwrites and GC run as array operations.
 
-    It holds the L2P (``-1`` unmapped), a flat back-map indexed by
-    physical page, per-block valid counts, a full-block mask, each die's
-    free pool as a ring buffer (``pool`` row, ``head``, ``count``), and per
-    stream and die the active block (``-1`` none) with its write slot
+    It holds the FTL's two flat maps in the FTL's own layout and element
+    type, the L2P (``-1`` unmapped) and the back-map indexed by physical
+    page, so :meth:`write_to` copies them in as buffers. It also holds
+    per-block valid counts, a full-block mask, each die's free pool as a
+    ring buffer (``pool`` row, ``head``, ``count``), and per stream and
+    die the active block (``-1`` none) with its write slot
     (``pages_per_block`` when there is none, so a missing and a full
     active block both mean: take a pooled block before the next page).
     """
@@ -445,7 +442,7 @@ class _SteadyStateBuild:
         dies = self.n_dies = ftl._dies
         n_blocks = ftl._total_blocks
         self.blocks_per_die = n_blocks // dies
-        index = np.int32 if n_blocks * pages_per_block <= np.iinfo(np.int32).max else np.int64
+        index = np.dtype(ftl._back.typecode)
         self.l2p = np.full(ftl.logical_pages, -1, index)
         self.back = np.full(n_blocks * pages_per_block, -1, index)
         self.valid = np.zeros(n_blocks, np.int64)
@@ -531,11 +528,16 @@ class _SteadyStateBuild:
         return placed[0] if len(placed) == 1 else np.concatenate(placed)
 
     def fill(self, mapped: int) -> None:
-        """``commit_write`` of logical pages ``0 .. mapped-1``, in order."""
-        physical = self.deal(_USER, mapped)
-        self.l2p[:mapped] = physical
-        self.back[physical] = np.arange(mapped)
-        self.valid += np.bincount(physical // self.pages_per_block, minlength=len(self.valid))
+        """``commit_write`` of logical pages ``0 .. mapped-1``, in order,
+        dealt ``_FILL_CHUNK`` pages at a time: ``deal(a)`` then
+        ``deal(b)`` is ``a + b`` calls of ``_allocate``, and the chunks
+        keep the deal's temporaries from growing with the device."""
+        for first in range(0, mapped, _FILL_CHUNK):
+            physical = self.deal(_USER, min(_FILL_CHUNK, mapped - first))
+            self.l2p[first:first + len(physical)] = physical
+            self.back[physical] = np.arange(first, first + len(physical))
+            self.valid += np.bincount(physical // self.pages_per_block,
+                                      minlength=len(self.valid))
 
     def churn(self, writes: np.ndarray, policy: GcPolicy) -> None:
         """``commit_write`` of each logical page in ``writes``, with
@@ -698,12 +700,11 @@ class _SteadyStateBuild:
         """Store the built state in ``ftl``, whose logical pages
         ``0 .. mapped-1`` are the mapped ones."""
         pages_per_block = self.pages_per_block
-        ftl._l2p = self.l2p[:mapped].tolist() + [None] * (ftl.logical_pages - mapped)
+        code = ftl._back.typecode
+        ftl._l2p = array(code, self.l2p.tobytes())
+        ftl._back = array(code, self.back.tobytes())
         ftl._mapped = mapped
-        rows = self.back.reshape(-1, pages_per_block).tolist()
-        for block, row, valid, full in zip(ftl.blocks, rows, self.valid.tolist(),
-                                           self.full.tolist()):
-            block.slot_to_logical = row
+        for block, valid, full in zip(ftl.blocks, self.valid.tolist(), self.full.tolist()):
             block.valid_count = valid
             block.write_slot = pages_per_block if full else 0
         for actives, block_ids, slots in zip((ftl._user_active, ftl._gc_active),

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from hypothesis import strategies as st
 
 from repro.conv import ConvDevice, FtlFullError, GcPolicy, PageMappedFtl
 from repro.conv import device as conv_device
+from repro.conv import ftl as conv_ftl
 from repro.conv.ftl import _GC, _USER, Block, _SteadyStateBuild
 from repro.core.experiments.io_interference import conv_experiment_profile
 from repro.flash import KIB, FlashGeometry
 from repro.sim import SimulationError, Simulator
 
-from .test_conv_device import ftl_state
+from .test_conv_device import block_slots, ftl_state, write_amplification
 
 
 def tiny_geometry(**overrides) -> FlashGeometry:
@@ -62,7 +64,7 @@ class TestMapping:
         assert first != second
         assert ftl.lookup(3) == second
         old_block = ftl.blocks[first // ftl.pages_per_block]
-        assert old_block.slot_to_logical[first % ftl.pages_per_block] == -1
+        assert block_slots(ftl, old_block)[first % ftl.pages_per_block] == -1
 
     def test_trim_unmaps(self):
         ftl = PageMappedFtl(tiny_geometry(), overprovision=0.25)
@@ -121,7 +123,7 @@ class TestGarbageCollection:
         # one block on each die.
         for logical in range(2 * ftl.pages_per_block):
             ftl.commit_write(logical)
-        full_block = next(b for b in ftl.blocks if b.is_full)
+        full_block = next(b for b in ftl.blocks if b.write_slot == ftl.pages_per_block)
         with pytest.raises(ValueError):
             ftl.erase(full_block)
 
@@ -129,14 +131,14 @@ class TestGarbageCollection:
         ftl = PageMappedFtl(tiny_geometry(), overprovision=0.5)
         for logical in range(ftl.logical_pages):
             ftl.commit_write(logical)
-        assert ftl.write_amplification() == 1.0
+        assert write_amplification(ftl) == 1.0
         # Stride 3 so garbage lands *partially* in each block (stride 2
         # would align with the two-die round-robin and leave fully
         # invalid victims that GC reclaims copy-free).
         for logical in range(0, ftl.logical_pages, 3):
             ftl.commit_write(logical)
         run_gc_until(ftl, 0.35)
-        assert ftl.write_amplification() > 1.0
+        assert write_amplification(ftl) > 1.0
 
     def test_ftl_full_raises_when_gc_absent(self):
         ftl = PageMappedFtl(tiny_geometry(), overprovision=0.25)
@@ -180,7 +182,7 @@ def test_mapping_integrity_under_random_overwrites_and_gc(writes):
     for logical in written:
         physical = ftl.lookup(logical)
         block = ftl.blocks[physical // ftl.pages_per_block]
-        assert block.slot_to_logical[physical % ftl.pages_per_block] == logical
+        assert block_slots(ftl, block)[physical % ftl.pages_per_block] == logical
 
 
 def reference_victim(ftl: PageMappedFtl, exclude=frozenset()):
@@ -188,7 +190,7 @@ def reference_victim(ftl: PageMappedFtl, exclude=frozenset()):
     ``_collectable_entries``: the oracle for ``pick_victim``."""
     best = None
     for block in ftl.blocks:
-        if not block.is_full or block.block_id in ftl.bad_blocks:
+        if block.write_slot != ftl.pages_per_block or block.block_id in ftl.bad_blocks:
             continue
         if block.block_id in exclude:
             continue
@@ -264,7 +266,7 @@ def test_erased_active_block_leaves_its_stream():
     ftl.erase(victim)
     ftl.check_invariants()
     physical = ftl.commit_write(1)
-    assert ftl.block_of_physical(physical) != victim.block_id
+    assert physical // ftl.pages_per_block != victim.block_id
     ftl.check_invariants()
 
 
@@ -283,8 +285,7 @@ def relocate_page_by_page(ftl: PageMappedFtl, victim: Block) -> list[int]:
     ``_invalidate_physical``.
     """
     moved = []
-    for slot in range(ftl.pages_per_block):
-        logical = victim.slot_to_logical[slot]
+    for slot, logical in enumerate(block_slots(ftl, victim)):
         if logical < 0:
             continue
         new_physical = ftl._allocate(ftl._gc_active, logical)
@@ -373,8 +374,8 @@ def test_relocate_block_partial_failure_keeps_moved_pages():
     with pytest.raises(FtlFullError):
         ftl.relocate_block(victim)
     assert ftl.total_gc_pages_copied == copied + 2
-    assert [ftl.block_of_physical(ftl.lookup(l)) for l in (5, 6, 7)] == [4, 4, 1]
-    assert victim.slot_to_logical == [-1, -1, -1, 7]
+    assert [ftl.lookup(l) // ftl.pages_per_block for l in (5, 6, 7)] == [4, 4, 1]
+    assert block_slots(ftl, victim) == [-1, -1, -1, 7]
     assert victim.valid_count == 1
     ftl.check_invariants()
     assert ftl.pick_victim() is reference_victim(ftl)
@@ -437,6 +438,24 @@ def test_check_invariants_catches_mapping_drift():
         mutate(ftl)
         with pytest.raises(SimulationError, match=message):
             ftl.check_invariants()
+
+
+@pytest.mark.parametrize("corrupt", ["l2p", "back"])
+@pytest.mark.parametrize("value", ["below", "above"])
+def test_check_invariants_rejects_map_entries_out_of_range(corrupt, value):
+    """Only ``-1`` marks an unmapped entry: an entry below it, or one
+    naming a page past the end of the other map, is corruption even in an
+    unmapped L2P entry or an unwritten slot, where the other checks would
+    read it as unmapped."""
+    ftl = PageMappedFtl(tiny_geometry(), overprovision=0.25)
+    ftl.commit_write(0)
+    ftl.check_invariants()
+    entries, bound = ((ftl._l2p, ftl.geometry.total_pages) if corrupt == "l2p"
+                      else (ftl._back, ftl.logical_pages))
+    entries[-1] = -2 if value == "below" else bound
+    name = "L2P" if corrupt == "l2p" else "back-map"
+    with pytest.raises(SimulationError, match=f"{name} entry out of range"):
+        ftl.check_invariants()
 
 
 # -- the bulk precondition ---------------------------------------------------
@@ -589,7 +608,8 @@ def test_deal_keeps_an_exactly_full_active_block(stream):
     bulk, oracle, dealt, allocated = deal_both(geometry, 2 * 4, stream=stream)
     assert dealt == allocated
     actives = bulk._user_active if stream == _USER else bulk._gc_active
-    assert all(block is not None and block.is_full for block in actives)
+    assert all(block is not None and block.write_slot == geometry.pages_per_block
+               for block in actives)
     assert bulk.free_block_count == geometry.total_blocks - 2
     assert dealer_state(bulk) == dealer_state(oracle)
 
@@ -712,6 +732,27 @@ def precondition_both(oracle: PageMappedFtl, bulk: PageMappedFtl, utilization: f
     precondition_page_by_page(oracle, utilization, churn, seed, policy)
     bulk.check_invariants()
     assert end_state(bulk) == end_state(oracle)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+@pytest.mark.parametrize("channels, blocks_per_plane, pages_per_block, utilization, churn", [
+    (1, 6, 4, 1.0, 0.0),
+    (2, 6, 3, 0.8, 1.5),
+    (3, 5, 2, 0.7, 2.0),
+])
+def test_precondition_fill_in_chunks_matches_page_by_page_oracle(
+        monkeypatch, chunk, channels, blocks_per_plane, pages_per_block, utilization,
+        churn):
+    """The fill deals ``_FILL_CHUNK`` pages at a time. With chunks of a
+    few pages, the boundaries fall mid-round and mid-block, which the
+    oracle's tiny geometries never reach at the real chunk size."""
+    monkeypatch.setattr(conv_ftl, "_FILL_CHUNK", chunk)
+    geometry = tiny_geometry(channels=channels, blocks_per_plane=blocks_per_plane,
+                             pages_per_block=pages_per_block)
+    bulk, oracle = (PageMappedFtl(geometry, overprovision=0.2) for _ in range(2))
+    assert int(bulk.logical_pages * utilization) > 2 * chunk
+    precondition_both(oracle, bulk, utilization, churn, 11,
+                      GcPolicy(low_watermark=0.1, high_watermark=0.3))
 
 
 def test_gc_run_stops_at_the_watermark(monkeypatch):
@@ -858,6 +899,22 @@ def test_churn_15_steady_state_digest(spares):
     ftl = experiment_ftl(1.5, spares)
     digest = hashlib.sha256(json.dumps(end_state(ftl)).encode()).hexdigest()
     assert digest == CHURN_15_STEADY_STATE_SHA256[spares]
+
+
+def test_precondition_peak_memory_is_bounded():
+    """The experiment geometry's churn-1.0 precondition, memo store
+    included, peaks at about 22 MiB of traced allocations; with the maps
+    held as Python lists it peaked at about 63 MiB."""
+    conv_device._preconditioned.clear()
+    device = ConvDevice(Simulator(), conv_experiment_profile())
+    tracemalloc.start()
+    try:
+        device.precondition(0.92, steady_state_churn=1.0, seed=0x5EED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        conv_device._preconditioned.clear()
+    assert peak <= 32 * 2**20
 
 
 def test_experiment_build_deals_whole_runs_of_victims(monkeypatch):

@@ -276,7 +276,7 @@ class TestConvBadBlocks:
         ftl = self._ftl(spares=1)
         total = ftl.geometry.total_blocks
         assert ftl.free_block_count == total - 2   # one spare per die
-        assert ftl.spare_blocks_left(0) == 1
+        assert len(ftl._spare[0]) == 1
 
     def test_retire_promotes_spare_and_flags_remap(self):
         ftl = self._ftl(spares=1)
@@ -285,10 +285,11 @@ class TestConvBadBlocks:
         assert spare is not None
         assert victim.block_id in ftl.bad_blocks
         assert spare.block_id in ftl.remapped_blocks
-        assert ftl.is_remapped(spare.block_id * ftl.pages_per_block)
-        assert ftl.spare_blocks_left(victim.die) == 0
+        page = spare.block_id * ftl.pages_per_block
+        assert page // ftl.pages_per_block in ftl.remapped_blocks
+        assert len(ftl._spare[victim.die]) == 0
         # The dead block can never be picked again.
-        assert victim.is_full
+        assert victim.write_slot == ftl.pages_per_block
         picked = ftl.pick_victim()
         assert picked is None or picked.block_id != victim.block_id
 
