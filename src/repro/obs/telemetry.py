@@ -23,6 +23,12 @@ Determinism contract (the whole point of the design):
 * window boundaries are pure integer arithmetic on the simulated clock,
   so the same point produces bit-identical segments in any worker
   process at any ``--jobs``;
+* clock advances a process skipped while nothing else could run (a
+  zone-management command sleeping through its quiet firmware chunks)
+  arrive replayed, all at once: each replayed time is passed as the
+  argument, and ``sim.now`` is not moved to it. Nothing the sampler
+  reads changes between them, so the rows they close after the first
+  repeat that row;
 * empty windows produce **no row** — a row's deltas cover the whole
   span since the previous row (``spans`` records how many intervals
   that is), which keeps idle stretches free instead of materializing
@@ -111,6 +117,38 @@ class TelemetrySampler:
         completed = now // self.interval_ns
         self._sample(completed, completed * self.interval_ns)
         self._next = (completed + 1) * self.interval_ns
+
+    def _on_replay(self, times: list[int]) -> None:
+        """Bulk tick hook: the advances a process skipped while nothing
+        else could run (:meth:`Simulator.replay_advances`).
+
+        The first time that closes a window samples as
+        :meth:`_on_advance` does. Nothing the sampler reads changes
+        between the replayed times, so each later row repeats that row's
+        gauge and level values and records no entries.
+        """
+        interval = self.interval_ns
+        sampled = False
+        later: list[int] = []
+        for when in times:
+            if when < self._next:
+                continue
+            completed = when // interval
+            self._next = (completed + 1) * interval
+            if sampled:
+                later.append(completed)
+            else:
+                self._sample(completed, completed * interval)
+                sampled = True
+        if later:
+            repeats = len(later)
+            gauges = len(self._gauges)
+            if gauges:
+                self._gauge_values += self._gauge_values[-gauges:] * repeats
+            levels = len(self.device._telemetry_level_names)
+            self._level_values += self._level_values[-levels:] * repeats
+            self._windows += later
+            self._closed = later[-1]
 
     def _bind(self, metrics: list) -> None:
         """Plan the metrics registered since the last row (registries
@@ -279,7 +317,7 @@ class TelemetryCollector:
         sampler = TelemetrySampler(self.interval_ns, device,
                                    ordinal=len(self._samplers))
         self._samplers.append(sampler)
-        device.sim.add_tick_hook(sampler._on_advance)
+        device.sim.add_tick_hook(sampler._on_advance, sampler._on_replay)
         return sampler
 
     def drain(self) -> list[dict[str, Any]]:

@@ -71,6 +71,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -302,6 +303,11 @@ class Process(Event):
             target.add_callback(self)
 
     def _advance(self, step: Callable, arg: Any) -> None:
+        # A step taken here runs inside another step (a fan-out, a
+        # callback, a throw), so code may still run at ``now`` after it
+        # yields: :meth:`Simulator.quiet_until` answers ``None`` inside.
+        sim = self.sim
+        sim._nested += 1
         try:
             target = step(arg)
         except StopIteration as stop:
@@ -313,6 +319,8 @@ class Process(Event):
         except BaseException as error:  # noqa: BLE001 - propagate into event
             self.fail(error)
             return
+        finally:
+            sim._nested -= 1
         self._block_on(target)
 
 
@@ -394,7 +402,8 @@ _INLINE_WAIT = frozenset({Event, Timeout, Process, AnyOf, AllOf})
 class Simulator:
     """The discrete-event engine: a clock, a ready deque, and a heap."""
 
-    __slots__ = ("now", "_heap", "_ready", "_sequence", "_tick")
+    __slots__ = ("now", "_heap", "_ready", "_sequence", "_tick", "_hooks",
+                 "_deadline", "_stop", "_nested")
 
     def __init__(self):
         #: Current simulated time in nanoseconds. A plain attribute (not a
@@ -405,8 +414,16 @@ class Simulator:
         self._ready: deque[Event] = deque()
         self._sequence = 0
         self._tick: Optional[Callable[[int], None]] = None
+        #: ``(hook, bulk)`` per tick hook, in registration order.
+        self._hooks: list[tuple[Callable, Optional[Callable]]] = []
+        #: The running ``run(until=...)`` deadline or target event.
+        self._deadline: Optional[int] = None
+        self._stop: Optional[Event] = None
+        #: Steps in progress that :meth:`run` did not resume itself.
+        self._nested = 0
 
-    def add_tick_hook(self, hook: Callable[[int], None]) -> None:
+    def add_tick_hook(self, hook: Callable[[int], None],
+                      bulk: Optional[Callable[[list], None]] = None) -> None:
         """Invoke ``hook(now)`` whenever the simulated clock advances.
 
         The hook fires once per *time advance* (per same-timestamp batch),
@@ -418,7 +435,14 @@ class Simulator:
         footprint in the event order keeps runs byte-identical whether or
         not a hook is installed). Multiple hooks compose in registration
         order.
+
+        Advances a process skipped (:meth:`replay_advances`) reach the
+        hook too, before the clock gets there: the replayed time is the
+        argument, and ``self.now`` is not moved. ``bulk``, if given,
+        takes all the times of one replay in a list instead of one call
+        per time.
         """
+        self._hooks.append((hook, bulk))
         previous = self._tick
         if previous is None:
             self._tick = hook
@@ -427,6 +451,51 @@ class Simulator:
                 _first(now)
                 _second(now)
             self._tick = chained
+
+    def quiet_until(self) -> Optional[float]:
+        """The earliest time at which anything other than the running
+        step can run: the heap top or the running ``run(until=...)``
+        deadline, whichever is first, or ``inf`` with neither.
+
+        ``None`` when something can still run now: the ready deque is
+        not empty, the caller's step was not resumed by :meth:`run`
+        itself (a fan-out, a callback or a throw resumed it, and code
+        after it still runs at ``now``), or the step's event is the
+        ``run(until=event)`` target, after which the run's caller goes
+        on at ``now``. Until the returned time only the caller's own
+        wakes can happen, so it may skip those that change nothing and
+        replay them (:meth:`replay_advances`).
+        """
+        if self._ready or self._nested:
+            return None
+        stop = self._stop
+        if stop is not None and stop._processed:
+            return None
+        horizon = self._heap[0][0] if self._heap else inf
+        deadline = self._deadline
+        return horizon if deadline is None or horizon < deadline else deadline
+
+    def replay_advances(self, times: list[int]) -> None:
+        """Hand every tick hook the clock advances to ``times``, in order,
+        without moving the clock: the wakes of a step that skips them.
+
+        ``times`` must increase from after ``now`` to before
+        :meth:`quiet_until`, so no other entry is due in between.
+        """
+        if not times:
+            return
+        horizon = self.quiet_until()
+        if horizon is None or not self.now < times[0] or times[-1] >= horizon \
+                or any(a >= b for a, b in zip(times, times[1:])):
+            raise SimulationError(
+                f"cannot replay advances {times[0]}..{times[-1]} at "
+                f"{self.now} (quiet until {horizon})")
+        for hook, bulk in self._hooks:
+            if bulk is not None:
+                bulk(times)
+            else:
+                for when in times:
+                    hook(when)
 
     # -- factories -------------------------------------------------------
     def event(self) -> Event:
@@ -509,6 +578,8 @@ class Simulator:
         else:
             stop = None
             deadline = None if until is None else int(until)
+        outer = self._deadline, self._stop
+        self._deadline, self._stop = deadline, stop
         heap = self._heap
         ready = self._ready
         popleft = ready.popleft
@@ -598,6 +669,7 @@ class Simulator:
                     append(heappop(heap)[2])
         finally:
             _EVENTS_TOTAL += dispatched
+            self._deadline, self._stop = outer
         if stop is not None:
             raise SimulationError(
                 f"simulation ran out of events before {stop!r} fired"

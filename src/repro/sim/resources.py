@@ -69,17 +69,6 @@ class Resource(PriorityFifo):
         self._waiting = 0
         self._levels: dict[int, deque[Event]] = {}
 
-    # -- introspection ---------------------------------------------------
-    @property
-    def in_use(self) -> int:
-        """Number of currently granted slots."""
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return self._waiting
-
     # -- protocol ----------------------------------------------------------
     def request(self, priority: int = 0) -> Event:
         """Ask for a slot; yield the returned event to block until granted."""

@@ -651,11 +651,18 @@ class ZnsDevice(DeviceCore):
         operations serialize) and, between work chunks, pays for any
         mapping-update debt that I/O completions generated meanwhile —
         I/O preempts management, never the other way around.
+
+        A chunk boundary before :meth:`Simulator.quiet_until` has nothing
+        else before it, so its wake would find no new debt and sleep the
+        next chunk: such boundaries are skipped, their clock advances
+        replayed to the tick hooks, and the sleep runs to the first
+        boundary that is not skipped (DESIGN.md §11).
         """
-        queued_at = self.sim.now
+        sim = self.sim
+        queued_at = sim.now
         req = self.firmware.request(PRIO_MGMT)
         yield req
-        granted_at = self.sim.now
+        granted_at = sim.now
         try:
             done_work = 0
             debt_paid = 0
@@ -664,7 +671,20 @@ class ZnsDevice(DeviceCore):
                 step = min(chunk_ns, work_ns - done_work)
                 new_debt = self._fw_debt_ns - debt_mark
                 debt_mark = self._fw_debt_ns
-                yield step + new_debt
+                sleep = step + new_debt
+                horizon = sim.quiet_until()
+                if horizon is not None:
+                    wake = sim.now + sleep
+                    skipped = []
+                    while wake < horizon and done_work + step < work_ns:
+                        skipped.append(wake)
+                        done_work += step
+                        step = min(chunk_ns, work_ns - done_work)
+                        wake += step
+                    if skipped:
+                        sim.replay_advances(skipped)
+                        sleep = wake - sim.now
+                yield sleep
                 done_work += step
                 debt_paid += new_debt
         finally:

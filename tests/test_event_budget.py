@@ -8,6 +8,11 @@ completed command must stay at or below the bound measured when those
 events went (DESIGN.md §15.5). A change that adds an event per page or
 per command back moves the ratio by about 1 and fails here.
 
+A zone finish sleeps through the chunk boundaries of its firmware work
+that nothing else can reach (DESIGN.md §11), so a fig5b point, which
+runs one finish at a time, dispatches a handful of events per finish
+instead of one per chunk.
+
 Processes sleep by yielding an ``int`` delay, so the same point builds
 no ``Timeout`` at all, and no code under ``src/repro`` sleeps the other
 way, by yielding a ``Timeout`` it builds in the yield expression
@@ -26,8 +31,10 @@ from repro.core.experiments.common import (
     build_device,
     measure_job,
 )
+from repro.core.experiments.state_machine import FIG5B_PLAN
 from repro.sim.engine import Process, Timeout, events_total, ms
 from repro.workload.job import IoKind, JobSpec
+from repro.zns.device import ZnsDevice
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -39,6 +46,10 @@ PAGE_PROGRAMS = 704
 #: 35.33 after it, 31.33 once commands run inside the waiting process,
 #: 20.01 once dies and buses serve page-operation records.
 EVENTS_PER_COMMAND_BOUND = 20.02
+#: Dispatched events per finish of a fig5b point at the lowest occupancy
+#: (the longest finishes): 1,091 (52,381 for 48 finishes) with a wake
+#: per firmware chunk, 4.83 once quiet chunk boundaries are slept through.
+EVENTS_PER_FINISH_BOUND = 10
 
 
 def test_zns_write_point_events_per_command(monkeypatch):
@@ -77,6 +88,23 @@ def test_zns_write_point_events_per_command(monkeypatch):
     # Page operations are records queued at die and bus servers, not
     # processes.
     assert len(processes) < commands, f"{len(processes)} processes"
+
+
+def test_fig5b_point_events_per_finish(monkeypatch):
+    finishes = []
+    exec_finish = ZnsDevice._exec_finish
+
+    def spy(self, *args, **kwargs):
+        finishes.append(args)
+        return exec_finish(self, *args, **kwargs)
+
+    monkeypatch.setattr(ZnsDevice, "_exec_finish", spy)
+    before = events_total()
+    FIG5B_PLAN.point(ExperimentConfig(), {"occupancy": "<0.1%"})
+    events = events_total() - before
+    assert len(finishes) == 48
+    assert events / len(finishes) <= EVENTS_PER_FINISH_BOUND, (
+        f"{events} events for {len(finishes)} finishes")
 
 
 def _yielded_calls(method: str) -> list[str]:

@@ -134,8 +134,8 @@ def test_resource_grants_in_priority_heap_order(capacity, ops):
         for rid in newly:
             waiting.remove(rid)
             granted.append(rid)
-        assert res.in_use == len(model.users)
-        assert res.queue_length == len(model.queue)
+        assert res._in_use == len(model.users)
+        assert res._waiting == len(model.queue)
     sim.run()
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -658,3 +660,198 @@ class TestDeterminism:
         never = sim.event()
         with pytest.raises(SimulationError):
             sim.run(until=never)
+
+
+class TestQuietUntil:
+    """``quiet_until`` is the earliest time anything but the running step
+    can run, or ``None`` while something can still run now."""
+
+    def probe(self, sim, log, *sleeps):
+        """A process that sleeps ``sleeps`` in turn and records
+        ``(now, quiet_until())`` after each wake."""
+        def proc():
+            for sleep in sleeps:
+                yield sleep
+                log.append((sim.now, sim.quiet_until()))
+        return sim.process(proc())
+
+    def test_nothing_else_pending_is_quiet_forever(self):
+        sim, log = Simulator(), []
+        self.probe(sim, log, us(1))
+        sim.run()
+        assert log == [(us(1), math.inf)]
+
+    def test_heap_top(self):
+        sim, log = Simulator(), []
+        sim.timeout(us(7))
+        self.probe(sim, log, us(1), us(10))
+        sim.run()
+        assert log == [(us(1), us(7)), (us(11), math.inf)]
+
+    def test_ready_deque_not_empty(self):
+        sim, log = Simulator(), []
+        sim.timeout(us(9))
+        self.probe(sim, log, us(1), us(1))
+
+        def sleeper():  # starts after the probe, so wakes behind it
+            yield us(1)
+
+        sim.process(sleeper())
+        sim.run()
+        assert log == [(us(1), None), (us(2), us(9))]
+
+    def test_run_deadline_comes_first(self):
+        sim, log = Simulator(), []
+        sim.timeout(us(9))
+        self.probe(sim, log, us(1), us(4))
+        sim.run(until=us(3))
+        assert log == [(us(1), us(3))]
+        sim.run()
+        # The deadline went with the run that set it.
+        assert log[1] == (us(5), us(9))
+        assert sim.quiet_until() == math.inf
+
+    def test_deadline_after_the_heap_top(self):
+        sim, log = Simulator(), []
+        sim.timeout(us(2))
+        self.probe(sim, log, us(1))
+        sim.run(until=us(8))
+        assert log == [(us(1), us(2))]
+
+    def test_fan_out_resume_is_not_quiet(self):
+        """Processes that a callback or a fan-out resumes share their
+        step with code that still runs at ``now``."""
+        sim, log = Simulator(), []
+        gate = sim.event()
+
+        def waiter(tag):
+            yield gate
+            log.append((tag, sim.quiet_until()))
+
+        sim.process(waiter("first"))
+        sim.process(waiter("second"))
+
+        def opener():
+            yield us(1)
+            gate.succeed()
+
+        sim.spawn(opener())
+        sim.run()
+        assert log == [("first", None), ("second", None)]
+        assert sim._nested == 0
+
+    def test_waiter_on_the_run_target_is_not_quiet(self):
+        """``run(until=event)`` returns once the target's waiter stepped,
+        and its caller goes on at that time."""
+        sim, log = Simulator(), []
+        gate = sim.event()
+
+        def waiter():
+            yield gate
+            log.append(sim.quiet_until())
+
+        sim.process(waiter())
+        sim.run()
+        gate.succeed()
+        sim.run(until=gate)
+        assert log == [None]
+
+    def test_resume_from_another_step_is_not_quiet(self):
+        sim, log = Simulator(), []
+
+        class Parking(Event):
+            __slots__ = ("parked",)
+
+            def __init__(self, sim):
+                super().__init__(sim)
+                self.parked = []
+
+            def add_callback(self, waiter):
+                self.parked.append(waiter)
+
+        gate = Parking(sim)
+
+        def parked():
+            yield gate
+            log.append(("resumed", sim.quiet_until()))
+            yield us(1)
+            log.append(("woke", sim.quiet_until()))
+
+        def opener():
+            yield us(1)
+            for waiter in gate.parked:
+                waiter.resume(gate)
+            log.append(("opener", sim.quiet_until()))
+
+        sim.process(parked())
+        sim.spawn(opener())
+        sim.run()
+        # The opener's step went on after the resume, with nothing on
+        # the deque and only the resumed process's sleep on the heap.
+        assert log == [("resumed", None), ("opener", us(2)),
+                       ("woke", math.inf)]
+
+
+class TestReplayAdvances:
+    def test_plain_and_bulk_hooks_see_every_time_in_order(self):
+        sim = Simulator()
+        seen = []
+        sim.add_tick_hook(lambda now: seen.append(("plain", now)))
+        sim.add_tick_hook(lambda now: seen.append(("second", now)),
+                          bulk=lambda times: seen.append(("bulk", times)))
+
+        def proc():
+            yield us(1)
+            sim.replay_advances([us(2), us(3)])
+            assert sim.now == us(1)
+            yield us(3)
+
+        sim.process(proc())
+        sim.run()
+        assert seen == [("plain", us(1)), ("second", us(1)),
+                        ("plain", us(2)), ("plain", us(3)),
+                        ("bulk", [us(2), us(3)]),
+                        ("plain", us(4)), ("second", us(4))]
+
+    @pytest.mark.parametrize("times", [
+        [us(1)],            # not after now
+        [us(3), us(2)],     # not increasing
+        [us(2), us(2)],
+        [us(5)],            # the heap top is due then
+        [us(6)],
+    ])
+    def test_times_outside_the_quiet_stretch_raise(self, times):
+        sim = Simulator()
+        sim.add_tick_hook(lambda now: None)
+        sim.timeout(us(5))
+        errors = []
+
+        def proc():
+            yield us(1)
+            try:
+                sim.replay_advances(times)
+            except SimulationError as error:
+                errors.append(error)
+
+        sim.process(proc())
+        sim.run()
+        assert len(errors) == 1
+
+    def test_replay_while_not_quiet_raises(self):
+        sim = Simulator()
+        errors = []
+
+        def proc():
+            yield us(1)
+            try:
+                sim.replay_advances([us(2)])
+            except SimulationError as error:
+                errors.append(error)
+
+        def sleeper():  # starts after proc, so wakes behind it
+            yield us(1)
+
+        sim.process(proc())
+        sim.process(sleeper())
+        sim.run()
+        assert len(errors) == 1

@@ -73,13 +73,13 @@ class TestResource:
         res = Resource(sim, capacity=1)
         r1 = res.request()
         r2 = res.request()
-        assert res.in_use == 1
-        assert res.queue_length == 1
+        assert res._in_use == 1
+        assert res._waiting == 1
         res.release(r1)
-        assert res.in_use == 1
-        assert res.queue_length == 0
+        assert res._in_use == 1
+        assert res._waiting == 0
         res.release(r2)
-        assert res.in_use == 0
+        assert res._in_use == 0
 
     def test_release_of_queued_request_rejected(self):
         sim = Simulator()
@@ -88,10 +88,10 @@ class TestResource:
         r2 = res.request()
         with pytest.raises(SimulationError, match="holds no slot"):
             res.release(r2)  # still queued: holds no slot
-        assert res.queue_length == 1
+        assert res._waiting == 1
         res.release(r1)
         res.release(r2)
-        assert res.in_use == 0
+        assert res._in_use == 0
 
     def test_release_of_unknown_request_rejected(self):
         sim = Simulator()
