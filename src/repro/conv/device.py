@@ -16,7 +16,6 @@ only the FTL and GC machinery (DESIGN.md §11).
 
 from __future__ import annotations
 
-import pickle
 from collections import OrderedDict
 from typing import Callable, Generator, Optional
 
@@ -27,7 +26,7 @@ from ..hostif.namespace import LBA_4K, LbaFormat
 from ..hostif.status import Status
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
-from ..sim.engine import Event, Process, Simulator, us
+from ..sim.engine import Event, Process, Simulator, Timeout, us
 from ..sim.rng import StreamFactory
 from ..zns.profiles import DeviceProfile
 from .ftl import FtlFullError, PageMappedFtl
@@ -48,7 +47,7 @@ PRIO_GC_URGENT = -1
 GC_WINDOW = 16
 
 #: Preconditioned FTLs kept per process (see :meth:`ConvDevice.precondition`),
-#: least recently used evicted first. One entry is a pickle of a few MiB.
+#: least recently used evicted first. One entry is a few MiB of array copies.
 PRECONDITION_MEMO_ENTRIES = 4
 
 #: Per-access indirection penalty for reads/programs that land on a
@@ -56,7 +55,7 @@ PRECONDITION_MEMO_ENTRIES = 4
 BAD_BLOCK_REMAP_NS = us(25)
 #: Power-loss recovery cost per mapped page (the L2P rebuild scan).
 RECOVERY_PER_PAGE_NS = 40
-_preconditioned: OrderedDict[tuple, bytes] = OrderedDict()
+_preconditioned: OrderedDict[tuple, tuple] = OrderedDict()
 
 
 class _BlockFreed(Event):
@@ -76,6 +75,91 @@ class _BlockFreed(Event):
 
     def add_callback(self, waiter: Process) -> None:
         self.stalled.append(waiter)
+
+
+class _Flush(Process):
+    """One user page's flush: a generator-free record the kernel runs as
+    a process (DESIGN.md §18.1).
+
+    It queues itself on the ready deque where a process's bootstrap
+    goes; each time the run loop or a retry resumes it, :meth:`_send`
+    takes the next step and returns what it waits on: the freed-block
+    event while the FTL refuses the page, the remap lookup's sleep, or
+    ``None`` once the program is queued or the page was dropped. Nothing
+    waits on a flush, so it never completes as an event.
+    """
+
+    __slots__ = ("device", "logical", "token", "physical", "wear")
+
+    def __init__(self, device: "ConvDevice", logical: int, token: list | None):
+        # Event.__init__ inlined: one record per flushed page.
+        sim = self.sim = device.sim
+        self._cb = self._value = self._exception = self.generator = None
+        self._triggered = self._processed = False
+        self._name = "flush"
+        self.device, self.logical, self.token = device, logical, token
+        self.physical = -1
+        self.wear = None
+        sim._ready.append(self)
+
+    def _block_on(self, target) -> None:
+        if target is not None:  # None: the flush is done
+            Process._block_on(self, target)
+
+    def _send(self, _value):
+        device, token = self.device, self.token
+        if self.physical < 0:
+            if token is not None and token[0]:
+                # A power cut dropped this page before it reached the FTL
+                # (before the flush began or while it stalled): the
+                # mapping keeps the old data and the bytes were drained.
+                device._pending_flushes.remove(token)
+                return None
+            ftl = device.ftl
+            try:
+                self.physical = ftl.commit_write(self.logical, reserve=device._gc_reserve)
+            except FtlFullError:
+                # Out of allocatable blocks: stall this flush (and, via
+                # the full buffer, user writes) until GC frees a block —
+                # the mechanism behind Fig. 6a's throughput collapses.
+                device._maybe_wake_gc()
+                return device._space_freed
+            if device.backend.faults is not None:
+                block = self.physical // ftl.pages_per_block
+                self.wear = device.faults.wear.unit(block)
+                if block in ftl.remapped_blocks:
+                    return BAD_BLOCK_REMAP_NS  # resumes below when it wakes
+        elif token[0]:  # cancelled during the remap lookup
+            device._pending_flushes.remove(token)
+            return None
+        device.backend.program(device.ftl.die_of_physical(self.physical), PRIO_IO,
+                               label="flush", token=token, wear=self.wear,
+                               done=device._flush_done)
+        return None
+
+
+class _Copies(Event):
+    """A GC victim's wait for its page copies.
+
+    Each copy's program counts it down. The last one queues a zero
+    :class:`Timeout` whose callback succeeds this event: two ready-deque
+    hops, as a per-copy Event and an ``AllOf`` over them took, so the
+    victim resumes at the same place in the order.
+    """
+
+    __slots__ = ("left",)
+
+    def __init__(self, sim: Simulator, left: int):
+        super().__init__(sim)
+        self.left = left
+
+    def copied(self, _op) -> None:
+        self.left -= 1
+        if not self.left:
+            Timeout(self.sim, 0).add_callback(self._last_copied)
+
+    def _last_copied(self, _timeout: Timeout) -> None:
+        self.succeed()
 
 
 class ConvDevice(DeviceCore):
@@ -162,7 +246,7 @@ class ConvDevice(DeviceCore):
     def _wear_unit_ids(self) -> list[int]:
         # Aged erase blocks start wear-curve failure rates (and eventually
         # bad-block remaps) from an aged baseline.
-        return [block.block_id for block in self.ftl.blocks]
+        return list(range(self.ftl.geometry.total_blocks))
 
     def precondition(self, utilization: float = 1.0,
                      steady_state_churn: float = 0.0, seed: int = 99) -> None:
@@ -181,19 +265,21 @@ class ConvDevice(DeviceCore):
         builder. The result depends only on the FTL's
         shape, the GC watermarks and the arguments, so it is memoized per
         process and a repeat call restores a copy: ``self.ftl`` is
-        replaced by an FTL equal to the one a fresh fill would build.
+        replaced by an FTL equal to the one a fresh fill would build. The
+        memo keeps :meth:`PageMappedFtl.snapshot`: array copies of the
+        maps and columns, and a small pickle of the rest.
         """
         ftl = self.ftl
         ftl.check_pristine()  # before the memo: a hit replaces the FTL
         key = (ftl.geometry, ftl.overprovision, ftl.spare_blocks_per_die,
                self.gc_policy, utilization, steady_state_churn, seed)
-        blob = _preconditioned.get(key)
-        if blob is not None:
+        snapshot = _preconditioned.get(key)
+        if snapshot is not None:
             _preconditioned.move_to_end(key)
-            self.ftl = pickle.loads(blob)
+            self.ftl = PageMappedFtl.from_snapshot(snapshot)
             return
         ftl.precondition(utilization, steady_state_churn, seed, self.gc_policy)
-        _preconditioned[key] = pickle.dumps(ftl, pickle.HIGHEST_PROTOCOL)
+        _preconditioned[key] = ftl.snapshot()
         if len(_preconditioned) > PRECONDITION_MEMO_ENTRIES:
             _preconditioned.popitem(last=False)
 
@@ -271,39 +357,9 @@ class ConvDevice(DeviceCore):
             if self.faults is not None:
                 token = [False, False]  # [cancelled, program started]
                 self._pending_flushes.append(token)
-            self.sim.spawn(self._flush_page(logical, token))
+            _Flush(self, logical, token)
         self._maybe_wake_gc()
         return self._complete(command, Status.SUCCESS, nbytes=nbytes, cid=cid)
-
-    def _flush_page(self, logical: int, token: list | None = None) -> Generator:
-        while True:
-            if token is not None and token[0]:
-                # A power cut dropped this page before it reached the FTL
-                # (before the flush began or while it stalled): the
-                # mapping keeps the old data and the bytes were drained.
-                self._pending_flushes.remove(token)
-                return
-            try:
-                physical = self.ftl.commit_write(logical, reserve=self._gc_reserve)
-                break
-            except FtlFullError:
-                # Out of allocatable blocks: stall this flush (and, via
-                # the full buffer, user writes) until GC frees a block —
-                # the mechanism behind Fig. 6a's throughput collapses.
-                self._maybe_wake_gc()
-                yield self._space_freed
-        wear = None
-        if self.backend.faults is not None:
-            block_id = physical // self.ftl.pages_per_block
-            wear = self.faults.wear.unit(block_id)
-            if block_id in self.ftl.remapped_blocks:
-                yield BAD_BLOCK_REMAP_NS
-                if token[0]:  # cancelled during the remap lookup
-                    self._pending_flushes.remove(token)
-                    return
-        self.backend.program(self.ftl.die_of_physical(physical), PRIO_IO,
-                             label="flush", token=token, wear=wear,
-                             done=self._flush_done)
 
     def _flush_settled(self, op) -> None:
         if op.result > 0 and op.wear is not None:
@@ -387,7 +443,7 @@ class ConvDevice(DeviceCore):
                     victim = self.ftl.pick_victim(exclude=self._gc_inflight_blocks)
                     if victim is None:
                         break
-                    self._gc_inflight_blocks.add(victim.block_id)
+                    self._gc_inflight_blocks.add(victim)
                     active.append(self.sim.process(self._gc_victim(victim)))
                 if not active:
                     break
@@ -401,23 +457,26 @@ class ConvDevice(DeviceCore):
                 )
             self._gc_running = False
 
-    def _gc_victim(self, victim) -> Generator:
-        """Relocate one victim's valid pages, then erase and recycle it."""
+    def _gc_victim(self, victim: int) -> Generator:
+        """Relocate one victim block's valid pages, then erase and
+        recycle it."""
         started = self.sim.now
+        die = victim // self.ftl.blocks_per_die
         try:
             # A copy is a read record whose completion queues the program.
-            copies = []
-            for new_physical in self.ftl.relocate_block(victim):
-                copies.append(self.sim.event())
-                self.backend.read(victim.die, self.gc_priority, label="gc.read",
-                                  done=self._gc_program,
-                                  tag=(self.ftl.die_of_physical(new_physical), copies[-1]))
-            if copies:
-                yield self.sim.all_of(copies)
-                self._gc_copy_counter.inc(len(copies))
-            wear = (self.backend.faults.wear.unit(victim.block_id)
+            moved = self.ftl.relocate_block(victim)
+            if moved:
+                copies = _Copies(self.sim, len(moved))
+                die_of = self.ftl.die_of_physical
+                for new_physical in moved:
+                    self.backend.read(die, self.gc_priority, label="gc.read",
+                                      done=self._gc_program,
+                                      tag=(die_of(new_physical), copies))
+                yield copies
+                self._gc_copy_counter.inc(len(moved))
+            wear = (self.backend.faults.wear.unit(victim)
                     if self.backend.faults is not None else None)
-            erased = yield self.backend.erase(victim.die, self.gc_priority,
+            erased = yield self.backend.erase(die, self.gc_priority,
                                               label="gc.erase", wear=wear)
             bad = erased.result
             freed = True
@@ -436,12 +495,11 @@ class ConvDevice(DeviceCore):
                 self._gc_victim_counter.inc()
             if self.tracer.enabled:
                 self.tracer.span("gc", "gc.victim", started, self.sim.now,
-                                 track="gc", die=victim.die,
-                                 pages_copied=len(copies))
+                                 track="gc", die=die, pages_copied=len(moved))
             if freed:
                 self._signal_space_freed()
         finally:
-            self._gc_inflight_blocks.discard(victim.block_id)
+            self._gc_inflight_blocks.discard(victim)
 
     def _signal_space_freed(self) -> None:
         """Fire the freed-block event; later stalls wait for the next one."""
@@ -469,6 +527,6 @@ class ConvDevice(DeviceCore):
 
     def _gc_program(self, read) -> None:
         """Second half of a GC copy: program the page its read sensed."""
-        die, copied = read.tag
+        die, copies = read.tag
         self.backend.program(die, self.gc_priority, label="gc.program",
-                             done=copied.succeed)
+                             done=copies.copied)

@@ -13,19 +13,22 @@ Structure:
 * writes allocate the next slot of the user active block on a
   round-robin die cursor, remap the logical page, and invalidate the old
   physical page,
-* GC picks greedy victims (fewest valid pages, found by a scan over the
-  blocks; DESIGN.md §18.1), relocates the survivors in one call per
-  victim, and erases.
+* GC picks greedy victims (fewest valid pages, one masked ``argmin`` over
+  the per-block columns; DESIGN.md §18.1), relocates the survivors in one
+  call per victim, and erases.
 * the untimed greedy-GC steady state a measurement starts from is built
   in bulk on numpy arrays (:meth:`PageMappedFtl.precondition`), exact to
   the per-page path above (DESIGN.md §18.6).
 
+Blocks are ids: die ``d`` owns ``d * blocks_per_die`` up to the next
+die's first id, and a block's state lives in flat per-block columns.
 The FTL is pure bookkeeping (no simulated time); the device model drives
 the matching NAND operations through the shared flash backend.
 """
 
 from __future__ import annotations
 
+import pickle
 from array import array
 from collections import deque
 from typing import TYPE_CHECKING, Optional
@@ -38,28 +41,22 @@ from ..sim.engine import SimulationError
 if TYPE_CHECKING:
     from .gc import GcPolicy
 
-__all__ = ["Block", "PageMappedFtl", "FtlFullError"]
+__all__ = ["PageMappedFtl", "FtlFullError"]
 
 
 class FtlFullError(RuntimeError):
     """Raised when an allocation finds no free block anywhere."""
 
 
+_FULL = "no allocatable block outside the GC reserve"
+
 #: Pages the bulk build's fill deals at a time (bounds its temporaries).
 _FILL_CHUNK = 1 << 16
 
-
-class Block:
-    """One erase block: write slot and validity accounting. Its slots'
-    logical pages live in the FTL's flat back-map."""
-
-    __slots__ = ("block_id", "die", "write_slot", "valid_count")
-
-    def __init__(self, block_id: int, die: int):
-        self.block_id = block_id
-        self.die = die
-        self.write_slot = 0
-        self.valid_count = 0
+#: The flat arrays: the two maps and the per-block columns.
+_ARRAYS = ("_l2p", "_back", "_valid", "_write_slot", "_bad")
+#: The columns' zero-copy numpy views, rebuilt rather than stored.
+_VIEWS = ("_valid_np", "_slot_np", "_bad_np")
 
 
 class PageMappedFtl:
@@ -73,9 +70,12 @@ class PageMappedFtl:
         #: Geometry totals read on every allocation and every watermark
         #: check, stored once instead of recomputed through properties.
         self._dies = geometry.total_dies
-        self._total_blocks = geometry.total_blocks
+        self._total_blocks = n_blocks = geometry.total_blocks
         self.overprovision = overprovision
         self.pages_per_block = geometry.pages_per_block
+        blocks_per_die = self.blocks_per_die = (
+            geometry.planes_per_die * geometry.blocks_per_plane)
+        self._pages_per_die = blocks_per_die * self.pages_per_block
         self.logical_pages = int(geometry.total_pages * (1 - overprovision))
         if self.logical_pages <= 0:
             raise ValueError("geometry too small for any logical capacity")
@@ -87,37 +87,67 @@ class PageMappedFtl:
         self._l2p = array(code, [-1]) * self.logical_pages
         self._back = array(code, [-1]) * geometry.total_pages
         self._mapped = 0
-        blocks_per_die = geometry.planes_per_die * geometry.blocks_per_plane
+        #: Per-block columns, indexed by block id: valid pages, next write
+        #: slot, and a nonzero flag on a retired (bad) block.
+        self._valid = array("i", [0]) * n_blocks
+        self._write_slot = array("i", [0]) * n_blocks
+        self._bad = array("i", [0]) * n_blocks
+        self._bind_views()
         if not 0 <= spare_blocks_per_die < blocks_per_die:
             raise ValueError(
                 f"spare_blocks_per_die must be in [0, {blocks_per_die}), "
                 f"got {spare_blocks_per_die}")
         self.spare_blocks_per_die = spare_blocks_per_die
-        self.blocks: list[Block] = []
-        self._free: list[deque[int]] = [deque() for _ in range(geometry.total_dies)]
+        self._free: list[deque[int]] = []
         #: Bad-block management (DESIGN.md §17): factory spares held out
         #: of circulation until an erase failure retires a block, plus
         #: the retired set and the replacement blocks promoted from the
         #: spare pool (accesses to those pay the remap indirection).
-        self._spare: list[deque[int]] = [deque() for _ in range(geometry.total_dies)]
+        self._spare: list[deque[int]] = []
         self.bad_blocks: set[int] = set()
         self.remapped_blocks: set[int] = set()
-        for die in range(geometry.total_dies):
-            for b in range(blocks_per_die):
-                block_id = die * blocks_per_die + b
-                self.blocks.append(Block(block_id, die))
-                if b >= blocks_per_die - spare_blocks_per_die:
-                    self._spare[die].append(block_id)
-                else:
-                    self._free[die].append(block_id)
-        self._user_active: list[Optional[Block]] = [None] * geometry.total_dies
-        self._gc_active: list[Optional[Block]] = [None] * geometry.total_dies
+        in_use = blocks_per_die - spare_blocks_per_die
+        for first in range(0, n_blocks, blocks_per_die):
+            self._free.append(deque(range(first, first + in_use)))
+            self._spare.append(deque(range(first + in_use, first + blocks_per_die)))
+        #: Each die's active block per stream, ``-1`` for none.
+        self._user_active = [-1] * geometry.total_dies
+        self._gc_active = [-1] * geometry.total_dies
         self._die_cursor = 0
-        self.free_block_count = (
-            geometry.total_blocks - spare_blocks_per_die * geometry.total_dies
-        )
+        #: The last user-path walk failed, and no user-stream block was
+        #: taken since (see :meth:`commit_write`).
+        self._user_refused = False
+        self.free_block_count = n_blocks - spare_blocks_per_die * geometry.total_dies
         self.total_user_pages_written = 0
         self.total_gc_pages_copied = 0
+
+    def _bind_views(self) -> None:
+        """Numpy views of the columns, sharing their buffers."""
+        self._valid_np = np.frombuffer(self._valid, np.int32)
+        self._slot_np = np.frombuffer(self._write_slot, np.int32)
+        self._bad_np = np.frombuffer(self._bad, np.int32)
+
+    # -- copies ----------------------------------------------------------------
+    def snapshot(self) -> tuple[dict, bytes]:
+        """A copy of the FTL: the flat arrays, each copied as one buffer,
+        and a pickle of everything else (pools, actives, sets, counters)."""
+        rest = {name: value for name, value in vars(self).items()
+                if name not in _ARRAYS and name not in _VIEWS}
+        return ({name: getattr(self, name)[:] for name in _ARRAYS},
+                pickle.dumps(rest, pickle.HIGHEST_PROTOCOL))
+
+    @classmethod
+    def from_snapshot(cls, snapshot: tuple[dict, bytes]) -> PageMappedFtl:
+        """A new FTL equal to the one :meth:`snapshot` copied; the
+        snapshot stays untouched, so it can be restored again."""
+        arrays, rest = snapshot
+        ftl = cls.__new__(cls)
+        vars(ftl).update(pickle.loads(rest))
+        for name, values in arrays.items():
+            setattr(ftl, name, values[:])
+        ftl._bind_views()
+        ftl._user_refused = False
+        return ftl
 
     # -- introspection -----------------------------------------------------
     @property
@@ -134,7 +164,7 @@ class PageMappedFtl:
         return None if physical < 0 else physical
 
     def die_of_physical(self, physical_page: int) -> int:
-        return self.blocks[physical_page // self.pages_per_block].die
+        return physical_page // self._pages_per_die
 
     def check_invariants(self) -> None:
         """Raise :class:`SimulationError` if a mapping or pool invariant
@@ -146,20 +176,19 @@ class PageMappedFtl:
         physical pages, so the slots that pass map distinct logical pages;
         the L2P direction then holds iff the L2P maps exactly as many pages
         as the back-map holds."""
-        blocks = self.blocks
         l2p = np.frombuffer(self._l2p, self._l2p.typecode)
-        # Row i is blocks[i]: flat index i * pages_per_block + slot.
-        back = np.frombuffer(self._back, self._back.typecode).reshape(len(blocks), -1)
+        # Row i is block i: flat index i * pages_per_block + slot.
+        back = np.frombuffer(self._back, self._back.typecode).reshape(
+            self._total_blocks, -1)
         # Only -1 means unmapped: any other entry out of range is corruption.
         for name, entries, bound in (("L2P", l2p, back.size),
                                      ("back-map", back, self.logical_pages)):
             if entries.min() < -1 or entries.max() >= bound:
                 raise SimulationError(f"{name} entry out of range")
         live = back >= 0
-        if (live.sum(axis=1) != [block.valid_count for block in blocks]).any():
+        if (live.sum(axis=1) != self._valid_np).any():
             raise SimulationError("valid_count drift")
-        write_slots = np.array([block.write_slot for block in blocks])
-        if (live & (np.arange(self.pages_per_block) >= write_slots[:, None])).any():
+        if (live & (np.arange(self.pages_per_block) >= self._slot_np[:, None])).any():
             raise SimulationError("mapped slot beyond the write slot")
         physical = np.flatnonzero(live)
         if (l2p[back.ravel()[physical]] != physical).any():
@@ -171,14 +200,15 @@ class PageMappedFtl:
             raise SimulationError("mapped-page counter drift")
         free = [b for pool in self._free for b in pool]
         spare = [b for pool in self._spare for b in pool]
-        active = [block.block_id for block in self._user_active + self._gc_active
-                  if block is not None]
+        active = [b for b in self._user_active + self._gc_active if b >= 0]
         pooled = free + spare + active + sorted(self.bad_blocks)
         if len(pooled) != len(set(pooled)):
             raise SimulationError("free, spare and active pools and bad blocks overlap")
+        if set(np.flatnonzero(self._bad_np).tolist()) != self.bad_blocks:
+            raise SimulationError("bad-block flags disagree with the bad-block set")
         if self.free_block_count != len(free):
             raise SimulationError("free-block count drift")
-        if any(self.blocks[block_id].write_slot != 0 for block_id in free + spare):
+        if self._slot_np[free + spare].any():
             raise SimulationError("pooled block not erased")
 
     def check_pristine(self) -> None:
@@ -236,9 +266,22 @@ class PageMappedFtl:
         allocation so garbage collection always has relocation
         destinations; :class:`FtlFullError` signals the caller to wait
         for GC rather than a corrupted state.
+
+        After a refusal the next one costs one check: while no user-stream
+        block has been taken since and ``free_block_count <= reserve``, no
+        die can take a block and none has room, so the walk would fail
+        again, and a failed walk leaves the die cursor where it was.
         """
         self._check_logical(logical_page)
-        physical = self._allocate(self._user_active, logical_page, reserve)
+        if self._user_refused and self.free_block_count <= reserve:
+            raise FtlFullError(_FULL)
+        try:
+            physical = self._allocate(self._user_active, logical_page, reserve)
+        except FtlFullError:
+            self._user_refused = True
+            raise
+        # A refused walk is followed by success only through a block take.
+        self._user_refused = False
         old = self._l2p[logical_page]
         if old < 0:
             self._mapped += 1
@@ -260,23 +303,29 @@ class PageMappedFtl:
         return True
 
     # -- garbage collection ----------------------------------------------------
-    def pick_victim(self, exclude: Optional[set[int]] = None) -> Optional[Block]:
-        """Greedy victim: the full block with the fewest valid pages that
-        has at least one garbage page and is not bad; ties go to the lowest
-        block id. ``None`` when no block qualifies.
+    def pick_victim(self, exclude: Optional[set[int]] = None) -> Optional[int]:
+        """Greedy victim: the id of the full block with the fewest valid
+        pages that has at least one garbage page and is not bad; ties go to
+        the lowest block id. ``None`` when no block qualifies.
 
         ``exclude`` skips blocks already being collected (lets a pipelined
         GC pick several victims concurrently). Picking changes nothing, so
         asking twice returns the same block.
-        """
-        entries = self._collectable_entries()
-        if exclude:
-            entries = [entry for entry in entries if entry[1] not in exclude]
-        return self.blocks[min(entries)[1]] if entries else None
 
-    def relocate_block(self, victim: Block) -> list[int]:
-        """Move every valid page out of a victim; returns the new physical
-        pages in slot order.
+        One masked ``argmin`` over the valid counts: blocks outside the
+        mask read ``pages_per_block``, above any collectable count, and
+        ``argmin`` returns the first (lowest-id) minimum, so the pick is
+        the minimum of ``valid × total_blocks + id`` (DESIGN.md §18.1).
+        """
+        collectable = self._collectable()
+        if exclude:
+            collectable[list(exclude)] = False
+        victim = int(np.where(collectable, self._valid_np, self.pages_per_block).argmin())
+        return victim if collectable[victim] else None
+
+    def relocate_block(self, victim: int) -> list[int]:
+        """Move every valid page out of a victim block; returns the new
+        physical pages in slot order.
 
         The caller simulates one read (victim die) + program (new page's
         die) per returned page, then erases the victim. Every set slot is
@@ -287,10 +336,10 @@ class PageMappedFtl:
         count falls as pages leave. If an allocation raises
         :class:`FtlFullError` partway, the pages already moved stay moved
         and counted in ``total_gc_pages_copied``, the rest stay mapped in
-        the victim, and the victim's ``valid_count`` counts them.
+        the victim, and the victim's valid count counts them.
         """
-        base = victim.block_id * self.pages_per_block
-        back, l2p = self._back, self._l2p
+        base = victim * self.pages_per_block
+        back, l2p, valid = self._back, self._l2p, self._valid
         gc_active = self._gc_active
         allocate = self._allocate
         moved: list[int] = []
@@ -300,52 +349,47 @@ class PageMappedFtl:
                     continue
                 new_physical = allocate(gc_active, logical)
                 back[physical] = -1
-                victim.valid_count -= 1
+                valid[victim] -= 1
                 l2p[logical] = new_physical
                 moved.append(new_physical)
         finally:
             self.total_gc_pages_copied += len(moved)
         return moved
 
-    def erase(self, victim: Block) -> None:
+    def erase(self, victim: int) -> None:
         """Recycle a victim block (caller simulates the NAND erase)."""
-        if victim.valid_count != 0:
-            raise ValueError(
-                f"erasing block {victim.block_id} with {victim.valid_count} valid pages"
-            )
+        self._require_collected(victim, "erasing")
         self._detach(victim)
         self._clear_back_map(victim)
-        victim.write_slot = 0
-        self._free[victim.die].append(victim.block_id)
+        self._write_slot[victim] = 0
+        self._free[victim // self.blocks_per_die].append(victim)
         self.free_block_count += 1
 
-    def retire_block(self, victim: Block) -> Optional[Block]:
+    def retire_block(self, victim: int) -> Optional[int]:
         """Bad-block management: pull a failed-erase victim out of
         circulation and promote a factory spare in its place.
 
         The victim must be collected (no valid pages). Returns the
-        promoted spare ``Block`` — flagged in ``remapped_blocks`` so the
+        promoted spare's block id — flagged in ``remapped_blocks`` so the
         device charges the remap-table indirection on later accesses —
         or ``None`` when the die's spare pool is exhausted (the die
         simply shrinks: one fewer block in rotation).
         """
-        if victim.valid_count != 0:
-            raise ValueError(
-                f"retiring block {victim.block_id} with "
-                f"{victim.valid_count} valid pages"
-            )
+        self._require_collected(victim, "retiring")
         self._detach(victim)
-        self.bad_blocks.add(victim.block_id)
+        self.bad_blocks.add(victim)
+        self._bad[victim] = 1
         self._clear_back_map(victim)
-        victim.write_slot = self.pages_per_block  # full forever: never allocated
-        spares = self._spare[victim.die]
+        self._write_slot[victim] = self.pages_per_block  # full forever: never allocated
+        die = victim // self.blocks_per_die
+        spares = self._spare[die]
         if not spares:
             return None
-        spare_id = spares.popleft()
-        self.remapped_blocks.add(spare_id)
-        self._free[victim.die].append(spare_id)
+        spare = spares.popleft()
+        self.remapped_blocks.add(spare)
+        self._free[die].append(spare)
         self.free_block_count += 1
-        return self.blocks[spare_id]
+        return spare
 
     # -- internals ----------------------------------------------------------
     def _check_logical(self, logical_page: int) -> None:
@@ -354,69 +398,71 @@ class PageMappedFtl:
                 f"logical page {logical_page} out of range [0, {self.logical_pages})"
             )
 
+    def _require_collected(self, block: int, doing: str) -> None:
+        if self._valid[block]:
+            raise ValueError(
+                f"{doing} block {block} with {self._valid[block]} valid pages")
+
     def _invalidate_physical(self, physical: int) -> None:
-        block = self.blocks[physical // self.pages_per_block]
         if self._back[physical] < 0:
             raise ValueError(f"double invalidate of physical page {physical}")
         self._back[physical] = -1
-        block.valid_count -= 1
+        self._valid[physical // self.pages_per_block] -= 1
 
-    def _clear_back_map(self, block: Block) -> None:
+    def _clear_back_map(self, block: int) -> None:
         pages_per_block = self.pages_per_block
-        base = block.block_id * pages_per_block
+        base = block * pages_per_block
         unmapped = array(self._back.typecode, [-1]) * pages_per_block
         self._back[base:base + pages_per_block] = unmapped
 
-    def _detach(self, victim: Block) -> None:
+    def _detach(self, victim: int) -> None:
         """Forget a recycled block as the active block of the stream that
         filled it, so that stream cannot keep writing into a pooled block."""
-        die = victim.die
-        if self._user_active[die] is victim:
-            self._user_active[die] = None
-        if self._gc_active[die] is victim:
-            self._gc_active[die] = None
+        die = victim // self.blocks_per_die
+        if self._user_active[die] == victim:
+            self._user_active[die] = -1
+        if self._gc_active[die] == victim:
+            self._gc_active[die] = -1
 
-    def _allocate(self, active_set: list[Optional[Block]], logical: int,
-                  reserve: int = 0) -> int:
+    def _allocate(self, active_set: list[int], logical: int, reserve: int = 0) -> int:
         dies = self._dies
         full = self.pages_per_block
+        write_slot = self._write_slot
         for _ in range(dies):
             die = self._die_cursor
             self._die_cursor = (die + 1) % dies
             block = active_set[die]
-            if block is None or block.write_slot == full:
+            if block < 0 or write_slot[block] == full:
                 if self.free_block_count <= reserve:
                     continue  # don't eat into the GC reserve
                 block = self._take_free_block(die)
-                if block is None:
+                if block < 0:
                     continue
                 active_set[die] = block
-            physical = block.block_id * full + block.write_slot
-            block.write_slot += 1
+            slot = write_slot[block]
+            write_slot[block] = slot + 1
+            physical = block * full + slot
             self._back[physical] = logical
-            block.valid_count += 1
+            self._valid[block] += 1
             return physical
-        raise FtlFullError("no allocatable block outside the GC reserve")
+        raise FtlFullError(_FULL)
 
-    def _collectable_entries(self) -> list[tuple[int, int]]:
-        """``(valid_count, block_id)`` of every block :meth:`pick_victim`
-        may return: full, not fully valid and not bad."""
+    def _take_free_block(self, die: int) -> int:
+        """The die's next pooled block, or ``-1`` when its pool is empty."""
+        pool = self._free[die]
+        if not pool:
+            return -1
+        self.free_block_count -= 1
+        return pool.popleft()
+
+    def _collectable(self) -> np.ndarray:
+        """Mask of the blocks :meth:`pick_victim` may return: full, not
+        fully valid and not bad."""
         # A block still accepting writes (every active block) is never
         # full; a full block is collectable even while still referenced as
         # a stream's most-recent active block.
         full = self.pages_per_block
-        return [
-            (block.valid_count, block.block_id) for block in self.blocks
-            if block.write_slot == full and block.valid_count < full
-            and block.block_id not in self.bad_blocks
-        ]
-
-    def _take_free_block(self, die: int) -> Optional[Block]:
-        if not self._free[die]:
-            return None
-        block_id = self._free[die].popleft()
-        self.free_block_count -= 1
-        return self.blocks[block_id]
+        return (self._slot_np == full) & (self._valid_np < full) & (self._bad_np == 0)
 
 
 #: Stream rows of :class:`_SteadyStateBuild`'s per-die active-block table.
@@ -488,7 +534,7 @@ class _SteadyStateBuild:
             dies = order[room[order] > 0]
             k = len(dies)
             if not k:
-                raise FtlFullError("no allocatable block outside the GC reserve")
+                raise FtlFullError(_FULL)
             seg = min(int(room[dies].min()) * k, left)
             start = slot[dies]
             # Every active slot is >= 1 (blocks are taken for a page), so a
@@ -699,22 +745,21 @@ class _SteadyStateBuild:
     def write_to(self, ftl: PageMappedFtl, mapped: int) -> None:
         """Store the built state in ``ftl``, whose logical pages
         ``0 .. mapped-1`` are the mapped ones."""
-        pages_per_block = self.pages_per_block
         code = ftl._back.typecode
-        ftl._l2p = array(code, self.l2p.tobytes())
-        ftl._back = array(code, self.back.tobytes())
+        ftl._l2p, ftl._back = array(code), array(code)
+        ftl._l2p.frombytes(memoryview(self.l2p).cast("B"))
+        ftl._back.frombytes(memoryview(self.back).cast("B"))
         ftl._mapped = mapped
-        for block, valid, full in zip(ftl.blocks, self.valid.tolist(), self.full.tolist()):
-            block.valid_count = valid
-            block.write_slot = pages_per_block if full else 0
-        for actives, block_ids, slots in zip((ftl._user_active, ftl._gc_active),
-                                             self.active.tolist(), self.slot.tolist()):
-            for die, (block_id, slot) in enumerate(zip(block_ids, slots)):
-                actives[die] = ftl.blocks[block_id] if block_id >= 0 else None
-                if block_id >= 0:
-                    actives[die].write_slot = slot
+        ftl._valid_np[:] = self.valid
+        slots = np.where(self.full, self.pages_per_block, 0)
+        active = self.active >= 0
+        slots[self.active[active]] = self.slot[active]
+        ftl._slot_np[:] = slots
+        ftl._user_active[:] = self.active[_USER].tolist()
+        ftl._gc_active[:] = self.active[_GC].tolist()
         for die in range(self.n_dies):
             ring = (self.head[die] + np.arange(self.count[die])) % self.blocks_per_die
             ftl._free[die] = deque(self.pool[die, ring].tolist())
         ftl._die_cursor = self.cursor
         ftl.free_block_count = self.free
+        ftl._user_refused = False

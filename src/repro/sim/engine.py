@@ -56,9 +56,7 @@ event, so it is also the one place that checks failures. A failed
 event hands its exception to its waiters; a failed :class:`Process`
 that nothing waits on (and that is not the ``run(until=...)`` target)
 makes ``run`` raise :class:`SimulationError`, chained to the original
-exception, instead of dropping it. A process started with
-:meth:`Simulator.spawn` cannot be waited on, so its successful
-completion is not dispatched at all; its failure is, and raises.
+exception, instead of dropping it.
 
 Allocation discipline: every event is a fresh object that lives exactly
 as long as something references it; the engine keeps no freelists, so
@@ -229,13 +227,17 @@ class Process(Event):
     with the exception). ``yield``-ing a process therefore waits for its
     completion; a process that fails with nothing waiting on it makes
     :meth:`Simulator.run` raise.
+
+    The kernel steps a process only through ``_send``, so a subclass may
+    define ``_send`` as a method and run as a record with no generator,
+    as a conventional page flush does.
     """
 
-    __slots__ = ("generator", "_name", "_send", "_spawned")
+    __slots__ = ("generator", "_name", "_send")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
-        # Event.__init__ inlined: one Process per host slot, GC victim and
-        # conventional flush makes this a hot constructor.
+        # Event.__init__ inlined: one Process per host slot and GC victim
+        # makes this a hot constructor.
         self.sim = sim
         self._cb = None
         self._value = None
@@ -245,9 +247,6 @@ class Process(Event):
         self.generator = generator
         self._name = name
         self._send = generator.send
-        #: Started by :meth:`Simulator.spawn`: nothing can wait on it, so
-        #: its successful completion is not queued.
-        self._spawned = False
         # Bootstrap: the run loop takes the first step when it pops the
         # untriggered process off the ready deque.
         sim._ready.append(self)
@@ -313,8 +312,7 @@ class Process(Event):
         except StopIteration as stop:
             self._value = stop.value
             self._triggered = True
-            if not self._spawned:
-                self.sim._ready.append(self)
+            self.sim._ready.append(self)
             return
         except BaseException as error:  # noqa: BLE001 - propagate into event
             self.fail(error)
@@ -514,16 +512,6 @@ class Simulator:
         """Start a generator as a process; returns its completion event."""
         return Process(self, generator, name=name)
 
-    def spawn(self, generator: Generator) -> None:
-        """Start a fire-and-forget process.
-
-        It starts exactly as :meth:`process` would, but returns nothing,
-        so nothing can wait on it, and its successful completion is not
-        dispatched. A failure still is: ``run`` raises
-        :class:`SimulationError` naming the process.
-        """
-        Process(self, generator)._spawned = True
-
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
@@ -564,8 +552,7 @@ class Simulator:
         #    it as its waiter in place, anything else goes through
         #    Process._block_on; StopIteration completes the process onto
         #    the ready deque (Event.succeed minus the already-triggered
-        #    guard, which cannot fire for a just-returned generator),
-        #    unless it was spawned;
+        #    guard, which cannot fire for a just-returned generator);
         # 4. a list fans out in append order; any other waiter is called;
         # 5. with no waiter, a failed Process other than the ``until``
         #    target stops the run: nothing else would ever see its error.
@@ -630,8 +617,7 @@ class Simulator:
                     except StopIteration as stop_iter:
                         proc._value = stop_iter.value
                         proc._triggered = True
-                        if not proc._spawned:
-                            append(proc)
+                        append(proc)
                     except BaseException as error:  # noqa: BLE001
                         proc.fail(error)
                     else:

@@ -4,17 +4,21 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.device import PRIO_IO
 from repro.flash import KIB, MIB, FlashGeometry
+from repro.flash.nand import NandTiming
 from repro.hostif import Command, Opcode, Status
-from repro.sim import Simulator, ms, sec, us
+from repro.sim import SimulationError, Simulator, ms, sec, us
 from repro.conv import ConvDevice, FtlFullError
 from repro.conv import device as conv_device
-from repro.conv.device import PRIO_GC_URGENT
+from repro.conv.device import PRIO_GC_URGENT, _Copies, _Flush
 from repro.faults import resolve
-from repro.obs import Tracer
+from repro.obs import MetricsRegistry, Tracer
 
+from .conv_reference import ReferenceConvDevice
 from .util import quiet_profile, read, run_cmd, write
 
 
@@ -113,7 +117,7 @@ class TestPrecondition:
 
     def test_precondition_with_bad_blocks_rejected(self):
         sim, dev = make_conv()
-        dev.ftl.retire_block(dev.ftl.blocks[0])
+        dev.ftl.retire_block(0)
         with pytest.raises(ValueError, match="pristine"):
             dev.precondition(0.5)
 
@@ -127,29 +131,38 @@ def write_amplification(ftl) -> float:
             ) / ftl.total_user_pages_written
 
 
-def block_slots(ftl, block) -> list[int]:
-    """The logical page in each slot of ``block`` (``-1`` none)."""
-    base = block.block_id * ftl.pages_per_block
+def block_slots(ftl, block: int) -> list[int]:
+    """The logical page in each slot of block ``block`` (``-1`` none)."""
+    base = block * ftl.pages_per_block
     return ftl._back[base:base + ftl.pages_per_block].tolist()
 
 
 def ftl_state(ftl) -> dict:
     """Everything a preconditioned FTL carries into a measured run."""
     return {
-        "back_maps": [(b.block_id, b.die, block_slots(ftl, b), b.write_slot,
-                       b.valid_count) for b in ftl.blocks],
+        "back_maps": [(b, b // ftl.blocks_per_die, block_slots(ftl, b), ftl._write_slot[b],
+                       ftl._valid[b]) for b in range(ftl.geometry.total_blocks)],
         "l2p": [ftl.lookup(p) for p in range(ftl.logical_pages)],
         "mapped": ftl.mapped_pages(),
         "free": [list(pool) for pool in ftl._free],
         "spare": [list(pool) for pool in ftl._spare],
-        "user_active": [b and b.block_id for b in ftl._user_active],
-        "gc_active": [b and b.block_id for b in ftl._gc_active],
+        "user_active": [None if b < 0 else b for b in ftl._user_active],
+        "gc_active": [None if b < 0 else b for b in ftl._gc_active],
         "die_cursor": ftl._die_cursor,
         "free_block_count": ftl.free_block_count,
         "counters": (ftl.total_user_pages_written, ftl.total_gc_pages_copied),
         "bad": sorted(ftl.bad_blocks),
         "remapped": sorted(ftl.remapped_blocks),
     }
+
+
+def end_state(ftl) -> dict:
+    """Everything a preconditioned FTL carries into a measured run, with
+    the collectable set ``pick_victim`` chooses from."""
+    state = ftl_state(ftl)
+    state["collectable"] = sorted((ftl._valid[block], block)
+                                  for block in np.flatnonzero(ftl._collectable()).tolist())
+    return state
 
 
 class TestPreconditionMemo:
@@ -174,7 +187,8 @@ class TestPreconditionMemo:
         restored.ftl.check_invariants()
         # The churn really ran GC: the state is not a plain fill.
         assert fresh.ftl.free_block_count < fresh.ftl.geometry.total_blocks
-        assert any(0 < b.valid_count < b.write_slot for b in fresh.ftl.blocks)
+        assert any(0 < valid < write_slot for valid, write_slot
+                   in zip(fresh.ftl._valid, fresh.ftl._write_slot))
 
     def test_mutating_a_restored_ftl_does_not_leak(self):
         fresh = self.preconditioned()
@@ -425,7 +439,7 @@ class TestStalledFlushRetry:
         def flush(logical):
             # Buffer the page's bytes first, as _exec_write does.
             dev.buffer.put(page)
-            sim.process(dev._flush_page(logical))
+            _Flush(dev, logical, None)
 
         flush(1)
         flush(2)
@@ -467,3 +481,165 @@ class TestStalledFlushRetry:
         assert dev.ftl.total_user_pages_written == 0
         assert dev._pending_flushes == []
         assert dev.backend.counters.pages_programmed == 0
+
+
+# -- page flushes as records, GC copies counted down -------------------------------
+
+def reference_flood(device_class, channels, dies_per_channel, blocks_per_plane,
+                    pages_per_block, nand_us, utilization, churn, gc_priority, faults,
+                    cut_at, writers, traced, seed):
+    """Random 1-3 page writes, reads and trims from closed-loop writers for
+    3 ms on a small preconditioned device, then a drain. NAND reads,
+    programs and erases take ``nand_us`` whole microseconds and a page
+    crosses its bus in one, so operations often end in the same
+    nanosecond. Returns each
+    command's completion in completion order, the trace spans (when
+    traced), the FTL's end state, the metrics, the fault stream's state
+    and the wear odometers, or the error that stopped the run."""
+    geometry = FlashGeometry(channels=channels, dies_per_channel=dies_per_channel,
+                             planes_per_die=1, blocks_per_plane=blocks_per_plane,
+                             pages_per_block=pages_per_block, page_size=4 * KIB)
+    profile = conv_profile(geometry=geometry, write_buffer_bytes=64 * KIB, overprovision=0.25,
+                           gc_low_watermark=0.15, gc_high_watermark=0.25,
+                           nand=NandTiming(*(us(t) for t in nand_us)),
+                           channel_bandwidth=geometry.page_size * 1_000_000)
+    plan = resolve(faults)
+    if plan is not None and plan.power_cut_at_ns is not None:
+        plan = dataclasses.replace(plan, power_cut_at_ns=cut_at)
+    sim = Simulator()
+    tracer = Tracer() if traced else None
+    dev = device_class(sim, profile, gc_priority=gc_priority, faults=plan, tracer=tracer,
+                       metrics=MetricsRegistry() if traced else None)
+    dev.precondition(utilization, steady_state_churn=churn, seed=seed)
+    rng = np.random.default_rng(seed)
+    page_lbas = geometry.page_size // dev.namespace.block_size
+    pages = dev.namespace.capacity_lbas // page_lbas
+    log = []
+
+    def writer(index):
+        while sim.now < ms(3):
+            kind, n_pages = int(rng.integers(0, 8)), int(rng.integers(1, 4))
+            opcode = (Opcode.READ, Opcode.TRIM)[kind] if kind < 2 else Opcode.WRITE
+            slba = int(rng.integers(0, pages - n_pages + 1)) * page_lbas
+            cpl = yield dev.submit(Command(opcode, slba=slba, nlb=n_pages * page_lbas))
+            log.append((index, opcode.value, cpl.completed_at, cpl.status))
+
+    try:
+        sim.run(until=sim.all_of([sim.process(writer(index)) for index in range(writers)]))
+        sim.run(until=ms(50))
+        outcome = None
+    except SimulationError as error:
+        outcome = (sim.now, str(error))
+    faults_state = None
+    if dev.faults is not None:
+        faults_state = (dev.faults._rng.bit_generator.state, dev.faults.wear.snapshot())
+    return {
+        "outcome": outcome,
+        "log": log,
+        "spans": [(e.name, e.ts, e.dur, e.track, e.args)
+                  for e in tracer._events] if traced else None,
+        "ftl": end_state(dev.ftl),
+        "metrics": dev.metrics.snapshot(),
+        "faults": faults_state,
+        "flash": (dev.backend.counters.pages_read, dev.backend.counters.pages_programmed,
+                  dev.backend.counters.blocks_erased),
+        "pending_flushes": len(dev._pending_flushes),
+        "now": sim.now,
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    channels=st.integers(1, 2), dies_per_channel=st.integers(1, 2),
+    blocks_per_plane=st.integers(48, 64), pages_per_block=st.sampled_from([4, 8]),
+    nand_us=st.tuples(st.integers(1, 4), st.integers(1, 8), st.integers(1, 16)),
+    utilization=st.floats(0.85, 0.97), churn=st.sampled_from([0.5, 1.0, 1.5]),
+    gc_priority=st.sampled_from([PRIO_GC_URGENT, PRIO_IO]),
+    faults=st.sampled_from([None, "power-cut", "chaos", "wearout"]),
+    cut_at=st.integers(0, ms(3)), writers=st.integers(1, 8), traced=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_flush_records_and_counted_copies_match_reference(
+        channels, dies_per_channel, blocks_per_plane, pages_per_block, nand_us,
+        utilization, churn, gc_priority, faults, cut_at, writers, traced, seed):
+    """Page flushes as generator-free records and GC copies counted down
+    per victim leave every completion, span, FTL state, counter and fault
+    draw where a process per flush and an Event per copy left them."""
+    args = (channels, dies_per_channel, blocks_per_plane, pages_per_block, nand_us,
+            utilization, churn, gc_priority, faults, cut_at, writers, traced, seed)
+    assert reference_flood(ConvDevice, *args) == reference_flood(ReferenceConvDevice, *args)
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+def test_last_copy_resumes_the_victim_where_all_of_did(copies):
+    """A victim waiting on its copy countdown resumes at the place in the
+    ready deque where it resumed waiting on an ``AllOf`` over one Event
+    per copy: a process started after each copy completes logs one
+    entry per ready-deque hop, and the victim lands between the same two."""
+    def order(counted):
+        sim, log = Simulator(), []
+        if counted:
+            wait = _Copies(sim, copies)
+            done = [wait.copied] * copies
+        else:
+            events = [sim.event() for _ in range(copies)]
+            wait = sim.all_of(events)
+            done = [event.succeed for event in events]
+
+        def victim():
+            yield wait
+            log.append("victim")
+
+        def hops(copy):
+            for hop in range(4):
+                log.append((copy, hop))
+                yield 0
+
+        def programs():
+            yield us(1)
+            for copy, copy_done in enumerate(done):
+                copy_done(None)
+                sim.process(hops(copy))
+
+        sim.process(victim())
+        sim.process(programs())
+        sim.run()
+        return log
+
+    assert order(counted=True) == order(counted=False)
+
+
+def test_flush_cancelled_during_the_remap_lookup_does_not_program():
+    """A flush whose page lands on a remapped block sleeps through the
+    remap lookup after it commits. A power cut that drops the page during
+    that sleep ends the flush there: no program is queued, and its bytes
+    leave the buffer once, with the cut."""
+    def flush_one(cut_at):
+        plan = dataclasses.replace(resolve("chaos"), power_cut_at_ns=cut_at,
+                                   plp_budget_bytes=0)
+        sim = Simulator()
+        dev = ConvDevice(sim, conv_profile(), faults=plan)
+        dev.ftl.remapped_blocks.update(range(dev.ftl.geometry.total_blocks))
+        queued = []
+        program = dev.backend.program
+
+        def queue_program(*args, **kwargs):
+            queued.append(kwargs["label"])
+            return program(*args, **kwargs)
+
+        dev.backend.program = queue_program
+        page_lbas = dev.profile.geometry.page_size // dev.namespace.block_size
+        cpl = run_cmd(sim, dev, write(0, page_lbas))
+        sim.run()
+        return cpl.completed_at, dev, queued
+
+    completed_at, dev, queued = flush_one(ms(100))
+    assert queued == ["flush"]
+    assert dev.backend.counters.pages_programmed == 1
+    # The flush starts when the write completes and sleeps for the lookup.
+    _, dev, queued = flush_one(completed_at + conv_device.BAD_BLOCK_REMAP_NS // 2)
+    assert dev.faults.bytes_lost.value == dev.profile.geometry.page_size
+    assert queued == []
+    assert dev.backend.counters.pages_programmed == 0
+    assert dev.buffer.level == 0
+    assert dev._pending_flushes == []

@@ -8,6 +8,11 @@ completed command must stay at or below the bound measured when those
 events went (DESIGN.md §15.5). A change that adds an event per page or
 per command back moves the ratio by about 1 and fails here.
 
+On the conventional device a page flush is a generator-free record and
+a GC victim counts its copies down (DESIGN.md §18.1): an urgent-GC write
+flood builds no process per flush or per copy, and its copies queue at
+most two dispatches per victim.
+
 A zone finish sleeps through the chunk boundaries of its firmware work
 that nothing else can reach (DESIGN.md §11), so a fig5b point, which
 runs one finish at a time, dispatches a handful of events per finish
@@ -23,18 +28,23 @@ buses, so the point builds fewer processes than it completes commands.
 """
 
 import ast
+from collections import Counter, deque
 from pathlib import Path
 
+from repro.conv.device import PRIO_GC_URGENT
 from repro.core.experiments.common import (
     KIB,
     ExperimentConfig,
+    build_conv_device,
     build_device,
     measure_job,
 )
 from repro.core.experiments.state_machine import FIG5B_PLAN
 from repro.sim.engine import Process, Timeout, events_total, ms
-from repro.workload.job import IoKind, JobSpec
+from repro.workload.job import IoKind, JobSpec, Pattern
 from repro.zns.device import ZnsDevice
+
+from .test_conv_device import conv_profile
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -50,6 +60,17 @@ EVENTS_PER_COMMAND_BOUND = 20.02
 #: (the longest finishes): 1,091 (52,381 for 48 finishes) with a wake
 #: per firmware chunk, 4.83 once quiet chunk boundaries are slept through.
 EVENTS_PER_FINISH_BOUND = 10
+
+#: The conventional flood: commands, GC page copies and page programs,
+#: equal before and after flushes became records and copies a countdown.
+CONV_COMMANDS = 347
+CONV_GC_COPIES = 287
+CONV_PAGE_PROGRAMS = 438
+#: Processes the flood builds besides its GC victims: one per slot.
+CONV_OTHER_PROCESSES = 8
+#: Dispatched events per completed command: 18.98 with a process per page
+#: flush and an Event per GC copy, 18.04 with neither.
+CONV_EVENTS_PER_COMMAND_BOUND = 18.05
 
 
 def test_zns_write_point_events_per_command(monkeypatch):
@@ -88,6 +109,58 @@ def test_zns_write_point_events_per_command(monkeypatch):
     # Page operations are records queued at die and bus servers, not
     # processes.
     assert len(processes) < commands, f"{len(processes)} processes"
+
+
+class _CensusDeque(deque):
+    """A ready deque that counts what is queued on it, by class name."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.queued = Counter()
+
+    def append(self, entry):
+        self.queued[type(entry).__name__] += 1
+        super().append(entry)
+
+
+def test_conv_gc_flood_builds_no_process_per_flush_or_copy(monkeypatch):
+    """16 KiB random writes at QD8 for 40 ms on a 95%-full device with
+    urgent GC. The device neither observes nor injects faults, so the
+    only zero Timeouts queued are those of last copies; with each
+    victim's countdown event that is two copy-completion dispatches per
+    victim."""
+    processes = []
+    build_process = Process.__init__
+
+    def process_spy(self, sim, generator, *args, **kwargs):
+        processes.append(generator.__name__)
+        build_process(self, sim, generator, *args, **kwargs)
+
+    config = ExperimentConfig()
+    sim, device = build_conv_device(config, conv_profile(), gc_priority=PRIO_GC_URGENT)
+    device.precondition(0.95, steady_state_churn=1.0, seed=3)
+    sim._ready = census = _CensusDeque(sim._ready)
+    monkeypatch.setattr(Process, "__init__", process_spy)
+    job = JobSpec(op=IoKind.WRITE, pattern=Pattern.RANDOM, block_size=16 * KIB,
+                  iodepth=8, runtime_ns=ms(40), seed=config.seed,
+                  address_range=(0, device.namespace.capacity_lbas))
+    before = events_total()
+    measure_job(device, "spdk", job)
+    events = events_total() - before
+    commands = (sum(device.counters.completed.values())
+                + sum(device.counters.errors.values()))
+    assert commands == CONV_COMMANDS
+    assert device.metrics.counter("gc.pages_copied").value == CONV_GC_COPIES
+    assert device.backend.counters.pages_programmed == CONV_PAGE_PROGRAMS
+    victims = processes.count("_gc_victim")
+    assert 0 < victims < CONV_GC_COPIES // 4
+    assert len(processes) == victims + CONV_OTHER_PROCESSES, Counter(processes)
+    assert census.queued["Timeout"] + census.queued["_Copies"] <= 2 * victims
+    assert census.queued["AllOf"] <= 1  # the runner's wait on its slots
+    assert events / commands <= CONV_EVENTS_PER_COMMAND_BOUND, (
+        f"{events} events for {commands} commands "
+        f"({events / commands:.2f} per command)"
+    )
 
 
 def test_fig5b_point_events_per_finish(monkeypatch):

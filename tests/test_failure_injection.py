@@ -105,7 +105,7 @@ class TestConvTrim:
             run_cmd(sim, dev, self.trim(slba, 64 * page_lbas))
         victim = dev.ftl.pick_victim()
         assert victim is not None
-        assert victim.valid_count == 0
+        assert dev.ftl._valid[victim] == 0
 
     def test_zns_device_rejects_trim(self):
         sim, dev = make_device()

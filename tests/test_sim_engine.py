@@ -19,7 +19,7 @@ from repro.sim import (
     sec,
     us,
 )
-from repro.sim.engine import events_total
+from repro.sim.engine import Process, events_total
 
 
 class TestTimeHelpers:
@@ -246,44 +246,51 @@ class TestProcesses:
             sim.run(until=sim.process(worker()))
 
 
-class TestSpawn:
-    def test_spawn_returns_none(self):
-        sim = Simulator()
+class _Countdown(Process):
+    """A generator-free record: ``_send`` is a method that sleeps each
+    delay in turn, logs its wakes and parks (returns ``None``) when done,
+    or raises ``error`` instead of its last sleep."""
 
-        def worker():
-            yield sim.timeout(1)
+    __slots__ = ("delays", "log", "error")
 
-        assert sim.spawn(worker()) is None
+    def __init__(self, sim, delays, log, error=None):
+        self.sim = sim
+        self._cb = self._value = self._exception = self.generator = None
+        self._triggered = self._processed = False
+        self._name = "countdown"
+        self.delays, self.log, self.error = list(delays), log, error
+        sim._ready.append(self)
+
+    def _block_on(self, target):
+        if target is not None:
+            Process._block_on(self, target)
+
+    def _send(self, _value):
+        self.log.append(self.sim.now)
+        if self.error is not None and len(self.delays) == 1:
+            raise self.error
+        return self.delays.pop(0) if self.delays else None
+
+
+class TestRecordProcess:
+    """A ``Process`` subclass whose ``_send`` is a method runs with no
+    generator: the kernel steps it through ``_send`` alone."""
+
+    def test_method_send_runs_without_a_generator(self):
+        sim, log = Simulator(), []
+        _Countdown(sim, [us(1), us(2)], log)
+        before = events_total()
         sim.run()
-        assert sim.now == 1
+        # The bootstrap and two wakes; a record that parks dispatches no
+        # completion.
+        assert events_total() - before == 3
+        assert log == [0, us(1), us(3)]
 
-    def test_successful_spawn_dispatches_no_completion(self):
-        def dispatches(start):
-            sim = Simulator()
-
-            def worker():
-                yield sim.timeout(us(1))
-                return "ignored"
-
-            start(sim, worker())
-            before = events_total()
-            sim.run()
-            return events_total() - before
-
-        # A bootstrap and a timeout; a waitable process adds its completion.
-        assert dispatches(Simulator.spawn) == 2
-        assert dispatches(Simulator.process) == 3
-
-    def test_failing_spawn_raises_from_the_original_exception(self):
+    def test_failing_record_raises_from_the_original_exception(self):
         sim = Simulator()
         error = KeyError("page")
-
-        def flusher():
-            yield sim.timeout(us(2))
-            raise error
-
-        sim.spawn(flusher())
-        with pytest.raises(SimulationError, match="flusher.*page") as info:
+        _Countdown(sim, [us(2), us(5)], [], error)
+        with pytest.raises(SimulationError, match="countdown.*page") as info:
             sim.run()
         assert info.value.__cause__ is error
         assert sim.now == us(2)
@@ -363,8 +370,8 @@ def _run_program(program, capacity, sleep):
                 yield request
                 yield sleep(sim, arg)
                 disk.release(request)
-            elif kind == "spawn":
-                sim.spawn(sleeper(f"{name}.{step}", arg))
+            elif kind == "start":
+                sim.process(sleeper(f"{name}.{step}", arg))
             else:
                 yield sim.all_of([
                     sim.process(sleeper(f"{name}.{step}.{i}", [delay]))
@@ -383,7 +390,7 @@ _DELAY = st.integers(0, 4)
 _OP = st.one_of(
     st.tuples(st.just("sleep"), _DELAY),
     st.tuples(st.just("hold"), _DELAY),
-    st.tuples(st.just("spawn"), st.lists(_DELAY, min_size=1, max_size=3)),
+    st.tuples(st.just("start"), st.lists(_DELAY, min_size=1, max_size=3)),
     st.tuples(st.just("all_of"), st.lists(_DELAY, min_size=1, max_size=3)),
 )
 
@@ -453,11 +460,11 @@ class TestSleep:
                 yield sleep(sim, us(3))
                 woke.append(sim.now)
 
-        sim.spawn(sleeper())
+        sim.process(sleeper())  # started, and nothing waits on it
         before = events_total()
         sim.run()
-        # The bootstrap and two wakes; no completion is dispatched.
-        assert events_total() - before == 3
+        # The bootstrap, two wakes and the unwaited completion.
+        assert events_total() - before == 4
         assert woke == [us(3), us(6)]
 
     def test_sleep_after_a_wake_through_resume(self):
@@ -735,7 +742,7 @@ class TestQuietUntil:
             yield us(1)
             gate.succeed()
 
-        sim.spawn(opener())
+        sim.process(opener())
         sim.run()
         assert log == [("first", None), ("second", None)]
         assert sim._nested == 0
@@ -784,7 +791,7 @@ class TestQuietUntil:
             log.append(("opener", sim.quiet_until()))
 
         sim.process(parked())
-        sim.spawn(opener())
+        sim.process(opener())
         sim.run()
         # The opener's step went on after the resume, with nothing on
         # the deque and only the resumed process's sleep on the heap.

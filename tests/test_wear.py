@@ -280,30 +280,30 @@ class TestConvBadBlocks:
 
     def test_retire_promotes_spare_and_flags_remap(self):
         ftl = self._ftl(spares=1)
-        victim = ftl.blocks[0]
+        victim = 0
         spare = ftl.retire_block(victim)
         assert spare is not None
-        assert victim.block_id in ftl.bad_blocks
-        assert spare.block_id in ftl.remapped_blocks
-        page = spare.block_id * ftl.pages_per_block
+        assert victim in ftl.bad_blocks
+        assert spare in ftl.remapped_blocks
+        page = spare * ftl.pages_per_block
         assert page // ftl.pages_per_block in ftl.remapped_blocks
-        assert len(ftl._spare[victim.die]) == 0
+        assert len(ftl._spare[victim // ftl.blocks_per_die]) == 0
         # The dead block can never be picked again.
-        assert victim.write_slot == ftl.pages_per_block
+        assert ftl._write_slot[victim] == ftl.pages_per_block
         picked = ftl.pick_victim()
-        assert picked is None or picked.block_id != victim.block_id
+        assert picked is None or picked != victim
 
     def test_retirement_without_spares_shrinks_the_die(self):
         ftl = self._ftl(spares=1)
-        first = ftl.retire_block(ftl.blocks[0])
+        first = ftl.retire_block(0)
         assert first is not None
         before = ftl.free_block_count
-        second = ftl.retire_block(ftl.blocks[1])   # same die, pool empty
+        second = ftl.retire_block(1)   # same die, pool empty
         assert second is None
         assert ftl.free_block_count == before      # nothing promoted
 
     def test_retire_rejects_blocks_with_valid_pages(self):
         ftl = self._ftl()
-        ftl.blocks[0].valid_count = 1
+        ftl._valid[0] = 1
         with pytest.raises(ValueError, match="valid pages"):
-            ftl.retire_block(ftl.blocks[0])
+            ftl.retire_block(0)
