@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from ..hostif.commands import Command, Opcode, ZoneAction
 from ..sim.engine import Event, us
+from ..sim.rng import BlockDraws
 
 if TYPE_CHECKING:  # import cycle: tenancy pulls in the workload layer
     from ..tenancy.session import Tenant
@@ -140,11 +141,11 @@ class LsmWorkload:
     def _flusher(self) -> Generator:
         tenant = self.tenant
         config = self.config
-        rng = tenant.rng("lsm-flush")
+        draws = BlockDraws(tenant.rng("lsm-flush"))
         while self.sim.now < self.until_ns:
             # Flush cadence with a little deterministic jitter so two
             # tenants' flushers do not phase-lock against the device.
-            jitter = int(rng.integers(0, config.flush_interval_ns // 4 + 1))
+            jitter = draws.below(config.flush_interval_ns // 4 + 1)
             yield config.flush_interval_ns + jitter
             zone_id = self._take_zone()
             if zone_id is None:

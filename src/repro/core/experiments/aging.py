@@ -41,6 +41,7 @@ from typing import Generator
 
 from ...hostif.commands import Command, Opcode
 from ...sim.engine import Event, us
+from ...sim.rng import BlockDraws
 from ...tenancy import ResetStorm, Tenant, TenantScheduler
 from ...workload.job import IoKind, JobSpec, Pattern
 from ...workload.runner import JobRunner
@@ -170,20 +171,20 @@ class _TenantReader:
 
     def start(self) -> Event:
         return self.sim.all_of([
-            self.sim.process(self._worker(self.tenant.rng(f"read/{i}")))
+            self.sim.process(self._worker(BlockDraws(self.tenant.rng(f"read/{i}"))))
             for i in range(self.iodepth)
         ])
 
-    def _worker(self, rng) -> Generator:
+    def _worker(self, draws: BlockDraws) -> Generator:
         tenant = self.tenant
         device = tenant.device
         block = device.namespace.block_size
         nlb = max(1, self.read_bytes // block)
         zones = tenant.zones
         while self.sim.now < self.until_ns:
-            zone = device.zones.zones[zones[int(rng.integers(0, len(zones)))]]
+            zone = device.zones.zones[zones[draws.below(len(zones))]]
             span = max(1, zone.cap_lbas - nlb)
-            slba = zone.zslba + int(rng.integers(0, span))
+            slba = zone.zslba + draws.below(span)
             completion = yield from tenant.issue(
                 Command(Opcode.READ, slba=slba, nlb=nlb))
             if completion.ok:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..sim.engine import ms, us
+from ..sim.rng import BlockDraws
 from .wear import WearCurve, WearTracker
 
 __all__ = [
@@ -307,7 +308,7 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan, rng, metrics):
         self.plan = plan
-        self._rng = rng
+        self._draws = BlockDraws(rng)
         #: Per-unit lifetime state (ZNS zones / conv blocks). Owned here
         #: so the flash backend and both FTLs share one odometer per
         #: device, and devices can snapshot/restore it (DESIGN.md §17).
@@ -329,7 +330,7 @@ class FaultInjector:
         self.max_erase_count = metrics.gauge("faults.max_erase_count")
 
     def _u(self) -> float:
-        return self._rng.random()
+        return self._draws.uniform01()
 
     # -- wear bookkeeping ------------------------------------------------
     def note_erase(self, wear) -> None:

@@ -32,6 +32,11 @@ class Opcode(Enum):
     #: conventional device; ZNS reclaims whole zones via reset instead.
     TRIM = "trim"
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with equality; Enum's own hashes the name in Python code,
+    # and the device looks opcodes up in dicts several times a command.
+    __hash__ = object.__hash__
+
 
 class ZoneAction(Enum):
     OPEN = "open"

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, Optional
 
 from ..hostif.commands import Command, Opcode
+from ..sim.engine import Event
 from .base import StorageStack, UnsupportedOperation
 from .scheduler import MqDeadlineScheduler
 
@@ -44,7 +45,8 @@ class IoUringStack(StorageStack):
                 f"fio/io_uring cannot issue {command.opcode.value} commands; "
                 "use the SPDK stack (paper §III-A)"
             )
-        if self.scheduler is None or not self.scheduler.wants(command):
+        # Only writes go through the scheduler; reads pass straight through.
+        if self.scheduler is None or command.opcode is not Opcode.WRITE:
             return super().issue(command)
         command.submitted_at = self.sim.now
         self.stats.requests += 1
@@ -52,7 +54,7 @@ class IoUringStack(StorageStack):
 
     def _issue_scheduled(self, command: Command):
         yield self.submit_overhead_ns + self.scheduler.overhead_ns
-        inner = self.sim.event()
+        inner = Event(self.sim)
         self.scheduler.enqueue(command, inner)
         completion = yield inner
         yield self.complete_overhead_ns

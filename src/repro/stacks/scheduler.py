@@ -53,13 +53,11 @@ class MqDeadlineScheduler:
         self._dispatching: set[Optional[int]] = set()
 
     # -- protocol ----------------------------------------------------------
-    def wants(self, command: Command) -> bool:
-        """Only writes are queued/merged; everything else passes through."""
-        return command.opcode is Opcode.WRITE
-
     def enqueue(self, command: Command, done: Event) -> None:
         key = self._zone_key(command)
-        queue = self._queues.setdefault(key, deque())
+        queue = self._queues.get(key)
+        if queue is None:
+            queue = self._queues[key] = deque()
         queue.append((command, done))
         if key not in self._dispatching:
             self._dispatching.add(key)
@@ -100,13 +98,7 @@ class MqDeadlineScheduler:
                                     track="host", zone=key,
                                     batch=len(batch), nlb=total_nlb)
             completion: Completion = yield from self.device.issue(merged)
+            status, now, count = completion.status, self.sim.now, len(batch)
             for cmd, done in batch:
-                done.succeed(
-                    Completion(
-                        command=cmd,
-                        status=completion.status,
-                        completed_at=self.sim.now,
-                        merged_from=len(batch),
-                    )
-                )
+                done.succeed(Completion(cmd, status, now, None, count))
         self._dispatching.discard(key)

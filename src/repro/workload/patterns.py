@@ -14,10 +14,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..hostif.commands import Command, Opcode
+from ..sim.rng import BlockDraws
 from ..zns.spec import ZoneState
 
 __all__ = ["BACKOFF", "Backoff", "ZoneWriteCursor", "ZoneAppendCursor",
            "RandomReadPattern", "RangePattern"]
+
+
+_RETIRED = (ZoneState.READ_ONLY, ZoneState.OFFLINE)
 
 
 def _dead(zone) -> bool:
@@ -26,7 +30,7 @@ def _dead(zone) -> bool:
     In fault-free runs no zone ever reaches these states, so the check
     never alters cursor behaviour (byte-identity with the golden runs).
     """
-    return zone.state in (ZoneState.READ_ONLY, ZoneState.OFFLINE)
+    return zone.state in _RETIRED
 
 
 class Backoff:
@@ -76,6 +80,14 @@ class ZoneWriteCursor:
     def next_target(self) -> tuple[Optional[Command], Optional[int]]:
         """Returns (command, zone_to_reset). Exactly one is non-None,
         unless the cursor is exhausted (both None)."""
+        # The common case, the loop's first pass: the current zone is
+        # live and has room for the next slice.
+        slba = self._next_lba
+        if slba is not None:
+            zone = self._zone()
+            if zone.state not in _RETIRED and slba + self.nlb <= zone.writable_end:
+                self._next_lba = slba + self.nlb
+                return Command(Opcode.WRITE, slba, self.nlb), None
         for _ in range(2 * len(self.zone_ids) + 2):
             zone = self._zone()
             if _dead(zone):
@@ -114,16 +126,16 @@ class ZoneAppendCursor:
         self.zone_ids = list(zones)
         self.nlb = nlb
         self.reset_when_full = reset_when_full
-        self._rng = rng
+        self._draws = BlockDraws(rng) if rng is not None else None
         self._zone_pos = 0
         #: Reserved-but-not-yet-completed LBAs per zone, so concurrent
         #: appends at high QD stop before overshooting the capacity.
         self._reserved: dict[int, int] = {z: 0 for z in self.zone_ids}
 
     def _pick_zone_pos(self) -> int:
-        if self._rng is None:
+        if self._draws is None:
             return self._zone_pos
-        return int(self._rng.integers(0, len(self.zone_ids)))
+        return self._draws.below(len(self.zone_ids))
 
     def next_target(self) -> tuple[Optional[Command], Optional[int]]:
         # NB: the iteration bound must stay exactly as in fault-free runs —
@@ -176,17 +188,17 @@ class RandomReadPattern:
         self.device = device
         self.zone_ids = list(zones)
         self.nlb = nlb
-        self._rng = rng
+        self._draws = BlockDraws(rng)
 
     def next_target(self) -> tuple[Optional[Command], Optional[int]]:
-        zone_id = self.zone_ids[int(self._rng.integers(0, len(self.zone_ids)))]
+        zone_id = self.zone_ids[self._draws.below(len(self.zone_ids))]
         zone = self.device.zones.zones[zone_id]
         written = zone.occupancy_lbas
         if written < self.nlb:
             # Nothing to read yet in this zone; read from the start anyway
             # (deallocated reads are legal and cheap on ZNS).
             return Command(Opcode.READ, zone.zslba, self.nlb), None
-        slba = zone.zslba + int(self._rng.integers(0, written - self.nlb + 1))
+        slba = zone.zslba + self._draws.below(written - self.nlb + 1)
         return Command(Opcode.READ, slba, self.nlb), None
 
 
@@ -204,13 +216,13 @@ class RangePattern:
         self.start, self.end = start, end
         self.nlb = nlb
         self.random = random
-        self._rng = rng
+        self._draws = BlockDraws(rng)
         self._cursor = start
 
     def next_target(self) -> tuple[Optional[Command], Optional[int]]:
         if self.random:
             slots = (self.end - self.start) // self.nlb
-            slba = self.start + int(self._rng.integers(0, slots)) * self.nlb
+            slba = self.start + self._draws.below(slots) * self.nlb
         else:
             if self._cursor + self.nlb > self.end:
                 self._cursor = self.start

@@ -310,18 +310,22 @@ class JobRunner:
             self._resetting.discard(zone_id)
 
     def _record(self, completion) -> None:
-        if not completion.ok:
+        if not completion.status.ok:
             errors = self.result.errors
             errors[completion.status] = errors.get(completion.status, 0) + 1
             return
-        if self.sim.now < self._ramp_end_ns:
+        now = self.sim.now
+        if now < self._ramp_end_ns:
             return
-        self.result.ops += 1
-        self.result.bytes += self.job.block_size
-        self.result.latency.record(completion.latency_ns)
-        self.result.timeseries.record(self.sim.now, self.job.block_size)
+        result = self.result
+        size = self.job.block_size
+        latency_ns = completion.latency_ns
+        result.ops += 1
+        result.bytes += size
+        result.latency.record(latency_ns)
+        result.timeseries.record(now, size)
         if self._ops_counter is not None:
             self._ops_counter.inc()
-            self._bytes_counter.inc(self.job.block_size)
-            self._latency_hist.observe(completion.latency_ns)
+            self._bytes_counter.inc(size)
+            self._latency_hist.observe(latency_ns)
 

@@ -26,9 +26,6 @@ class LatencyStats:
             raise ValueError(f"negative latency {latency_ns}")
         self._samples.append(latency_ns)
 
-    def merge(self, other: "LatencyStats") -> None:
-        self._samples.extend(other._samples)
-
     @property
     def count(self) -> int:
         return len(self._samples)
@@ -45,16 +42,6 @@ class LatencyStats:
         if not self._samples:
             return float("nan")
         return float(np.mean(self.asarray()))
-
-    @property
-    def min_ns(self) -> int:
-        self._require_samples()
-        return int(min(self._samples))
-
-    @property
-    def max_ns(self) -> int:
-        self._require_samples()
-        return int(max(self._samples))
 
     def percentile_ns(self, p: float) -> float:
         """The p-th percentile latency (e.g. p=95 for the paper's p95).
@@ -74,28 +61,22 @@ class LatencyStats:
     def percentile_us(self, p: float) -> float:
         return self.percentile_ns(p) / 1_000
 
-    def _require_samples(self) -> None:
-        if not self._samples:
-            raise ValueError("no latency samples recorded")
-
     def asarray(self) -> np.ndarray:
         return np.asarray(self._samples, dtype=np.int64)
 
 
 class TimeSeries:
-    """Per-interval byte/operation throughput (Fig. 6-style series)."""
+    """Per-interval byte throughput (Fig. 6-style series)."""
 
     def __init__(self, interval_ns: int):
         if interval_ns <= 0:
             raise ValueError(f"interval must be positive, got {interval_ns}")
         self.interval_ns = interval_ns
         self._bytes: dict[int, int] = {}
-        self._ops: dict[int, int] = {}
 
     def record(self, time_ns: int, nbytes: int) -> None:
         bucket = time_ns // self.interval_ns
         self._bytes[bucket] = self._bytes.get(bucket, 0) + nbytes
-        self._ops[bucket] = self._ops.get(bucket, 0) + 1
 
     def bandwidth_series(self) -> list[tuple[float, float]]:
         """[(interval_end_seconds, MiB/s), ...] over the recorded span."""
@@ -110,36 +91,6 @@ class TimeSeries:
             )
             for bucket in range(first, last + 1)
         ]
-
-    @property
-    def interval_count(self) -> int:
-        """Intervals spanned by the recorded data (including empty ones)."""
-        if not self._bytes:
-            return 0
-        return max(self._bytes) - min(self._bytes) + 1
-
-    @property
-    def zero_intervals(self) -> int:
-        """Spanned intervals in which no I/O completed (stall intervals)."""
-        if not self._bytes:
-            return 0
-        first, last = min(self._bytes), max(self._bytes)
-        return sum(
-            1 for bucket in range(first, last + 1) if bucket not in self._bytes
-        )
-
-    @property
-    def idle_fraction(self) -> float:
-        """Fraction of spanned intervals with zero completions.
-
-        The Fig. 6 interference timelines care about exactly this: reset
-        storms starve writes, which shows up as empty intervals in the
-        victim's throughput series.
-        """
-        count = self.interval_count
-        if count == 0:
-            return 0.0
-        return self.zero_intervals / count
 
     def bandwidth_values(self) -> np.ndarray:
         # dtype pinned so an empty series is float64, not the ambiguous

@@ -16,7 +16,8 @@ class Zone:
     pointer ``wp`` is absolute and lives in ``[zslba, zslba + cap_lbas]``.
     """
 
-    __slots__ = ("index", "zslba", "size_lbas", "cap_lbas", "state", "wp", "finished_pad_lbas")
+    __slots__ = ("index", "zslba", "size_lbas", "cap_lbas", "writable_end",
+                 "state", "wp", "finished_pad_lbas")
 
     def __init__(self, index: int, zslba: int, size_lbas: int, cap_lbas: int):
         if cap_lbas <= 0 or size_lbas <= 0:
@@ -29,6 +30,9 @@ class Zone:
         self.zslba = zslba
         self.size_lbas = size_lbas
         self.cap_lbas = cap_lbas
+        #: One past the last writable LBA. A plain slot, not a property:
+        #: the write path reads it per command, and the geometry is fixed.
+        self.writable_end = zslba + cap_lbas
         self.state = ZoneState.EMPTY
         self.wp = zslba
         #: LBAs the device marked (not wrote) when the zone was finished
@@ -48,11 +52,6 @@ class Zone:
     @property
     def remaining_lbas(self) -> int:
         return self.cap_lbas - self.occupancy_lbas
-
-    @property
-    def writable_end(self) -> int:
-        """One past the last writable LBA."""
-        return self.zslba + self.cap_lbas
 
     @property
     def end(self) -> int:

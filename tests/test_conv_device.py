@@ -532,7 +532,11 @@ def reference_flood(device_class, channels, dies_per_channel, blocks_per_plane,
         outcome = (sim.now, str(error))
     faults_state = None
     if dev.faults is not None:
-        faults_state = (dev.faults._rng.bit_generator.state, dev.faults.wear.snapshot())
+        # The raw state alone cannot tell apart two runs that served
+        # different counts from one block; the block position can.
+        draws = dev.faults._draws
+        faults_state = (draws._rng.bit_generator.state, draws._pos,
+                        dev.faults.wear.snapshot())
     return {
         "outcome": outcome,
         "log": log,

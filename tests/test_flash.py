@@ -334,7 +334,10 @@ def _run(server: bool, channels: int, dies: int, read_ns: int,
         "counters": (backend.counters.pages_read, backend.counters.pages_programmed,
                      backend.counters.blocks_erased),
         "metrics": metrics.snapshot(),
-        "rng": injector._rng.bit_generator.state if armed else None,
+        # The raw state alone cannot tell apart two runs that served
+        # different counts from one block; the block position can.
+        "rng": (injector._draws._rng.bit_generator.state, injector._draws._pos)
+               if armed else None,
         "wear": injector.wear.snapshot() if armed else None,
         "now": sim.now,
     }
