@@ -126,14 +126,6 @@ class DeviceCounters:
     def errors(self) -> dict[Status, int]:
         return {status: c.value for status, c in self._errors.items() if c.value}
 
-    @property
-    def bytes_written(self) -> int:
-        return self._bytes_written.value
-
-    @property
-    def bytes_read(self) -> int:
-        return self._bytes_read.value
-
 
 class DeviceCore:
     """Shared controller pipeline; subclasses add the media-side model."""
@@ -315,16 +307,18 @@ class DeviceCore:
         ``-1``) and drained them, then let the model's ``_flush_settled``
         drop its power-loss token and book its program failures."""
         if op.result >= 0:
-            if op.result or self.observing:
+            if op.result:
                 # Resume where a get of the page, always granted at once,
-                # would have: the gauge read and the wear accounting keep
-                # their place in the event order (DESIGN.md §15.5). The
-                # timer is queued before the take wakes any putter.
+                # would have: the wear accounting keeps its place in the
+                # event order (DESIGN.md §15.5). The timer is queued
+                # before the take wakes any putter.
                 resume = self.sim.timeout(0, op)
                 self.buffer.take(self._page_size)
                 resume.add_callback(self._flush_resumed)
                 return
             self.buffer.take(self._page_size)
+            if self.observing:
+                self._wbuf_gauge.set(self.buffer.level)
         if op.token is not None:
             self._flush_settled(op)
 

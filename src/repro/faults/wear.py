@@ -122,10 +122,6 @@ class WearTracker:
             self._units[key] = wear
         return wear
 
-    def peek(self, key: int) -> UnitWear | None:
-        """The unit's wear if it has any, without materializing it."""
-        return self._units.get(key)
-
     def __len__(self) -> int:
         return len(self._units)
 

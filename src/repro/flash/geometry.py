@@ -98,9 +98,3 @@ class FlashGeometry:
         if not 0 <= die_index < self.total_dies:
             raise ValueError(f"die index {die_index} out of range [0, {self.total_dies})")
         return die_index // self.dies_per_channel
-
-    def pages_needed(self, nbytes: int) -> int:
-        """Number of flash pages needed to hold ``nbytes``."""
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        return -(-nbytes // self.page_size)

@@ -35,7 +35,3 @@ class NandTiming:
     def program_bandwidth(self, geometry) -> float:
         """Aggregate program bandwidth in bytes/second for a geometry."""
         return geometry.total_dies * geometry.page_size * 1e9 / self.program_ns
-
-    def read_rate(self, geometry) -> float:
-        """Aggregate page-read operations per second for a geometry."""
-        return geometry.total_dies * 1e9 / self.read_ns

@@ -71,9 +71,3 @@ class Namespace:
         if nlb < 0:
             raise ValueError(f"nlb must be >= 0, got {nlb}")
         return nlb * self.block_size
-
-    def lba_of_byte(self, offset: int) -> int:
-        """LBA containing the given byte offset."""
-        if not 0 <= offset < self.capacity_bytes:
-            raise ValueError(f"byte offset {offset} out of range")
-        return offset // self.block_size

@@ -123,10 +123,6 @@ class LayerBreakdown:
     def from_tracer(cls, tracer: Tracer) -> "LayerBreakdown":
         return cls(tracer.events())
 
-    @property
-    def command_count(self) -> int:
-        return sum(len(v) for v in self.command_durations.values())
-
     def layer_share(self, layer: str) -> float:
         """Attributed time in ``layer`` as a fraction of command time."""
         if self.total_command_ns == 0:

@@ -129,10 +129,6 @@ class Tracer:
         self._cmd_seq += 1
         return self._cmd_seq
 
-    @property
-    def commands_traced(self) -> int:
-        return self._cmd_seq
-
     # -- recording -------------------------------------------------------
     def span(self, cat: str, name: str, start_ns: int, end_ns: int,
              track: str = "main", **args: Any) -> None:

@@ -70,7 +70,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 from math import inf
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional, Sequence
 
 __all__ = [
     "us",
@@ -421,7 +421,8 @@ class Simulator:
         self._nested = 0
 
     def add_tick_hook(self, hook: Callable[[int], None],
-                      bulk: Optional[Callable[[list], None]] = None) -> None:
+                      bulk: Optional[Callable[[Sequence[int]], None]] = None
+                      ) -> None:
         """Invoke ``hook(now)`` whenever the simulated clock advances.
 
         The hook fires once per *time advance* (per same-timestamp batch),
@@ -437,8 +438,8 @@ class Simulator:
         Advances a process skipped (:meth:`replay_advances`) reach the
         hook too, before the clock gets there: the replayed time is the
         argument, and ``self.now`` is not moved. ``bulk``, if given,
-        takes all the times of one replay in a list instead of one call
-        per time.
+        takes all the times of one replay at once (the sequence given to
+        :meth:`replay_advances`) instead of one call per time.
         """
         self._hooks.append((hook, bulk))
         previous = self._tick
@@ -473,18 +474,24 @@ class Simulator:
         deadline = self._deadline
         return horizon if deadline is None or horizon < deadline else deadline
 
-    def replay_advances(self, times: list[int]) -> None:
+    def replay_advances(self, times: Sequence[int]) -> None:
         """Hand every tick hook the clock advances to ``times``, in order,
         without moving the clock: the wakes of a step that skips them.
 
-        ``times`` must increase from after ``now`` to before
-        :meth:`quiet_until`, so no other entry is due in between.
+        ``times`` is a ``range`` with a positive step, or a list, and
+        must increase from after ``now`` to before :meth:`quiet_until`,
+        so no other entry is due in between. A range is checked in
+        constant time.
         """
         if not times:
             return
         horizon = self.quiet_until()
-        if horizon is None or not self.now < times[0] or times[-1] >= horizon \
-                or any(a >= b for a, b in zip(times, times[1:])):
+        if type(times) is range:
+            increasing = times.step > 0
+        else:
+            increasing = all(a < b for a, b in zip(times, times[1:]))
+        if horizon is None or not increasing or not self.now < times[0] \
+                or times[-1] >= horizon:
             raise SimulationError(
                 f"cannot replay advances {times[0]}..{times[-1]} at "
                 f"{self.now} (quiet until {horizon})")

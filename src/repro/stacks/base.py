@@ -45,14 +45,6 @@ class StackStats:
     dispatched: int = 0
     merged_away: int = 0  # requests folded into another dispatched command
 
-    @property
-    def merge_fraction(self) -> float:
-        """Fraction of requests merged into a larger command (fio's
-        "percentage merged"; the paper reports 92.35 % at QD16)."""
-        if self.requests == 0:
-            return 0.0
-        return self.merged_away / self.requests
-
 
 class StorageStack:
     """Base class: overhead bookkeeping + passthrough submission."""

@@ -226,16 +226,6 @@ class ZnsDevice(DeviceCore):
                 retired += 1
         return retired
 
-    def inject_zone_failure(self, zone_index: int, state: ZoneState) -> None:
-        """Failure injection: mark a zone READ_ONLY or OFFLINE.
-
-        READ_ONLY zones reject writes/appends/finish but still serve
-        reads; OFFLINE zones reject everything including reset. Used by
-        the failure-injection tests and available to applications that
-        model device wear (paper §II-A).
-        """
-        self.zones.force_state(self.zones.zones[zone_index], state)
-
     def debug_prefill_buffer(self, zone_index: int = 0, fraction: float = 1.0) -> int:
         """Experiment warm start: load the write buffer as if the host had
         already written ``fraction`` of its capacity to ``zone_index``.
@@ -675,15 +665,17 @@ class ZnsDevice(DeviceCore):
                 horizon = sim.quiet_until()
                 if horizon is not None:
                     wake = sim.now + sleep
-                    skipped = []
-                    while wake < horizon and done_work + step < work_ns:
-                        skipped.append(wake)
-                        done_work += step
+                    # A skipped boundary ends a whole chunk and leaves
+                    # work after it, and falls before the horizon.
+                    skips = (work_ns - done_work - 1) // chunk_ns
+                    if skips and wake + (skips - 1) * chunk_ns >= horizon:
+                        skips = max(0, -((wake - horizon) // chunk_ns))
+                    if skips:
+                        sim.replay_advances(
+                            range(wake, wake + skips * chunk_ns, chunk_ns))
+                        done_work += skips * chunk_ns
                         step = min(chunk_ns, work_ns - done_work)
-                        wake += step
-                    if skipped:
-                        sim.replay_advances(skipped)
-                        sleep = wake - sim.now
+                        sleep = wake + (skips - 1) * chunk_ns + step - sim.now
                 yield sleep
                 done_work += step
                 debt_paid += new_debt

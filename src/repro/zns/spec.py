@@ -23,6 +23,11 @@ class ZoneState(Enum):
     READ_ONLY = "read_only"
     OFFLINE = "offline"
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with equality; Enum's own hashes the name in Python code,
+    # and the zone census keys dicts and sets by state.
+    __hash__ = object.__hash__
+
 
 #: States a zone may be in (or transition through) to accept writes.
 WRITABLE_STATES = frozenset(

@@ -46,10 +46,6 @@ class Zone:
         return self.wp - self.zslba
 
     @property
-    def occupancy_fraction(self) -> float:
-        return self.occupancy_lbas / self.cap_lbas
-
-    @property
     def remaining_lbas(self) -> int:
         return self.cap_lbas - self.occupancy_lbas
 

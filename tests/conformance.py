@@ -254,7 +254,7 @@ class ConformanceDriver:
                              Command(Opcode.ZONE_MGMT, slba=zone.zslba,
                                      action=ZoneAction.FINISH))
         elif state in (Z.READ_ONLY, Z.OFFLINE):
-            device.inject_zone_failure(zone.index, state)
+            device.zones.force_state(zone, state)
         self._expect_state(zone, state, "setup")
 
     def _require_ok(self, sim, device, command: Command) -> None:

@@ -60,7 +60,8 @@ class TestSharedCore:
         assert run_cmd(sim2, conv, write(0, 4)).ok
         assert zns.counters.completed[Opcode.WRITE] == 1
         assert conv.counters.completed[Opcode.WRITE] == 1
-        assert zns.counters.bytes_written == conv.counters.bytes_written == 4 * 4096
+        assert (zns.metrics.get("device.bytes_written").value
+                == conv.metrics.get("device.bytes_written").value == 4 * 4096)
 
 
 class TestGoldenIdentity:

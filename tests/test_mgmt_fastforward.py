@@ -39,10 +39,10 @@ BOUNDARY_DEBT_NS = us(30)
 class Bench:
     """One device with a tracer, a registry and a telemetry sampler."""
 
-    def __init__(self, cls, faults=None):
+    def __init__(self, cls, faults=None, interval_ns=INTERVAL_NS):
         self.sim = Simulator()
         self.tracer = Tracer()
-        self.collector = TelemetryCollector(INTERVAL_NS)
+        self.collector = TelemetryCollector(interval_ns)
         self.device = cls(self.sim, zn540_small(), tracer=self.tracer,
                           metrics=MetricsRegistry(), telemetry=self.collector,
                           faults=resolve(faults))
@@ -104,12 +104,12 @@ class Bench:
         }
 
 
-def both(scenario, faults=None):
+def both(scenario, faults=None, interval_ns=INTERVAL_NS):
     """Run ``scenario(bench)`` on the reference and on the device; return
     both benches after checking that their outcomes are equal."""
-    reference = Bench(ReferenceZnsDevice, faults)
+    reference = Bench(ReferenceZnsDevice, faults, interval_ns)
     scenario(reference)
-    device = Bench(ZnsDevice, faults)
+    device = Bench(ZnsDevice, faults, interval_ns)
     scenario(device)
     assert device.outcome() == reference.outcome()
     return reference, device
@@ -240,3 +240,39 @@ def test_power_cut_during_a_finish():
               if event.name == "finish.work"]
     assert span.ts < device.device.faults.plan.power_cut_at_ns \
         < span.ts + span.dur
+
+
+#: The chunk of the bare work below.
+CHUNK_NS = us(50)
+
+
+@pytest.mark.parametrize("interval_ns", [us(20), CHUNK_NS, us(170)],
+                         ids=["chunk-longer", "chunk-equal", "chunk-shorter"])
+@pytest.mark.parametrize("work_ns", [9 * CHUNK_NS, 9 * CHUNK_NS + us(17),
+                                     us(31)],
+                         ids=["whole-chunks", "partial-chunk", "one-step"])
+@pytest.mark.parametrize("horizon", ["infinite", "timer", "deadline"])
+@pytest.mark.parametrize("start", [us(10), us(1700)],
+                         ids=["unaligned", "on-window-ends"])
+def test_bare_work_against_the_window(interval_ns, work_ns, horizon, start):
+    """Work of ``work_ns`` in ``CHUNK_NS`` chunks on an idle device: with
+    nothing else due (an infinite horizon), with a held timer due inside
+    it, or under a ``run(until=...)`` deadline inside it. Started at
+    1,700 µs, a multiple of every window here, some chunk ends fall
+    exactly on window ends."""
+    def scenario(bench):
+        bench.run(until=start)
+
+        def run_work():
+            yield from bench.device._mgmt_work(work_ns, CHUNK_NS)
+            return bench.sim.now
+
+        work = bench.sim.process(run_work())
+        if horizon == "timer":
+            bench.sim.timeout(us(203))
+        if horizon == "deadline":
+            bench.run(until=start + us(250))
+        bench.run(until=work)
+        assert work.value - start == work_ns
+
+    both(scenario, interval_ns=interval_ns)

@@ -48,7 +48,7 @@ class TestTracer:
         tracer = Tracer()
         ids = [tracer.begin_command("write") for _ in range(5)]
         assert ids == [1, 2, 3, 4, 5]
-        assert tracer.commands_traced == 5
+        assert tracer._cmd_seq == 5
 
     def test_jsonl_roundtrip(self):
         tracer = Tracer()
@@ -202,7 +202,7 @@ class TestDeviceTracing:
         assert len(commands) == 3
         assert {c.args["opcode"] for c in commands} == {
             "append", "read", "write"}
-        assert tracer.commands_traced == 3
+        assert tracer._cmd_seq == 3
         # Layer spans carry the command ids of those commands.
         cids = {c.args["cid"] for c in commands}
         layer_cids = {e.args.get("cid") for e in events
@@ -266,7 +266,8 @@ class TestProfile:
 
     def test_self_profile_accounts_layers(self):
         _, breakdown = run_self_profile()
-        assert breakdown.command_count == 32 + 16 + 1
+        assert sum(len(durations) for durations
+                   in breakdown.command_durations.values()) == 32 + 16 + 1
         assert set(breakdown.command_durations) == {
             "append", "read", "zone_mgmt"}
         # Reads must show NAND time; appends buffer time; reset firmware.

@@ -320,4 +320,5 @@ def test_mq_deadline_merging_preserves_lba_coverage(chunks):
     sim.run()
     assert all(e.value.ok for e in events)
     assert dev.zones.zones[0].wp == total
-    assert dev.counters.bytes_written == total * dev.namespace.block_size
+    assert (dev.metrics.get("device.bytes_written").value
+            == total * dev.namespace.block_size)

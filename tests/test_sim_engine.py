@@ -862,3 +862,43 @@ class TestReplayAdvances:
         sim.process(sleeper())
         sim.run()
         assert len(errors) == 1
+
+    def test_a_range_is_accepted(self):
+        sim = Simulator()
+        seen = []
+        sim.add_tick_hook(lambda now: seen.append(("plain", now)))
+        sim.add_tick_hook(lambda now: None,
+                          bulk=lambda times: seen.append(("bulk", times)))
+        times = range(us(2), us(5), us(1))
+
+        def proc():
+            yield us(1)
+            sim.replay_advances(times)
+            yield us(5)
+
+        sim.process(proc())
+        sim.run()
+        assert seen == [("plain", us(1)), ("plain", us(2)), ("plain", us(3)),
+                        ("plain", us(4)), ("bulk", times), ("plain", us(6))]
+
+    @pytest.mark.parametrize("times", [
+        range(us(4), us(2), -us(1)),    # decreasing
+        range(us(2), us(1), -us(1)),    # one time, but a negative step
+    ])
+    def test_a_non_positive_step_range_raises(self, times):
+        sim = Simulator()
+        sim.add_tick_hook(lambda now: None)
+        errors = []
+
+        def proc():
+            yield us(1)
+            try:
+                sim.replay_advances(times)
+            except SimulationError as error:
+                errors.append(error)
+
+        sim.process(proc())
+        sim.run()
+        assert len(errors) == 1
+        with pytest.raises(ValueError):  # a zero step cannot be built
+            range(us(2), us(4), 0)

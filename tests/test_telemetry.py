@@ -29,7 +29,10 @@ import os
 import random
 import types
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.experiments.common import (
     KIB,
@@ -44,9 +47,19 @@ from repro.exec.engine import check_segments
 from repro.exec.pool import run_point
 from repro.flash.geometry import FlashGeometry
 from repro.hostif.commands import Command, Opcode, ZoneAction
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    bucket_percentile,
+)
 from repro.obs.report import RUN_SCHEMA, load_run, render_html, write_run
-from repro.obs.telemetry import TelemetryCollector
+from repro.obs.telemetry import (
+    TelemetryCollector,
+    busy_fractions,
+    window_percentiles,
+)
 from repro.sim.engine import Simulator, ms, us
 from repro.stacks.spdk import SpdkStack
 from repro.workload.job import IoKind, JobSpec, Pattern
@@ -522,6 +535,123 @@ class TestReferenceEquivalence:
         assert device.zones.census[ZoneState.EXPLICIT_OPEN] == 1
 
 
+#: Bounds of the late histogram of :func:`mix`: few and small, so its
+#: windows reach the overflow bucket and land percentiles on bucket edges.
+EDGE_BOUNDS = (10, 20, 40)
+
+#: What :func:`mix` may change between two rows, besides its commands.
+POKES = ("die", "edge", "overflow", "counter")
+
+
+def mix(sim, device, make_command, seed: int, batches: int, late: int,
+        pokes: list) -> None:
+    """Random command batches with idle gaps. A counter and a histogram
+    are registered before batch ``late``; after batch ``b``, each
+    ``(b, kind, amount)`` of ``pokes`` then moves one thing: one die's
+    busy total, the histogram on its bucket edges or in its overflow
+    bucket, or the counter."""
+    rng = random.Random(seed)
+    counter = histogram = None
+    for batch in range(batches):
+        if batch == late:
+            counter = device.metrics.counter("late.ops")
+            histogram = device.metrics.histogram("late.edge_ns", EDGE_BOUNDS)
+        events = [device.submit(make_command(device, rng))
+                  for _ in range(rng.randint(1, 8))]
+        sim.run(until=sim.all_of(events))
+        for _, kind, amount in (poke for poke in pokes if poke[0] == batch):
+            if kind == "die":
+                busy = device.backend._die_busy_ns
+                busy[amount % len(busy)] += us(amount)
+            elif histogram is None:
+                continue
+            elif kind == "edge":
+                for bound in EDGE_BOUNDS[:2]:
+                    for _ in range(amount):
+                        histogram.observe(bound)
+            elif kind == "overflow":
+                histogram.observe(EDGE_BOUNDS[-1] * 10 * amount)
+            else:
+                counter.inc(amount)
+            sim.run(until=sim.timeout(us(rng.choice((7, 40)))))
+        if rng.random() < 0.3:
+            sim.run(until=sim.timeout(rng.choice((us(7), us(40), us(300)))))
+    sim.run()
+
+
+_pokes = st.lists(st.tuples(st.integers(0, 11), st.sampled_from(POKES),
+                            st.integers(1, 4)), max_size=10)
+
+
+class TestBulkSamplerProperty:
+    """The bulk sampler against :class:`ReferenceSampler` on random
+    mixes, compared as JSON so that ``0`` and ``0.0`` differ: counters
+    and histograms registered after rows exist, a histogram's overflow
+    bucket, rows where only one die moved, and percentiles exactly on a
+    bucket edge. ZNS mixes replay zone-management chunks."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), interval_us=st.sampled_from([5, 20, 70]),
+           late=st.integers(0, 12), pokes=_pokes)
+    def test_zns_mix_matches_reference(self, seed, interval_us, late, pokes):
+        sim, device, collector, reference = sampled_device("zns", us(interval_us))
+        mix(sim, device, zns_commands, seed, 12, late, pokes)
+        [segment] = collector.drain()
+        assert json.dumps(segment) == json.dumps(reference.segment())
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**16), late=st.integers(0, 12), pokes=_pokes)
+    def test_conv_mix_matches_reference(self, seed, late, pokes):
+        sim, device, collector, reference = sampled_device("conv", us(20))
+        device.precondition(0.9, steady_state_churn=1.0, seed=seed % 4)
+        mix(sim, device, conv_commands, seed, 12, late, pokes)
+        [segment] = collector.drain()
+        assert json.dumps(segment) == json.dumps(reference.segment())
+
+
+_counts = st.one_of(st.integers(0, 3), st.integers(0, 10**6))
+
+
+class TestVectorizedRows:
+    """The per-window values :meth:`TelemetrySampler.segment` computes
+    for all rows at once, value by value against the scalar formulas."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(bounds=st.lists(st.integers(1, 10**9), min_size=1, max_size=10,
+                           unique=True).map(sorted),
+           data=st.data())
+    def test_window_percentiles_match_bucket_percentile(self, bounds, data):
+        row = st.lists(_counts, min_size=len(bounds) + 1,
+                       max_size=len(bounds) + 1).filter(any)
+        rows = data.draw(st.lists(row, min_size=1, max_size=8))
+        dcounts = np.array(rows, dtype=np.int64)
+        dtotals = dcounts.sum(axis=1)
+        percentiles = (50, 95, 99, data.draw(st.integers(1, 100)))
+        got = window_percentiles(bounds, dcounts, dtotals, percentiles)
+        for p, values in zip(percentiles, got.tolist()):
+            want = [bucket_percentile(bounds, counts, sum(counts), p)
+                    for counts in rows]
+            assert values == want
+            assert [round(v, 1) for v in values] == [round(v, 1) for v in want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(
+        st.tuples(st.lists(st.integers(0, 10**8), min_size=4, max_size=4),
+                  st.integers(1, 10**9)),
+        min_size=1, max_size=10))
+    def test_busy_fractions_match_scalar(self, steps):
+        totals = np.cumsum([busy for busy, _ in steps], axis=0)
+        elapsed = np.array([ns for _, ns in steps], dtype=np.int64)
+        got = busy_fractions(totals, elapsed).tolist()
+        previous = [0] * 4
+        for row, (total, (_, ns)) in zip(got, zip(totals.tolist(), steps)):
+            want = [(t - p) / ns for t, p in zip(total, previous)]
+            assert row == want
+            assert ([round(v, 6) for v in row]
+                    == [round(v, 6) for v in want])
+            previous = total
+
+
 def idle_row(sim, reference) -> int:
     """Idle past a few windows in one clock advance, so exactly one row
     closes; returns that row's index."""
@@ -616,6 +746,16 @@ class TestQuietRows:
 
         segment, row, moved = self.run(busy_die_three)
         assert moved == {"nand.die3.busy_frac"}
+
+    def test_die_busy_moving_after_the_last_window_end(self):
+        """A run that ends on a window end leaves the final row no time of
+        its own: its busy fractions are taken over one interval."""
+        sim, device, collector, reference = sampled_device("zns", us(10))
+        sim.run(until=us(30))
+        device.backend._die_busy_ns[3] += us(5)
+        [segment] = collector.drain()
+        assert json.dumps(segment) == json.dumps(reference.segment())
+        assert segment["columns"]["nand.die3.busy_frac"][-1] == 0.5
 
     def test_counter_registered_after_rows_exist(self):
         segment, row, moved = self.run(

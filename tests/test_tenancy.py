@@ -181,7 +181,7 @@ class TestRetirementUnderTenancy:
 
     def test_offline_zone_never_reissued(self):
         sim, dev = make_device(faults=self._retiring_plan())
-        dev.inject_zone_failure(1, ZoneState.OFFLINE)
+        dev.zones.force_state(dev.zones.zones[1], ZoneState.OFFLINE)
         scheduler = TenantScheduler(dev)
         tenant = Tenant(dev, "log", zones=[0, 1], seed=7)
         scheduler.add_workload(

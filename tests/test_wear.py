@@ -148,7 +148,7 @@ class TestWearOdometers:
         sim.run()
         for _ in range(3):
             assert run_cmd(sim, dev, read(0, nlb)).ok
-        wear = dev.faults.wear.peek(0)
+        wear = dict(dev.faults.wear.items())[0]
         assert wear.reads_since_erase == 3
         assert run_cmd(sim, dev, mgmt(0, ZoneAction.RESET)).ok
         assert wear.erase_count == 1
@@ -162,7 +162,7 @@ class TestWearOdometers:
         page = dev.profile.geometry.page_size
         assert run_cmd(sim, dev, write(0, 4 * page // 4096)).ok
         sim.run()
-        assert dev.faults.wear.peek(0).program_failures == 4
+        assert dict(dev.faults.wear.items())[0].program_failures == 4
 
     def test_failure_probability_monotone_in_wear(self):
         injector_plan = plan(program_fail_curve=WearCurve(
@@ -200,7 +200,7 @@ class TestWearOdometers:
         clone = WearTracker()
         clone.restore(json.loads(json.dumps(tracker.snapshot())))
         assert clone.snapshot() == tracker.snapshot()
-        assert clone.peek(7).erase_count == 9
+        assert dict(clone.items())[7].erase_count == 9
 
 
 class TestAging:

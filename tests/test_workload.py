@@ -282,7 +282,7 @@ class TestJobRunner:
         job = JobSpec(op=IoKind.WRITE, block_size=4 * KIB, runtime_ns=ms(10),
                       zones=[0], iodepth=32)
         result = JobRunner(dev, stack, job).run()
-        assert stack.stats.merge_fraction > 0.5
+        assert stack.stats.merged_away / stack.stats.requests > 0.5
         assert result.kiops > 186  # above the unmerged per-command cap
 
 
@@ -303,7 +303,7 @@ class TestRunnerResetFailure:
         sim, dev = make_device()
         for z in (0, 1):
             dev.force_fill(z, dev.zones.zones[z].cap_lbas)
-            dev.inject_zone_failure(z, ZoneState.READ_ONLY)
+            dev.zones.force_state(dev.zones.zones[z], ZoneState.READ_ONLY)
         job = JobSpec(op=op, block_size=64 * KIB, runtime_ns=ms(5),
                       zones=[0, 1])
         return JobRunner(dev, SpdkStack(dev), job).run()
@@ -326,7 +326,7 @@ class TestRunnerResetFailure:
 
         sim, dev = make_device()
         dev.force_fill(0, dev.zones.zones[0].cap_lbas)
-        dev.inject_zone_failure(0, ZoneState.READ_ONLY)
+        dev.zones.force_state(dev.zones.zones[0], ZoneState.READ_ONLY)
         job = JobSpec(op=IoKind.WRITE, block_size=64 * KIB, runtime_ns=ms(5),
                       zones=[0])
         runner = JobRunner(dev, SpdkStack(dev), job)

@@ -97,7 +97,8 @@ class TestReadSemantics:
         run_cmd(sim, dev, write(0, 8))
         cpl = run_cmd(sim, dev, read(0, 8))
         assert cpl.ok
-        assert dev.counters.bytes_read == 8 * dev.namespace.block_size
+        assert (dev.metrics.get("device.bytes_read").value
+                == 8 * dev.namespace.block_size)
 
     def test_read_cannot_cross_zone_end(self):
         sim, dev = make_device()
